@@ -1,115 +1,25 @@
 package repro
 
-// One benchmark per table of the paper's evaluation (§6), plus the ablation
-// benches DESIGN.md defines. The same measurements, formatted as the paper's
-// tables, come from `go run ./cmd/paper`; EXPERIMENTS.md records both.
+// Micro-benchmarks for the layers the end-to-end benchmark in bench/ does
+// not isolate: the Table 2 synthesis rows, the DESIGN.md ablations, pipeline
+// retiming, and the compiler, assembler and ISDL front end. Table 1,
+// exploration and suite throughput are measured by `bash bench/run.sh`
+// (bench/README.md). The same Table 2 and ablation measurements, formatted
+// as the paper's tables, come from `go run ./cmd/paper`.
 //
 //	go test -bench=. -benchmem
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/asm"
 	"repro/internal/compiler"
-	"repro/internal/cosim"
-	"repro/internal/experiments"
-	"repro/internal/explore"
 	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/machines"
-	"repro/internal/obs"
-	"repro/internal/suite"
 	"repro/internal/tech"
-	"repro/internal/verilog"
 	"repro/internal/xsim"
 )
-
-// --- Table 1: simulation speed, XSIM ILS vs synthesizable Verilog ---------
-
-func firSetup(b *testing.B) (*isdl.Description, *asm.Program) {
-	b.Helper()
-	d, p, err := experiments.FIRWorkload(16, 48)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d, p
-}
-
-func benchILS(b *testing.B, compiled bool) {
-	d, p := firSetup(b)
-	sim := xsim.New(d)
-	sim.CompiledCore = compiled
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		if err := sim.Load(p); err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		cycles += sim.Cycle()
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
-}
-
-// BenchmarkTable1_XSIM measures the generated instruction-level simulator on
-// the SPAM FIR workload (the fast row of Table 1).
-func BenchmarkTable1_XSIM(b *testing.B) { benchILS(b, true) }
-
-// BenchmarkTable1_XSIMInterpreted measures the AST-interpreting core — the
-// baseline for the paper's §6.2 compiled-code-simulator projection.
-func BenchmarkTable1_XSIMInterpreted(b *testing.B) { benchILS(b, false) }
-
-// BenchmarkTable1_VerilogModel measures event-driven simulation of the
-// HGEN-generated Verilog running the same workload (the slow row of
-// Table 1; the paper used Verilog-XL). Each sub-benchmark fans b.N whole
-// workloads over a cosim.Pool at a different worker count; comparing the
-// cycles/sec metric across the workers=1 and workers=N rows is the honest
-// wall-clock parallel speedup, while measured-speedup is the pool's own
-// summed-sim-time-over-wall figure (these agree when cores are free and
-// diverge under oversubscription — see EXPERIMENTS.md).
-func BenchmarkTable1_VerilogModel(b *testing.B) {
-	d, p := firSetup(b)
-	r, err := hgen.Synthesize(d, tech.LSI10K(), hgen.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod, err := verilog.Parse(r.VerilogText)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, workers int) {
-		pool := &cosim.Pool{Workers: workers}
-		w := cosim.Workload{
-			Mod:  mod,
-			Init: func(hw *verilog.Sim) error { return experiments.LoadProgram(hw, p) },
-		}
-		b.ResetTimer()
-		stats, err := pool.Run("bench.table1.verilog", b.N, func(i int, l *cosim.Lane) error {
-			_, err := w.Run(l)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stats.AggregateCyclesPerSec(), "cycles/sec")
-		b.ReportMetric(stats.Speedup(), "measured-speedup")
-	}
-	counts := []int{1, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	for _, workers := range counts {
-		if seen[workers] {
-			continue
-		}
-		seen[workers] = true
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers) })
-	}
-}
 
 // --- Table 2: hardware synthesis statistics --------------------------------
 
@@ -228,64 +138,6 @@ func BenchmarkParseISDL(b *testing.B) {
 	}
 }
 
-// --- Exploration engine (Figure 1 loop) --------------------------------------
-
-// benchExplore measures the whole iterative-improvement loop on SPAM —
-// every neighbour candidate runs the full parse → compile → assemble →
-// simulate → synthesize pipeline — under the given concurrency and
-// memoization knobs, optionally with the full fleet-telemetry stack: a
-// live obs.Registry collecting every metric and span, a flight recorder
-// ring, and a background sampler ticking at the dashboard's default
-// 1-second interval. All variants produce bit-identical results
-// (asserted by TestExploreParallelDeterministic,
-// TestExploreInstrumentedExactCounters and
-// TestExploreFleetTelemetryBitIdentical).
-func benchExplore(b *testing.B, workers int, cached, instrumented bool, extra ...explore.Option) {
-	const kernel = "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n"
-	b.ResetTimer()
-	var evaluated int
-	for i := 0; i < b.N; i++ {
-		opts := []explore.Option{
-			explore.WithMaxIters(3),
-			explore.WithWorkers(workers),
-		}
-		if !cached {
-			opts = append(opts, explore.WithoutCache())
-		}
-		if instrumented {
-			reg := obs.NewRegistry()
-			reg.AttachFlight(obs.NewFlightRecorder(256))
-			sampler := obs.NewSampler(reg, time.Second, 360)
-			sampler.Start()
-			defer sampler.Stop()
-			opts = append(opts, explore.WithObs(reg))
-		}
-		opts = append(opts, extra...)
-		res, err := explore.New(machines.SPAMSource, kernel, opts...).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		evaluated = len(res.Steps)
-	}
-	b.ReportMetric(float64(evaluated), "candidates")
-}
-
-// BenchmarkExplore_SPAM is the exploration-throughput benchmark: the
-// sequential/uncached row is the pre-PR baseline, the parallel/cached row
-// the full engine. The -obs rows run with a live metrics registry —
-// compare par-cache with par-cache-obs for the instrumentation overhead
-// (budgeted at ≤ 5%).
-func BenchmarkExplore_SPAM(b *testing.B) {
-	b.Run("seq", func(b *testing.B) { benchExplore(b, 1, false, false) })
-	b.Run("seq-cache", func(b *testing.B) { benchExplore(b, 1, true, false) })
-	b.Run("par", func(b *testing.B) { benchExplore(b, runtime.NumCPU(), false, false) })
-	b.Run("par-cache", func(b *testing.B) { benchExplore(b, runtime.NumCPU(), true, false) })
-	b.Run("par-cache-obs", func(b *testing.B) { benchExplore(b, runtime.NumCPU(), true, true) })
-	b.Run("beam4-par-cache", func(b *testing.B) {
-		benchExplore(b, runtime.NumCPU(), true, false, explore.WithBeam(4))
-	})
-}
-
 // --- Extension: §6.2 pipeline retiming ---------------------------------------
 
 // BenchmarkExtension_RetimeSPAM measures the pipeline optimizer driving SPAM
@@ -317,59 +169,6 @@ for i = 0 to 15 { s = s + a[i]; }
 	for i := 0; i < b.N; i++ {
 		if _, err := compiler.Compile(d, kernel); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- Suite: per-kernel MIPS across the machine zoo (ROADMAP item 4) -------
-
-// BenchmarkSuite measures every registered suite workload on every zoo
-// machine the toolchain can target (compiled backend), reporting MIPS per
-// pair. The sub-benchmark rows land in the -bench-json trajectory
-// (BENCH_10.json), making the suite the standing perf yardstick.
-func BenchmarkSuite(b *testing.B) {
-	for _, w := range suite.All(suite.Filter{}) {
-		for _, m := range machines.ZooNames() {
-			if w.Machine != "" && w.Machine != m {
-				continue // asm workload pinned to one machine
-			}
-			w, m := w, m
-			b.Run(w.Name+"/"+m, func(b *testing.B) {
-				d, err := machines.ByName(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// One verified run first: a yardstick that measures wrong
-				// answers fast is no yardstick.
-				if _, err := suite.RunOn(w, d, m, suite.Options{}); err != nil {
-					var u *suite.Unsupported
-					if errors.As(err, &u) {
-						b.Skipf("unsupported: %v", u.Err)
-					}
-					b.Fatal(err)
-				}
-				p, _, _, err := suite.Prepare(w, d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var instrs uint64
-				for i := 0; i < b.N; i++ {
-					eng, _, err := xsim.NewEngine(d, xsim.BackendCompiled)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := eng.Load(p); err != nil {
-						b.Fatal(err)
-					}
-					if err := eng.Run(0); err != nil {
-						b.Fatal(err)
-					}
-					instrs += eng.Stats().Instructions
-					eng.Close()
-				}
-				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "MIPS")
-			})
 		}
 	}
 }

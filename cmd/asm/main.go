@@ -13,14 +13,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/atomicfile"
 	"strings"
 
 	"repro"
+	"repro/internal/atomicfile"
+	"repro/internal/machines"
 )
 
 func main() {
-	machine := flag.String("m", "", "machine: .isdl file or builtin (toy, spam, spam2)")
+	machine := flag.String("m", "", "machine: .isdl file or builtin ("+strings.Join(machines.ZooNames(), ", ")+")")
 	out := flag.String("o", "", "output file (default: input with .xbin)")
 	disasm := flag.Bool("d", false, "disassemble an .xbin file")
 	listing := flag.Bool("l", false, "print a listing instead of writing output")
@@ -29,7 +30,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: asm -m <machine> [-d] [-l] [-o out] <file>")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Resolve(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := repro.ParseISDL(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,17 +68,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("%s: %d words, %d symbols\n", name, len(p.Words), len(p.Symbols))
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

@@ -93,13 +93,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/gensim"
+	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/xsim"
 )
 
 func main() {
-	machine := flag.String("m", "", "base machine: .isdl file or builtin (toy, spam, spam2)")
+	machine := flag.String("m", "", "base machine: .isdl file or builtin ("+strings.Join(machines.ZooNames(), ", ")+")")
 	kernelFile := flag.String("k", "", "kernel-language workload file")
 	strategy := flag.String("strategy", "hill", "search strategy: hill (first local optimum), beam (top-K frontier) or pareto (non-dominated frontier)")
 	beamWidth := flag.Int("beam", 4, "frontier width for -strategy beam")
@@ -156,7 +157,7 @@ func main() {
 	if err != nil {
 		fatal(err) // bad extension: fail before the run, not after
 	}
-	baseSrc, err := loadSource(*machine)
+	baseSrc, err := machines.Resolve(*machine)
 	if err != nil {
 		fatal(err)
 	}
@@ -191,14 +192,14 @@ func main() {
 		return
 	}
 
-	var cache *core.EvalCache
+	var cache *core.StageCache
 	if !*noCache {
-		cache = core.NewEvalCache()
+		cache = core.NewStageCache()
 		if *cacheFile != "" {
-			if loaded, err := cache.Stages().LoadFileIfExists(*cacheFile); err != nil {
+			if loaded, err := cache.LoadFileIfExists(*cacheFile); err != nil {
 				fatal(err) // corrupt/unreadable: never silently start cold
 			} else if loaded {
-				fmt.Printf("loaded stage cache %s (%d artifacts)\n", *cacheFile, cache.Stages().Len())
+				fmt.Printf("loaded stage cache %s (%d artifacts)\n", *cacheFile, cache.Len())
 			} else {
 				fmt.Printf("no stage cache at %s yet; starting empty\n", *cacheFile)
 			}
@@ -213,7 +214,7 @@ func main() {
 			if hc, ok := st.(*blob.HTTP); ok && *traceOut != "" {
 				hc.SetTrace(obs.TraceContext{TraceID: reg.TraceID()})
 			}
-			cache.Stages().SetStore(st)
+			cache.SetStore(st)
 			gensim.SetStore(st) // share built aot simulator binaries too
 			fmt.Printf("sharing artifacts via %s\n", *storeSpec)
 		}
@@ -265,17 +266,17 @@ func main() {
 	fmt.Print(res.Report())
 	if cache != nil {
 		opHits, opMisses := xsim.SharedOpCache().Stats()
-		fmt.Printf("stage cache: %s\n", cache.Stages().StatsLine())
+		fmt.Printf("stage cache: %s\n", cache.StatsLine())
 		fmt.Printf("op-closure cache: %d reused / %d compiled\n", opHits, opMisses)
 		if *storeSpec != "" {
-			sh, sm, se := cache.Stages().StoreStats()
+			sh, sm, se := cache.StoreStats()
 			fmt.Printf("blob store: %d served / %d absent / %d errors\n", sh, sm, se)
 		}
 		if *cacheFile != "" {
-			if err := cache.Stages().SaveFile(*cacheFile); err != nil {
+			if err := cache.SaveFile(*cacheFile); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("saved stage cache %s (%d artifacts)\n", *cacheFile, cache.Stages().Len())
+			fmt.Printf("saved stage cache %s (%d artifacts)\n", *cacheFile, cache.Len())
 		}
 	}
 	if *frontierOut != "" {
@@ -424,17 +425,6 @@ func normalizeAddr(addr string) string {
 		return addr[i:]
 	}
 	return ":" + addr
-}
-
-func loadSource(arg string) (string, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return src, nil
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return "", err
-	}
-	return string(blob), nil
 }
 
 func fatal(err error) {

@@ -15,15 +15,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/atomicfile"
+	"strings"
 
 	"repro"
+	"repro/internal/atomicfile"
 	"repro/internal/hgen"
+	"repro/internal/machines"
 	"repro/internal/tech"
 )
 
 func main() {
-	machine := flag.String("m", "", "machine: .isdl file or builtin (toy, spam, spam2)")
+	machine := flag.String("m", "", "machine: .isdl file or builtin ("+strings.Join(machines.ZooNames(), ", ")+")")
 	out := flag.String("o", "", "write the generated Verilog to this file")
 	sharing := flag.String("sharing", "full", "resource sharing: off | rules | full")
 	decodeStyle := flag.String("decode", "twolevel", "decode logic: twolevel | comparator")
@@ -33,7 +35,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hgen -m <machine> [-o out.v] [-sharing off|rules|full] [-decode twolevel|comparator]")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Resolve(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := repro.ParseISDL(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -90,17 +96,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d lines)\n", *out, r.VerilogLines)
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

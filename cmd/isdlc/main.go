@@ -6,40 +6,33 @@
 //
 //	isdlc [-format] <machine>
 //
-// where <machine> is an .isdl file or a builtin name (toy, spam, spam2).
+// where <machine> is an .isdl file or a builtin zoo name (toy, risc32,
+// riscv5, spam, spam2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
-	"repro/internal/isdl"
+	"repro/internal/machines"
 )
-
-// loadMachine resolves a builtin name or reads a file.
-func loadMachine(arg string) (*isdl.Description, string, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		d, err := repro.ParseISDL(src)
-		return d, src, err
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, "", err
-	}
-	d, err := repro.ParseISDL(string(blob))
-	return d, string(blob), err
-}
 
 func main() {
 	format := flag.Bool("format", false, "print the canonical ISDL source")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: isdlc [-format] <machine.isdl | toy | spam | spam2>")
+		fmt.Fprintf(os.Stderr, "usage: isdlc [-format] <machine.isdl | %s>\n", strings.Join(machines.ZooNames(), " | "))
 		os.Exit(2)
 	}
-	d, _, err := loadMachine(flag.Arg(0))
+	src, err := machines.Resolve(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "isdlc:", err)
+		os.Exit(1)
+	}
+	d, err := repro.ParseISDL(src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "isdlc:", err)
 		os.Exit(1)

@@ -13,14 +13,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/atomicfile"
+	"strings"
 
 	"repro"
+	"repro/internal/atomicfile"
 	"repro/internal/compiler"
+	"repro/internal/machines"
 )
 
 func main() {
-	machine := flag.String("m", "", "machine: .isdl file or builtin (toy, spam, spam2)")
+	machine := flag.String("m", "", "machine: .isdl file or builtin ("+strings.Join(machines.ZooNames(), ", ")+")")
 	out := flag.String("o", "", "output assembly file")
 	run := flag.Bool("run", false, "also assemble, simulate to halt, and print statistics")
 	noPack := flag.Bool("nopack", false, "emit one operation per instruction (disable VLIW packing)")
@@ -29,7 +31,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: kcc -m <machine> [-o out.s] [-run] <kernel.k>")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Resolve(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := repro.ParseISDL(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,17 +68,6 @@ func main() {
 		}
 		fmt.Print(sim.Stats().Summary(d))
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

@@ -7,9 +7,8 @@
 //	paper -ablation all      just the ablations
 //	paper -budget 500ms      quicker (noisier) Table 1
 //	paper -cosim-workers 8   Verilog co-simulation fan-out (0 = NumCPU)
-//	paper -bench-json f.json parse `go test -bench` output on stdin into
-//	                         a benchmark JSON document (skips everything
-//	                         else)
+//
+// An unknown -table or -ablation value is a usage error (exit status 2).
 //
 // The suite registry (ROADMAP item 4) adds the workload-gauntlet modes,
 // which skip the tables above:
@@ -39,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/atomicfile"
@@ -48,12 +48,27 @@ import (
 	"repro/internal/xsim"
 )
 
+// The accepted -table and -ablation values.
+var (
+	tableChoices    = []string{"1", "2", "all", "none"}
+	ablationChoices = []string{"sharing", "decode", "stalls", "all", "none"}
+)
+
+// checkChoice returns an error unless val is one of the flag's choices.
+func checkChoice(name, val string, choices []string) error {
+	for _, c := range choices {
+		if val == c {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown -%s %q (want %s)", name, val, strings.Join(choices, " | "))
+}
+
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1 | 2 | all | none")
-	ablation := flag.String("ablation", "all", "which ablation: sharing | decode | stalls | all | none")
+	table := flag.String("table", "all", "which table to regenerate: "+strings.Join(tableChoices, " | "))
+	ablation := flag.String("ablation", "all", "which ablation: "+strings.Join(ablationChoices, " | "))
 	budget := flag.Duration("budget", 2*time.Second, "measurement budget per simulator for Table 1")
 	cosimWorkers := flag.Int("cosim-workers", 0, "parallel Verilog co-simulation workers for Table 1 (0 = NumCPU)")
-	benchJSON := flag.String("bench-json", "", "parse `go test -bench` output on stdin and write it as JSON here")
 
 	suiteRun := flag.Bool("suite", false, "run the benchmark suite (registry workloads × machine zoo) and skip the tables")
 	suiteFilter := flag.String("suite-filter", "", "restrict the suite to workloads with this tag (or this exact name)")
@@ -67,13 +82,15 @@ func main() {
 	gauntletJSON := flag.String("gauntlet-json", "", "also write the gauntlet report as JSON here")
 	gauntletNoCosim := flag.Bool("gauntlet-no-cosim", false, "skip the synthesized-Verilog gauntlet leg")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, os.Stdin); err != nil {
-			fatal(err)
+	for _, err := range []error{
+		checkChoice("table", *table, tableChoices),
+		checkChoice("ablation", *ablation, ablationChoices),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paper:", err)
+			flag.Usage()
+			os.Exit(2)
 		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		return
 	}
 
 	if *suiteRun {

@@ -28,7 +28,7 @@ import (
 // machine name or raw ISDL source, exactly one) plus the kernel to
 // compile, assemble, simulate and synthesize it against.
 type jobRequest struct {
-	Machine  string `json:"machine,omitempty"` // builtin: toy, spam, spam2, risc32
+	Machine  string `json:"machine,omitempty"` // zoo machine name (machines.ZooNames)
 	ISDL     string `json:"isdl,omitempty"`    // raw description source
 	Kernel   string `json:"kernel"`
 	Workload string `json:"workload,omitempty"` // label in reports; default "kernel"

@@ -16,13 +16,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
+	"repro/internal/machines"
 	"repro/internal/traceprof"
 )
 
 func main() {
-	machine := flag.String("m", "", "machine: .isdl file or builtin (toy, spam, spam2)")
+	machine := flag.String("m", "", "machine: .isdl file or builtin ("+strings.Join(machines.ZooNames(), ", ")+")")
 	progFile := flag.String("p", "", "program (.xbin) the trace was recorded from")
 	annotate := flag.Bool("annotate", false, "print an annotated per-address listing")
 	top := flag.Int("top", 10, "number of hottest addresses to report")
@@ -31,7 +33,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: traceprof -m <machine> -p <prog.xbin> [-annotate] [-top n] <trace>")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Resolve(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := repro.ParseISDL(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,17 +67,6 @@ func main() {
 	if err := prof.Report(os.Stdout, d, p, *top); err != nil {
 		fatal(err)
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

@@ -25,12 +25,13 @@ import (
 	"repro"
 	"repro/internal/atomicfile"
 	_ "repro/internal/gensim" // registers the aot backend
+	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/xsim"
 )
 
 func main() {
-	machine := flag.String("m", "", "machine: .isdl file or builtin (toy, spam, spam2)")
+	machine := flag.String("m", "", "machine: .isdl file or builtin ("+strings.Join(machines.ZooNames(), ", ")+")")
 	source := flag.String("s", "", "assembly source to assemble and load")
 	batch := flag.String("batch", "", "batch command script to execute")
 	run := flag.Bool("run", false, "run to halt and print statistics")
@@ -45,7 +46,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Resolve(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := repro.ParseISDL(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -178,17 +183,6 @@ func runEngine(d *repro.Description, b xsim.Backend, source string, args []strin
 		eng.Perf().Publish(reg)
 		writeMetrics(reg, metricsOut)
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

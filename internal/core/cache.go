@@ -10,8 +10,7 @@ package core
 // a cryptographic hash of exactly those inputs — canonical ISDL text
 // (isdl.Format output) so that formatting differences never split
 // equivalent architectures — so a stage re-runs only when something it
-// actually reads has changed. The legacy EvalCache is a thin view of the
-// final (combine) stage.
+// actually reads has changed.
 
 import (
 	"crypto/sha256"
@@ -170,7 +169,7 @@ func NewStageCache() *StageCache {
 // cache.<stage>.hits and cache.<stage>.misses. Counts accumulated so far
 // carry over, and every future Get/countRun lands in the registry's
 // counters, so cache traffic shows up in its exports. Binding the same
-// registry again is a no-op (so repeated Explorer.Run calls over a shared
+// registry again is a no-op (so repeated exploration runs over a shared
 // cache never double-count); binding a different registry migrates the
 // current counts there.
 func (c *StageCache) Bind(r *obs.Registry) {
@@ -304,45 +303,3 @@ func (c *StageCache) StageLen(s Stage) int {
 	defer c.mu.Unlock()
 	return len(c.tables[s])
 }
-
-// EvalCache is the legacy whole-pipeline memo table, kept as a thin
-// compatibility layer over the final (combine) stage of a StageCache.
-// Share one across exploration runs only if the Evaluator configuration is
-// identical (stage keys cover the description, kernel and program image,
-// but not the evaluator configuration).
-type EvalCache struct {
-	stages *StageCache
-}
-
-// NewEvalCache returns an empty cache.
-func NewEvalCache() *EvalCache { return &EvalCache{stages: NewStageCache()} }
-
-// Stages exposes the underlying per-stage cache (for the staged pipeline,
-// per-stage metrics and persistence).
-func (c *EvalCache) Stages() *StageCache { return c.stages }
-
-// Get looks up a final-stage key, counting a hit or a miss. On a hit it
-// returns the memoized evaluation or error.
-func (c *EvalCache) Get(k CacheKey) (ev *Evaluation, err error, ok bool) {
-	v, err, ok := c.stages.Get(StageCombine, k)
-	if e, isEval := v.(*Evaluation); isEval {
-		return e, err, ok
-	}
-	return nil, err, ok
-}
-
-// Put stores a completed evaluation (or its deterministic failure) under a
-// final-stage key.
-func (c *EvalCache) Put(k CacheKey, ev *Evaluation, err error) {
-	c.stages.Put(StageCombine, k, ev, err)
-}
-
-// Stats returns the final stage's hit and miss counts — the whole-pipeline
-// memoization rate. Use Stages().PerStage() for the per-stage breakdown.
-func (c *EvalCache) Stats() (hits, misses uint64) {
-	s := c.stages.PerStage()[StageCombine]
-	return s.Hits, s.Misses
-}
-
-// Len returns the number of memoized evaluations.
-func (c *EvalCache) Len() int { return c.stages.StageLen(StageCombine) }

@@ -24,42 +24,56 @@ func TestEvalKeyDistinguishesInputs(t *testing.T) {
 	}
 }
 
-func TestEvalCacheHitMissCounting(t *testing.T) {
-	c := NewEvalCache()
+// combineStats returns the final stage's hit and miss counts — the
+// whole-pipeline memoization rate.
+func combineStats(c *StageCache) (hits, misses uint64) {
+	s := c.PerStage()[StageCombine]
+	return s.Hits, s.Misses
+}
+
+func TestCombineStageHitMissCounting(t *testing.T) {
+	c := NewStageCache()
 	k := EvalKey("m", "w")
-	if _, _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(StageCombine, k); ok {
 		t.Fatal("hit on empty cache")
 	}
 	want := &Evaluation{Machine: "m", Cycles: 42}
-	c.Put(k, want, nil)
-	got, err, ok := c.Get(k)
+	c.Put(StageCombine, k, want, nil)
+	got, err, ok := c.Get(StageCombine, k)
 	if !ok || err != nil || got != want {
 		t.Fatalf("Get = (%v, %v, %v), want cached evaluation", got, err, ok)
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+	if hits, misses := combineStats(c); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
+	if n := c.StageLen(StageCombine); n != 1 {
+		t.Errorf("StageLen = %d, want 1", n)
+	}
+	// Other stages' tables and counters are untouched.
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("aggregate stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
 }
 
-func TestEvalCacheMemoizesFailures(t *testing.T) {
-	c := NewEvalCache()
+func TestCombineStageMemoizesFailures(t *testing.T) {
+	c := NewStageCache()
 	k := EvalKey("m", "w")
 	infeasible := errors.New("compile: no add operation")
-	c.Put(k, nil, infeasible)
-	ev, err, ok := c.Get(k)
+	c.Put(StageCombine, k, nil, infeasible)
+	ev, err, ok := c.Get(StageCombine, k)
 	if !ok || ev != nil || !errors.Is(err, infeasible) {
 		t.Fatalf("Get = (%v, %v, %v), want cached failure", ev, err, ok)
 	}
 }
 
-// TestEvalCacheConcurrent exercises the cache the way the parallel explorer
-// does — many goroutines mixing Gets and Puts — and relies on the race
-// detector for the actual verdict.
-func TestEvalCacheConcurrent(t *testing.T) {
-	c := NewEvalCache()
+// TestCombineStageConcurrent exercises the cache the way the parallel
+// explorer does — many goroutines mixing Gets and Puts — and relies on the
+// race detector for the actual verdict.
+func TestCombineStageConcurrent(t *testing.T) {
+	c := NewStageCache()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -67,17 +81,17 @@ func TestEvalCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				k := EvalKey(fmt.Sprintf("m%d", i%17), "w")
-				if _, _, ok := c.Get(k); !ok {
-					c.Put(k, &Evaluation{Cycles: uint64(i)}, nil)
+				if _, _, ok := c.Get(StageCombine, k); !ok {
+					c.Put(StageCombine, k, &Evaluation{Cycles: uint64(i)}, nil)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() != 17 {
-		t.Errorf("Len = %d, want 17", c.Len())
+	if n := c.StageLen(StageCombine); n != 17 {
+		t.Errorf("StageLen = %d, want 17", n)
 	}
-	hits, misses := c.Stats()
+	hits, misses := combineStats(c)
 	if hits+misses != 800 {
 		t.Errorf("hits+misses = %d, want 800", hits+misses)
 	}

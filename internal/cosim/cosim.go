@@ -181,8 +181,7 @@ func (s Stats) AggregateCyclesPerSec() float64 {
 // wall-clock speedup when workers have free cores; with more workers than
 // cores, per-instance time inflates under contention and this measures
 // oversubscription, not gain — compare AggregateCyclesPerSec across worker
-// counts (as BenchmarkTable1_VerilogModel does) for the honest wall-clock
-// answer.
+// counts for the honest wall-clock answer.
 func (s Stats) Speedup() float64 {
 	return ratio(s.Sim.Seconds(), s.Wall.Seconds())
 }

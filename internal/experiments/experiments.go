@@ -2,8 +2,7 @@
 // (simulation speed of the generated ILS vs. the synthesizable Verilog
 // model) and Table 2 (hardware synthesis statistics for SPAM and SPAM2),
 // plus the ablations DESIGN.md defines for the design choices of §3–4.
-// cmd/paper prints the tables; bench_test.go reports the same measurements
-// through testing.B.
+// cmd/paper prints the tables.
 package experiments
 
 import (
@@ -24,32 +23,19 @@ import (
 	"repro/internal/xsim"
 )
 
-// FIRWorkload builds the SPAM FIR benchmark program used for the Table 1
-// speed measurements (the realistic simulation run §6.2 argues the fast ILS
-// enables).
-//
-// Deprecated: the canonical 16-tap/48-output shape lives in the suite
-// registry as "fir16.spam" — prefer suite.Get + suite.Prepare (or RunSuite).
-// This wrapper resolves through the registry for that shape and is proven
-// identical to direct construction by the compat tests.
-func FIRWorkload(taps, nout int) (*isdl.Description, *asm.Program, error) {
-	d, err := machines.ByName("spam")
+// table1Workload resolves the Table 1 program through the suite registry:
+// the 16-tap, 48-output FIR on SPAM ("fir16.spam"), the realistic
+// simulation run §6.2 argues the fast ILS enables.
+func table1Workload() (*isdl.Description, *asm.Program, error) {
+	w, err := suite.Get("fir16.spam")
 	if err != nil {
 		return nil, nil, err
 	}
-	if taps == 16 && nout == 48 {
-		w, err := suite.Get("fir16.spam")
-		if err != nil {
-			return nil, nil, err
-		}
-		p, _, _, err := suite.Prepare(w, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d, p, nil
+	d, err := machines.ByName(w.Machine)
+	if err != nil {
+		return nil, nil, err
 	}
-	samples, coefs := machines.FIRTestVectors(taps, nout)
-	p, err := asm.Assemble(d, machines.FIRSPAM(taps, nout, samples, coefs))
+	p, _, _, err := suite.Prepare(w, d)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,15 +122,9 @@ type Table1Options struct {
 	Obs *obs.Registry
 }
 
-// RunTable1 performs the Table 1 measurement with default options
-// (co-simulation workers = NumCPU).
-func RunTable1(minDuration time.Duration) (*Table1, error) {
-	return RunTable1Opts(Table1Options{Budget: minDuration})
-}
-
 // RunTable1Opts performs the Table 1 measurement.
 func RunTable1Opts(o Table1Options) (*Table1, error) {
-	d, p, err := FIRWorkload(16, 48)
+	d, p, err := table1Workload()
 	if err != nil {
 		return nil, err
 	}
@@ -311,10 +291,6 @@ type Table2Row struct {
 }
 
 // RunTable2 synthesizes both processors with the paper's configuration.
-//
-// Deprecated: retained for the paper's Table 2 reproduction; the machine
-// list now resolves through the zoo registry (machines.ByName), proven
-// identical to direct construction by the compat tests.
 func RunTable2() ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, d := range zooPair() {
@@ -356,8 +332,7 @@ type SharingRow struct {
 	Nodes     int
 }
 
-// zooPair resolves the paper's two DSPs through the machine zoo (the
-// registry the deprecated Table/ablation wrappers are re-expressed over).
+// zooPair resolves the paper's two DSPs through the machine zoo.
 func zooPair() []*isdl.Description {
 	var ds []*isdl.Description
 	for _, name := range []string{"spam", "spam2"} {
@@ -372,9 +347,6 @@ func zooPair() []*isdl.Description {
 
 // RunAblationSharing measures die size under the three sharing modes
 // (§4.1.1–4.1.2).
-//
-// Deprecated: retained for the DESIGN.md ablation; machines resolve
-// through the zoo registry.
 func RunAblationSharing() ([]SharingRow, error) {
 	var rows []SharingRow
 	for _, d := range zooPair() {
@@ -414,9 +386,6 @@ type DecodeRow struct {
 }
 
 // RunAblationDecode measures the decode-logic styles of §4.2.
-//
-// Deprecated: retained for the DESIGN.md ablation; machines resolve
-// through the zoo registry.
 func RunAblationDecode() ([]DecodeRow, error) {
 	var rows []DecodeRow
 	for _, d := range zooPair() {
@@ -458,10 +427,7 @@ type StallRow struct {
 // issue on the SPAM dot-product (whose loads and multiplies have non-unit
 // latency). The interlock model both counts stalls and keeps results
 // correct; disabling it shows what interlock-free hardware would compute.
-//
-// Deprecated: the workload resolves through the suite registry
-// ("dot32.spam"); prefer RunSuite for plain workload evaluation. Retained
-// because the stall-model toggle is not part of the suite API.
+// The workload resolves through the suite registry ("dot32.spam").
 func RunAblationStalls() ([]StallRow, error) {
 	w, err := suite.Get("dot32.spam")
 	if err != nil {

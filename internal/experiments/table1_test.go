@@ -19,11 +19,11 @@ import (
 	"repro/internal/verilog"
 )
 
-// smallFIR builds a reduced FIR workload (4 taps, 8 outputs) so the
-// event-driven runs below stay fast, even under -race.
-func smallFIR(t *testing.T) (*isdl.Description, *asm.Program, *verilog.Module) {
+// table1FIR resolves the Table 1 FIR workload and elaborates its
+// synthesized hardware model.
+func table1FIR(t *testing.T) (*isdl.Description, *asm.Program, *verilog.Module) {
 	t.Helper()
-	d, p, err := FIRWorkload(4, 8)
+	d, p, err := table1Workload()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func smallFIR(t *testing.T) (*isdl.Description, *asm.Program, *verilog.Module) {
 // every workload run, pairing with the cumulative cycle count — the old
 // loop overwrote hwEvents each iteration and reported only the last run.
 func TestVerilogEventsAccumulate(t *testing.T) {
-	_, p, mod := smallFIR(t)
+	_, p, mod := table1FIR(t)
 	one, err := measureVerilog(mod, p, Table1Options{Workers: 1, MinVerilogRuns: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestVerilogEventsAccumulate(t *testing.T) {
 // Tick loop), so the cycles/sec denominator is the Tick loop alone — the
 // old code started the clock before elaboration.
 func TestVerilogSetupExcluded(t *testing.T) {
-	_, p, mod := smallFIR(t)
+	_, p, mod := table1FIR(t)
 	var ticks int
 	clock := func() time.Time {
 		ticks++
@@ -125,7 +125,7 @@ func stateSnapshot(t *testing.T, d *isdl.Description, hw *verilog.Sim) map[strin
 // run and identical aggregate cycle/event totals (exercised under -race by
 // the CI race job).
 func TestVerilogParallelBitIdentity(t *testing.T) {
-	d, p, mod := smallFIR(t)
+	d, p, mod := table1FIR(t)
 	const runs = 4
 	measure := func(workers int) ([]map[string]string, cosim.Stats) {
 		pool := &cosim.Pool{Workers: workers}

@@ -93,8 +93,8 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := core.NewEvalCache()
-	cache.Stages().SetStore(st)
+	cache := core.NewStageCache()
+	cache.SetStore(st)
 	res, err := explore.New(machines.SPAM2Source, kernel,
 		explore.WithCache(cache),
 		explore.WithMaxIters(2),
@@ -108,10 +108,10 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 		FinalSource: res.FinalSource,
 		Stages:      map[string][2]uint64{},
 	}
-	for s, hm := range cache.Stages().PerStage() {
+	for s, hm := range cache.PerStage() {
 		out.Stages[core.Stage(s).String()] = [2]uint64{hm.Hits, hm.Misses}
 	}
-	out.StoreHits, _, _ = cache.Stages().StoreStats()
+	out.StoreHits, _, _ = cache.StoreStats()
 	payload, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isdl"
-	"repro/internal/obs"
 )
 
 // Weights define the scalar objective (lower is better).
@@ -143,62 +142,6 @@ type Event struct {
 	Frontier []float64
 	// Line is the formatted log line.
 	Line string
-}
-
-// Explorer is the original flat-struct exploration API.
-//
-// Deprecated: use New with functional options (WithWorkers, WithBeam,
-// WithRestarts, ...), which reaches the beam and restart strategies this
-// struct predates. Explorer remains for one release of grace as a thin
-// wrapper over Config and produces results identical to
-// New(base, kernel, WithWeights(e.Weights), ...).Run() with a HillClimb
-// strategy. A zero-value Weights defaults to DefaultWeights() exactly like
-// New (it used to score every candidate 0.0, the all-zero shape
-// Weights.Validate now rejects).
-type Explorer struct {
-	// Base is the starting ISDL description source.
-	Base string
-	// Kernel is the application in the compiler's kernel language.
-	Kernel string
-	// Weights fold an evaluation into the hill-climbing objective.
-	Weights Weights
-	// Evaluator runs the methodology; nil uses core.NewEvaluator().
-	Evaluator *core.Evaluator
-	// MaxIters bounds the loop (default 16).
-	MaxIters int
-	// Workers bounds the number of neighbour candidates evaluated
-	// concurrently within one iteration (default runtime.NumCPU()).
-	Workers int
-	// NoCache disables evaluation memoization.
-	NoCache bool
-	// Cache, when non-nil, is used instead of a fresh per-Run cache.
-	Cache *core.EvalCache
-	// Log receives one structured Event per exploration observation.
-	Log func(Event)
-	// Obs, when non-nil, collects exploration metrics and spans.
-	Obs *obs.Registry
-}
-
-// Run explores from the base description by hill climbing.
-func (e *Explorer) Run() (*Result, error) {
-	w := e.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
-	cfg := &Config{
-		Base:      e.Base,
-		Kernel:    e.Kernel,
-		Weights:   w,
-		Evaluator: e.Evaluator,
-		MaxIters:  e.MaxIters,
-		Workers:   e.Workers,
-		NoCache:   e.NoCache,
-		Cache:     e.Cache,
-		Log:       e.Log,
-		Obs:       e.Obs,
-		Strategy:  HillClimb{},
-	}
-	return cfg.Run()
 }
 
 // move is one candidate mutation.

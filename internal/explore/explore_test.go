@@ -25,20 +25,14 @@ func TestExploreSPAM2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	ex := &explore.Explorer{
-		Base:     machines.SPAM2Source,
-		Kernel:   kernel,
-		Weights:  explore.DefaultWeights(),
-		MaxIters: 4,
-	}
-	res, err := ex.Run()
+	res, err := explore.New(machines.SPAM2Source, kernel, explore.WithMaxIters(4)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Initial == nil || res.Final == nil {
 		t.Fatal("missing evaluations")
 	}
-	w := ex.Weights
+	w := explore.DefaultWeights()
 	if res.Final.Score(w.Runtime, w.Area, w.Power) > res.Initial.Score(w.Runtime, w.Area, w.Power) {
 		t.Fatalf("exploration made things worse: %.2f -> %.2f",
 			res.Initial.Score(w.Runtime, w.Area, w.Power), res.Final.Score(w.Runtime, w.Area, w.Power))
@@ -62,11 +56,8 @@ func TestExploreSPAM2(t *testing.T) {
 }
 
 func TestExploreInfeasibleBase(t *testing.T) {
-	ex := &explore.Explorer{
-		Base:   machines.SPAM2Source,
-		Kernel: "var x; x = y;", // undeclared: compile fails
-	}
-	if _, err := ex.Run(); err == nil {
+	// The kernel reads an undeclared variable, so compilation fails.
+	if _, err := explore.New(machines.SPAM2Source, "var x; x = y;").Run(); err == nil {
 		t.Fatal("expected error for uncompilable kernel")
 	}
 }
@@ -78,13 +69,11 @@ func TestExploreLogging(t *testing.T) {
 		t.Skip("exploration loop is slow")
 	}
 	var events []explore.Event
-	ex := &explore.Explorer{
-		Base:     machines.SPAM2Source,
-		Kernel:   "var x; x = 1;",
-		MaxIters: 1,
-		Log:      func(ev explore.Event) { events = append(events, ev) },
-	}
-	if _, err := ex.Run(); err != nil {
+	_, err := explore.New(machines.SPAM2Source, "var x; x = 1;",
+		explore.WithMaxIters(1),
+		explore.WithLog(func(ev explore.Event) { events = append(events, ev) }),
+	).Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) < 2 {

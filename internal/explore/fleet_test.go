@@ -27,15 +27,11 @@ func TestExploreFleetTelemetryBitIdentical(t *testing.T) {
 	sampler.Start()
 	defer sampler.Stop()
 
-	ex := &explore.Explorer{
-		Base:     machines.SPAMSource,
-		Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-		Weights:  explore.DefaultWeights(),
-		MaxIters: 3,
-		Workers:  8,
-		Obs:      reg,
-	}
-	res, err := ex.Run()
+	res, err := explore.New(machines.SPAMSource, sumKernel,
+		explore.WithMaxIters(3),
+		explore.WithWorkers(8),
+		explore.WithObs(reg),
+	).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,21 +10,23 @@ import (
 	"repro/internal/obs"
 )
 
+// sumKernel is a small loop that leaves removable operations on the table.
+const sumKernel = "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n"
+
 // runConfig runs one exploration of SPAM with the given concurrency/cache
 // knobs over a small kernel that leaves removable operations on the table.
 func runConfig(t *testing.T, workers int, noCache bool) (*explore.Result, []string) {
 	t.Helper()
 	var lines []string
-	ex := &explore.Explorer{
-		Base:     machines.SPAMSource,
-		Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-		Weights:  explore.DefaultWeights(),
-		MaxIters: 3,
-		Workers:  workers,
-		NoCache:  noCache,
-		Log:      func(ev explore.Event) { lines = append(lines, ev.Line) },
+	opts := []explore.Option{
+		explore.WithMaxIters(3),
+		explore.WithWorkers(workers),
+		explore.WithLog(func(ev explore.Event) { lines = append(lines, ev.Line) }),
 	}
-	res, err := ex.Run()
+	if noCache {
+		opts = append(opts, explore.WithoutCache())
+	}
+	res, err := explore.New(machines.SPAMSource, sumKernel, opts...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,24 +94,26 @@ func TestExploreSharedCacheAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	cache := core.NewEvalCache()
+	cache := core.NewStageCache()
 	run := func(w explore.Weights) {
-		ex := &explore.Explorer{
-			Base:     machines.SPAMSource,
-			Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-			Weights:  w,
-			MaxIters: 2,
-			Workers:  2,
-			Cache:    cache,
-		}
-		if _, err := ex.Run(); err != nil {
+		_, err := explore.New(machines.SPAMSource, sumKernel,
+			explore.WithWeights(w),
+			explore.WithMaxIters(2),
+			explore.WithWorkers(2),
+			explore.WithCache(cache),
+		).Run()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	combine := func() (hits, misses uint64) {
+		s := cache.PerStage()[core.StageCombine]
+		return s.Hits, s.Misses
+	}
 	run(explore.Weights{Runtime: 1, Area: 0.5, Power: 0.2})
-	h1, m1 := cache.Stats()
+	h1, m1 := combine()
 	run(explore.Weights{Runtime: 1, Area: 5, Power: 0.2})
-	h2, m2 := cache.Stats()
+	h2, m2 := combine()
 	newHits, newMisses := h2-h1, m2-m1
 	if newHits <= newMisses {
 		t.Errorf("weight-sweep run: %d hits / %d misses, want mostly hits", newHits, newMisses)
@@ -130,16 +134,12 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var events []explore.Event
-	ex := &explore.Explorer{
-		Base:     machines.SPAMSource,
-		Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-		Weights:  explore.DefaultWeights(),
-		MaxIters: 3,
-		Workers:  8,
-		Obs:      reg,
-		Log:      func(ev explore.Event) { events = append(events, ev) },
-	}
-	res, err := ex.Run()
+	res, err := explore.New(machines.SPAMSource, sumKernel,
+		explore.WithMaxIters(3),
+		explore.WithWorkers(8),
+		explore.WithObs(reg),
+		explore.WithLog(func(ev explore.Event) { events = append(events, ev) }),
+	).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

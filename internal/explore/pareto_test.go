@@ -58,7 +58,7 @@ func TestParetoOnSPAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	cache := core.NewEvalCache()
+	cache := core.NewStageCache()
 	run := func(workers int, opts ...explore.Option) *explore.Result {
 		t.Helper()
 		opts = append([]explore.Option{

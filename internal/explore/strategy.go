@@ -53,7 +53,7 @@ type Config struct {
 	// NoCache disables evaluation memoization (see docs/PIPELINE.md).
 	NoCache bool
 	// Cache, when non-nil, is used instead of a fresh per-Run cache.
-	Cache *core.EvalCache
+	Cache *core.StageCache
 	// Log receives one structured Event per exploration observation.
 	Log func(Event)
 	// Obs, when non-nil, collects exploration metrics and spans.
@@ -100,7 +100,7 @@ func WithoutCache() Option { return func(c *Config) { c.NoCache = true } }
 
 // WithCache shares an evaluation cache across runs (see Config.Cache and
 // docs/EXPLORE.md for the validity rules).
-func WithCache(cache *core.EvalCache) Option { return func(c *Config) { c.Cache = cache } }
+func WithCache(cache *core.StageCache) Option { return func(c *Config) { c.Cache = cache } }
 
 // WithLog sets the structured event sink.
 func WithLog(fn func(Event)) Option { return func(c *Config) { c.Log = fn } }
@@ -185,13 +185,11 @@ func newEngine(c *Config) *engine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	cache := c.Cache
-	if cache == nil && !c.NoCache {
-		cache = core.NewEvalCache()
+	stages := c.Cache
+	if stages == nil && !c.NoCache {
+		stages = core.NewStageCache()
 	}
-	var stages *core.StageCache
-	if cache != nil {
-		stages = cache.Stages()
+	if stages != nil {
 		stages.Bind(c.Obs) // no-op when Obs is nil or already bound
 	}
 	cfg := *c

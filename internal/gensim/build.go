@@ -118,8 +118,8 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("gensim: cache dir: %w", err)
 	}
-	// Keep the source in the cache entry: the plugin fast path rebuilds
-	// from it, and it is the artifact to read when debugging.
+	// Keep the source in the cache entry: it is the artifact to read when
+	// debugging.
 	if err := writeModule(dir, src); err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if err := writeModule(tmp, src); err != nil {
 		return nil, err
 	}
-	out, err := runGoBuild(gobin, tmp, filepath.Join(tmp, "sim"), "")
+	out, err := runGoBuild(gobin, tmp, filepath.Join(tmp, "sim"))
 	if err != nil {
 		return nil, fmt.Errorf("gensim: go build: %v\n%s", err, firstLines(out, 20))
 	}
@@ -171,8 +171,8 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 
 // writeModule lays out a self-contained module around the generated
 // main. Writes are atomic (internal/atomicfile) because the cache entry
-// directory is shared: a concurrent process reading the entry — the
-// plugin fast path rebuilds from main.go — must never see a torn file.
+// directory is shared: a concurrent process reading the entry must never
+// see a torn file.
 func writeModule(dir, src string) error {
 	gomod := "module gensim-generated\n\ngo 1.21\n"
 	if err := atomicfile.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
@@ -185,14 +185,8 @@ func writeModule(dir, src string) error {
 }
 
 // runGoBuild invokes the toolchain with an isolated build environment.
-// buildmode, when non-empty, is passed through (plugin fast path).
-func runGoBuild(gobin, dir, out, buildmode string) ([]byte, error) {
-	args := []string{"build", "-o", out}
-	if buildmode != "" {
-		args = append(args, "-buildmode="+buildmode)
-	}
-	args = append(args, ".")
-	cmd := exec.Command(gobin, args...)
+func runGoBuild(gobin, dir, out string) ([]byte, error) {
+	cmd := exec.Command(gobin, "build", "-o", out, ".")
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(),
 		"GOFLAGS=-mod=mod",

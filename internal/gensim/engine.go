@@ -60,14 +60,9 @@ func NewEngineFor(d *isdl.Description) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r *runner
-	if serve := loadPlugin(br); serve != nil {
-		r = newPluginRunner(serve)
-	} else {
-		r, err = newRunner(br.Bin, br.Fingerprint)
-		if err != nil {
-			return nil, err
-		}
+	r, err := newRunner(br.Bin, br.Fingerprint)
+	if err != nil {
+		return nil, err
 	}
 	return &Engine{d: d, r: r, build: br, StallModel: true}, nil
 }

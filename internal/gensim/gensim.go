@@ -13,8 +13,7 @@
 //
 // The source is built once per description with `go build` into a cache
 // directory keyed by the ISDL fingerprint and driven over a versioned
-// JSON-lines stdin/stdout protocol (docs/GENSIM.md); an optional plugin fast
-// path loads the same code in-process. The generated simulator is
+// JSON-lines stdin/stdout protocol (docs/GENSIM.md). The generated simulator is
 // bit-identical to the interpreter and closure cores — final state, Stats,
 // stall counts, fault messages — which the differential gauntlet in this
 // package enforces. Descriptions outside the specializable subset (an RTL

@@ -2,7 +2,9 @@ package machines
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/isdl"
 )
@@ -54,4 +56,22 @@ func ByName(name string) (*isdl.Description, error) {
 	known := ZooNames()
 	sort.Strings(known)
 	return nil, fmt.Errorf("machines: unknown machine %q (have %v)", name, known)
+}
+
+// Resolve returns the ISDL source a command-line machine argument names: a
+// zoo machine by name, else the contents of the file at that path. A zoo
+// name wins over a file of the same name. An argument that is neither is an
+// error listing the zoo names.
+func Resolve(arg string) (string, error) {
+	for _, e := range Zoo() {
+		if e.Name == arg {
+			return e.Source, nil
+		}
+	}
+	b, err := os.ReadFile(arg)
+	if err != nil {
+		return "", fmt.Errorf("machines: %q is neither a zoo machine (%s) nor a readable file: %w",
+			arg, strings.Join(ZooNames(), ", "), err)
+	}
+	return string(b), nil
 }

@@ -55,12 +55,6 @@ type (
 	// Evaluation combines simulator and hardware figures for one
 	// candidate and workload.
 	Evaluation = core.Evaluation
-	// Explorer drives architecture exploration by iterative improvement.
-	//
-	// Deprecated: use NewExploration with options (explore.WithBeam,
-	// explore.WithRestarts, ...); the flat struct only reaches the
-	// hill-climb strategy and remains for one release of grace.
-	Explorer = explore.Explorer
 	// ExplorationConfig is the option-built exploration configuration
 	// behind NewExploration.
 	ExplorationConfig = explore.Config
