@@ -114,7 +114,7 @@ func (ev *Evaluator) Evaluate(d *isdl.Description, prog *asm.Program, workload s
 func (ev *Evaluator) EvaluateSource(isdlText, asmText, workload string) (*Evaluation, error) {
 	d, err := isdl.Parse(isdlText)
 	if err != nil {
-		return nil, fmt.Errorf("core: parse ISDL: %w", err)
+		return nil, &ParseError{Err: err}
 	}
 	prog, err := asm.Assemble(d, asmText)
 	if err != nil {

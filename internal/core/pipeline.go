@@ -56,6 +56,17 @@ type SynthArtifact struct {
 	Result           *hgen.Result `json:"-"`
 }
 
+// ParseError reports an ISDL text that failed to parse. Every later
+// pipeline failure is a property of a valid description and the workload;
+// a ParseError says the text is no description at all, which lets the
+// explorer drop a mutation that produced one instead of reporting it as an
+// infeasible candidate.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return "core: parse ISDL: " + e.Err.Error() }
+
+func (e *ParseError) Unwrap() error { return e.Err }
+
 // Pipeline runs the staged methodology with per-stage memoization.
 type Pipeline struct {
 	// Evaluator configures the methodology; nil uses NewEvaluator().
@@ -75,10 +86,10 @@ type Pipeline struct {
 // EvaluateKernel runs the full pipeline for one candidate ISDL source and
 // one kernel-language workload: parse, compile the kernel, assemble,
 // simulate, synthesize, and combine. Every stage after parsing is
-// memoized when a cache is configured. Parse errors are returned uncached
-// (an unparsable text has no canonical form to key by); all later
-// deterministic failures are memoized under the final key too, so an
-// infeasible candidate is rejected once per cache lifetime.
+// memoized when a cache is configured. Parse errors are returned uncached,
+// as a *ParseError (an unparsable text has no canonical form to key by);
+// all later deterministic failures are memoized under the final key too,
+// so an infeasible candidate is rejected once per cache lifetime.
 func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string) (*Evaluation, error) {
 	return p.EvaluateKernelTraced(isdlSrc, kernel, workload, nil)
 }
@@ -108,7 +119,7 @@ func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent
 		p.Obs.Histogram("stage.parse.ns").Observe(time.Since(start))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: parse ISDL: %w", err)
+		return nil, &ParseError{Err: err}
 	}
 	canonical := isdl.Format(d)
 

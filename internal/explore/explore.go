@@ -154,102 +154,91 @@ type move struct {
 // src is canonical ISDL text (isdl.Format of the mutated description), so
 // equal architectures reached through different paths compare equal as
 // strings.
+//
+// src is parsed once: each move mutates that one description, formats it
+// and undoes the mutation before the next move. Moves are not re-parsed
+// here; a text that no longer parses is caught by the worker's own
+// pipeline parse (evaluateAll) and dropped without an event.
 func neighbours(src string) ([]move, error) {
-	base, err := isdl.Parse(src)
+	d, err := isdl.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	var out []move
-	add := func(action string, mutate func(d *isdl.Description) bool) {
-		d, err := isdl.Parse(src)
-		if err != nil {
-			return
-		}
-		if !mutate(d) {
-			return
-		}
-		text := isdl.Format(d)
-		if _, err := isdl.Parse(text); err != nil {
-			return // mutation produced an invalid description
-		}
-		out = append(out, move{action: action, src: text})
+	add := func(action string) {
+		out = append(out, move{action: action, src: isdl.Format(d)})
 	}
 
 	// Remove one operation (never a nop: the assembler and scheduler fill
-	// empty VLIW slots with it).
-	for fi := range base.Fields {
-		for oi := range base.Fields[fi].Ops {
-			op := base.Fields[fi].Ops[oi]
-			if op.Name == "nop" || len(base.Fields[fi].Ops) == 1 {
+	// empty VLIW slots with it). removeOp gives the field a new Ops slice,
+	// so ranging over the original one stays valid.
+	for _, f := range d.Fields {
+		if len(f.Ops) == 1 {
+			continue
+		}
+		for oi, op := range f.Ops {
+			if op.Name == "nop" {
 				continue
 			}
-			name := op.QualName()
-			fi, oi := fi, oi
-			add("remove "+name, func(d *isdl.Description) bool {
-				return removeOp(d, fi, oi)
-			})
+			undo := removeOp(d, f, oi)
+			add("remove " + op.QualName())
+			undo()
 		}
 	}
 
 	// Halve each data memory.
-	for _, st := range base.Storage {
+	for _, st := range d.Storage {
 		if st.Kind == isdl.StDataMemory && st.Depth >= 64 {
-			name := st.Name
-			add(fmt.Sprintf("halve %s depth", name), func(d *isdl.Description) bool {
-				s := d.StorageByName[name]
-				s.Depth /= 2
-				return true
-			})
+			depth := st.Depth
+			st.Depth /= 2
+			add(fmt.Sprintf("halve %s depth", st.Name))
+			st.Depth = depth
 		}
 	}
 
 	// Retime multi-cycle operations: one pipeline stage fewer (deeper
 	// cycle) or one more (shorter cycle, more stalls).
-	for fi := range base.Fields {
-		for oi := range base.Fields[fi].Ops {
-			op := base.Fields[fi].Ops[oi]
+	for _, f := range d.Fields {
+		for _, op := range f.Ops {
 			if op.Timing.Latency <= 1 {
 				continue
 			}
-			name := op.QualName()
-			fi, oi := fi, oi
-			add("shorten "+name+" pipeline", func(d *isdl.Description) bool {
-				o := d.Fields[fi].Ops[oi]
-				o.Timing.Latency--
-				if o.Costs.Stall > 0 {
-					o.Costs.Stall--
-				}
-				return true
-			})
-			add("deepen "+name+" pipeline", func(d *isdl.Description) bool {
-				o := d.Fields[fi].Ops[oi]
-				o.Timing.Latency++
-				o.Costs.Stall++
-				return true
-			})
+			timing, costs := op.Timing, op.Costs
+			op.Timing.Latency--
+			if op.Costs.Stall > 0 {
+				op.Costs.Stall--
+			}
+			add("shorten " + op.QualName() + " pipeline")
+			op.Timing, op.Costs = timing, costs
+			op.Timing.Latency++
+			op.Costs.Stall++
+			add("deepen " + op.QualName() + " pipeline")
+			op.Timing, op.Costs = timing, costs
 		}
 	}
 	return out, nil
 }
 
-// removeOp deletes operation oi from field fi, dropping any constraint that
-// mentions it.
-func removeOp(d *isdl.Description, fi, oi int) bool {
-	f := d.Fields[fi]
-	if oi >= len(f.Ops) {
-		return false
-	}
-	op := f.Ops[oi]
+// removeOp deletes operation oi from field f, dropping any constraint that
+// mentions it, and returns the function that restores d exactly. It builds
+// new Ops and Constraints slices instead of editing the old ones in place,
+// so the undo only has to put the old slices back.
+func removeOp(d *isdl.Description, f *isdl.Field, oi int) (undo func()) {
+	ops, cons := f.Ops, d.Constraints
+	op := ops[oi]
+	f.Ops = make([]*isdl.Operation, 0, len(ops)-1)
+	f.Ops = append(append(f.Ops, ops[:oi]...), ops[oi+1:]...)
 	delete(f.ByName, op.Name)
-	f.Ops = append(f.Ops[:oi], f.Ops[oi+1:]...)
-	kept := d.Constraints[:0]
-	for _, c := range d.Constraints {
+	d.Constraints = nil
+	for _, c := range cons {
 		if !mentionsOp(c.Expr, f.Name, op.Name) {
-			kept = append(kept, c)
+			d.Constraints = append(d.Constraints, c)
 		}
 	}
-	d.Constraints = kept
-	return true
+	return func() {
+		f.Ops, d.Constraints = ops, cons
+		f.ByName[op.Name] = op
+	}
 }
 
 func mentionsOp(e isdl.CExpr, field, op string) bool {

@@ -62,8 +62,6 @@ func TestExploreInfeasibleBase(t *testing.T) {
 	}
 }
 
-// TestNeighboursPreserveRequiredOps: a move must never produce text that
-// fails to parse (such moves are filtered before evaluation).
 func TestExploreLogging(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")

@@ -177,27 +177,17 @@ func (p Pareto) run(e *engine) (*Result, error) {
 		// Expand the frontier; when everything so far violates the
 		// constraints there is no frontier yet, so probe from the base —
 		// its neighbourhood is the only ground not yet ruled out.
-		expand := make([]string, 0, len(frontier))
+		srcs := make([]string, 0, len(frontier))
 		for _, f := range frontier {
-			expand = append(expand, f.src)
+			srcs = append(srcs, f.src)
 		}
-		if len(expand) == 0 {
-			expand = []string{e.base}
+		if len(srcs) == 0 {
+			srcs = []string{e.base}
 		}
-		var moves []move
-		for _, src := range expand {
-			ns, err := neighbours(src)
-			if err != nil {
-				iterSpan.End()
-				return nil, err
-			}
-			for _, mv := range ns {
-				if seen[mv.src] { // mv.src is canonical (isdl.Format output)
-					continue
-				}
-				seen[mv.src] = true
-				moves = append(moves, mv)
-			}
+		moves, err := e.expand(iterSpan, srcs, seen)
+		if err != nil {
+			iterSpan.End()
+			return nil, err
 		}
 		if len(moves) == 0 {
 			e.emit(Event{Kind: "stop", Iter: iter,
@@ -209,21 +199,14 @@ func (p Pareto) run(e *engine) (*Result, error) {
 		entered := map[string]bool{} // this iteration's srcs that entered
 		// Reduce in move order, exactly like the other strategies.
 		for i, mv := range moves {
-			cand, err := outs[i].eval, outs[i].err
-			if err != nil {
-				e.obs().Counter("explore.moves.infeasible").Inc()
-				e.emit(Event{Kind: "infeasible", Iter: iter, Action: mv.action, Err: err,
-					Line: fmt.Sprintf("iter %d: %-28s infeasible: %v", iter, mv.action, err)})
+			if outs[i].err == nil {
+				evaluated++
+			}
+			s, ok := e.scoreOutcome(iter, mv, outs[i])
+			if !ok {
 				continue
 			}
-			evaluated++
-			s, serr := e.scoreChecked(cand)
-			if serr != nil {
-				e.obs().Counter("explore.moves.infeasible").Inc()
-				e.emit(Event{Kind: "infeasible", Iter: iter, Action: mv.action, Eval: cand, Err: serr,
-					Line: fmt.Sprintf("iter %d: %-28s infeasible: %v", iter, mv.action, serr)})
-				continue
-			}
+			cand := outs[i].eval
 			if v := p.Constraints.Violations(cand); len(v) > 0 {
 				violated++
 				e.obs().Counter("explore.moves.constrained").Inc()

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -297,16 +298,50 @@ func (e *engine) emitCacheStats(iter int) {
 			iter, e.stages.StatsLine(), opHits-e.opHits0, opMisses-e.opMisses0)})
 }
 
+// expand generates the neighbours of each source, in source order then
+// move order, under an "expand" child of the iteration span, so the trace
+// shows the coordinator's serial time next to the worker lanes. With a
+// non-nil seen set it drops every text already queued and records the
+// rest.
+func (e *engine) expand(iterSpan *obs.Span, srcs []string, seen map[string]bool) ([]move, error) {
+	sp := iterSpan.Child("expand")
+	defer sp.End()
+	var moves []move
+	for _, src := range srcs {
+		ns, err := neighbours(src)
+		if err != nil {
+			return nil, err
+		}
+		for _, mv := range ns {
+			if seen != nil {
+				if seen[mv.src] { // mv.src is canonical (isdl.Format output)
+					continue
+				}
+				seen[mv.src] = true
+			}
+			moves = append(moves, mv)
+		}
+	}
+	sp.SetArg("moves", strconv.Itoa(len(moves)))
+	return moves, nil
+}
+
 // outcome is one candidate's pipeline result.
 type outcome struct {
 	eval *core.Evaluation
 	err  error
+	// invalid marks a move whose text failed the pipeline's parse: the
+	// mutation produced no description at all, so it is not a candidate.
+	invalid bool
 }
 
 // evaluateAll scores every move, fanning out over the bounded worker pool.
 // outs[i] always corresponds to moves[i]; completion order never matters.
 // Each scored candidate gets a span on its worker's lane, parented to the
-// iteration span, so the trace shows the fan-out side by side.
+// iteration span, so the trace shows the fan-out side by side. The
+// pipeline's parse is the moves' validity check: a *core.ParseError marks
+// the outcome invalid and counts under explore.moves.invalid instead of
+// explore.candidates.
 func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
 	outs := make([]outcome, len(moves))
 	workers := e.workers
@@ -316,10 +351,17 @@ func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
 	scoreOne := func(i, lane int) {
 		sp := iterSpan.ChildLane("candidate", lane)
 		sp.SetArg("action", moves[i].action)
-		e.obs().Counter("explore.candidates").Inc()
-		outs[i].eval, outs[i].err = e.evaluate(moves[i].src, sp)
-		if outs[i].err != nil {
-			sp.SetArg("err", outs[i].err.Error())
+		o := &outs[i]
+		o.eval, o.err = e.evaluate(moves[i].src, sp)
+		var perr *core.ParseError
+		o.invalid = errors.As(o.err, &perr)
+		if o.invalid {
+			e.obs().Counter("explore.moves.invalid").Inc()
+		} else {
+			e.obs().Counter("explore.candidates").Inc()
+		}
+		if o.err != nil {
+			sp.SetArg("err", o.err.Error())
 		}
 		sp.End()
 	}
@@ -348,6 +390,29 @@ func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
 	return outs
 }
 
+// scoreOutcome is every strategy's first step in reducing one outcome. It
+// returns the candidate's score, or ok=false for an outcome the strategy
+// must skip: an invalid move (silently, as if never generated), or a
+// candidate the pipeline rejected or that scored non-finite (with an
+// "infeasible" event). A NaN/Inf score would compare false against every
+// bound and make sorts unpredictable, so its verdict is made explicit.
+func (e *engine) scoreOutcome(iter int, mv move, o outcome) (s float64, ok bool) {
+	if o.invalid {
+		return 0, false
+	}
+	eval, err := o.eval, o.err
+	if err == nil {
+		s, err = e.scoreChecked(eval)
+	}
+	if err != nil {
+		e.obs().Counter("explore.moves.infeasible").Inc()
+		e.emit(Event{Kind: "infeasible", Iter: iter, Action: mv.action, Eval: eval, Err: err,
+			Line: fmt.Sprintf("iter %d: %-28s infeasible: %v", iter, mv.action, err)})
+		return 0, false
+	}
+	return s, true
+}
+
 // HillClimb is the classic strategy: evaluate every neighbour of the
 // current candidate, accept the best improving move, stop at the first
 // iteration with no improvement (paper §1, Figure 1).
@@ -367,7 +432,7 @@ func (HillClimb) run(e *engine) (*Result, error) {
 	for iter := 1; iter <= e.maxIters; iter++ {
 		iterSpan := e.obs().StartSpan("iteration")
 		iterSpan.SetArg("iter", strconv.Itoa(iter))
-		moves, err := neighbours(curSrc)
+		moves, err := e.expand(iterSpan, []string{curSrc}, nil)
 		if err != nil {
 			iterSpan.End()
 			return nil, err
@@ -379,24 +444,11 @@ func (HillClimb) run(e *engine) (*Result, error) {
 		// Reduce in move order: acceptance and tie-breaking are identical
 		// to the sequential loop no matter how the workers interleaved.
 		for i, mv := range moves {
-			cand, err := outs[i].eval, outs[i].err
-			if err != nil {
-				// Infeasible candidate (e.g. the compiler lost an
-				// operation it needs): skip.
-				e.obs().Counter("explore.moves.infeasible").Inc()
-				e.emit(Event{Kind: "infeasible", Iter: iter, Action: mv.action, Err: err,
-					Line: fmt.Sprintf("iter %d: %-28s infeasible: %v", iter, mv.action, err)})
+			s, ok := e.scoreOutcome(iter, mv, outs[i])
+			if !ok {
 				continue
 			}
-			s, serr := e.scoreChecked(cand)
-			if serr != nil {
-				// A NaN/Inf score would compare false against bestScore
-				// forever; make the verdict explicit instead.
-				e.obs().Counter("explore.moves.infeasible").Inc()
-				e.emit(Event{Kind: "infeasible", Iter: iter, Action: mv.action, Eval: cand, Err: serr,
-					Line: fmt.Sprintf("iter %d: %-28s infeasible: %v", iter, mv.action, serr)})
-				continue
-			}
+			cand := outs[i].eval
 			accepted := s < bestScore
 			if accepted {
 				e.obs().Counter("explore.moves.accepted").Inc()
