@@ -10,7 +10,7 @@
 //	        [-max-runtime us] [-max-area cells] [-max-power mw]
 //	        [-frontier-out frontier.json|frontier.csv] [-frontier-cap n]
 //	        [-restarts n] [-seed s] [-iters 8] [-workers n]
-//	        [-sim-backend interp|compiled|aot]
+//	        [-sim-backend interp|aot]
 //	        [-no-cache] [-cache-file c.json]
 //	        [-store dir:PATH|http://HOST] [-o best.isdl]
 //
@@ -113,7 +113,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "perturbation seed for -restarts (fixed seed = byte-identical run)")
 	iters := flag.Int("iters", 8, "maximum improvement iterations (per restart)")
 	workers := flag.Int("workers", 0, "concurrent candidate evaluations per iteration (0 = NumCPU)")
-	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp, compiled (default) or aot (docs/GENSIM.md)")
+	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp (default) or aot (docs/GENSIM.md)")
 	noCache := flag.Bool("no-cache", false, "disable evaluation memoization across iterations")
 	cacheFile := flag.String("cache-file", "", "persist the stage cache here across runs (loaded if present, saved on success)")
 	storeSpec := flag.String("store", "", "shared artifact store: dir:PATH or http://HOST (cmd/served); see docs/SERVICE.md")
@@ -265,9 +265,7 @@ func main() {
 	fmt.Println()
 	fmt.Print(res.Report())
 	if cache != nil {
-		opHits, opMisses := xsim.SharedOpCache().Stats()
 		fmt.Printf("stage cache: %s\n", cache.StatsLine())
-		fmt.Printf("op-closure cache: %d reused / %d compiled\n", opHits, opMisses)
 		if *storeSpec != "" {
 			sh, sm, se := cache.StoreStats()
 			fmt.Printf("blob store: %d served / %d absent / %d errors\n", sh, sm, se)

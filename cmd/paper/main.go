@@ -21,7 +21,7 @@
 //	paper -gauntlet -gauntlet-n 25 -seed 1
 //	                                  differential fuzz gauntlet: random
 //	                                  machine × registry kernel across
-//	                                  interp/compiled/aot/cosim; byte-
+//	                                  interp/aot/cosim; byte-
 //	                                  identical rerun for a fixed seed
 //	paper -gauntlet -seed-replay S    replay one trial from a divergence
 //	                                  report's printed seed
@@ -73,7 +73,7 @@ func main() {
 	suiteRun := flag.Bool("suite", false, "run the benchmark suite (registry workloads × machine zoo) and skip the tables")
 	suiteFilter := flag.String("suite-filter", "", "restrict the suite to workloads with this tag (or this exact name)")
 	suiteJSON := flag.String("suite-json", "", "also write the suite report as JSON here")
-	suiteBackend := flag.String("suite-backend", "", "xsim backend for the suite: interp | compiled | aot (default compiled)")
+	suiteBackend := flag.String("suite-backend", "", "xsim backend for the suite: interp | aot (default interp)")
 
 	gauntlet := flag.Bool("gauntlet", false, "run the differential fuzz gauntlet and skip the tables")
 	gauntletN := flag.Int("gauntlet-n", 10, "gauntlet trial count")

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	served [-addr :8344] [-store dir:PATH|mem] [-jobs n] [-queue n]
-//	       [-sim-backend interp|compiled|aot] [-sample-every 1s]
+//	       [-sim-backend interp|aot] [-sample-every 1s]
 //	       [-flight 256] [-pprof]
 //
 // Endpoints (docs/SERVICE.md is the full contract):
@@ -61,7 +61,7 @@ func main() {
 	storeSpec := flag.String("store", "dir:served-store", "artifact store: dir:PATH, mem, or http://HOST (chain to another daemon)")
 	workers := flag.Int("jobs", runtime.NumCPU(), "concurrent evaluation workers")
 	queueCap := flag.Int("queue", 64, "pending-job bound; submits beyond it get a retryable 503")
-	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp, compiled (default) or aot")
+	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp (default) or aot")
 	drainWait := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for open HTTP connections")
 	sampleEvery := flag.Duration("sample-every", time.Second, "dashboard sampling interval")
 	sampleWindow := flag.Int("sample-window", 360, "samples kept for the dashboard")

@@ -8,11 +8,11 @@
 //	xsim -m <machine> -s prog.s -run        assemble, run to halt, stats
 //	xsim -m <machine> prog.xbin -batch f    load image, run a batch script
 //
-// -backend selects the execution strategy (interp, compiled, aot; see
+// -backend selects the execution strategy (interp, the default, or aot; see
 // docs/GENSIM.md). The aot backend generates and natively compiles a
 // specialized simulator per description; it drives the -run batch path, and
-// falls back to compiled for interactive and -batch sessions (which need
-// the in-process cores) or when no Go toolchain is available.
+// falls back to interp for interactive and -batch sessions (which need the
+// in-process core) or when no Go toolchain is available.
 package main
 
 import (
@@ -35,11 +35,11 @@ func main() {
 	source := flag.String("s", "", "assembly source to assemble and load")
 	batch := flag.String("batch", "", "batch command script to execute")
 	run := flag.Bool("run", false, "run to halt and print statistics")
-	backend := flag.String("backend", "", "simulator backend: interp, compiled (default) or aot")
+	backend := flag.String("backend", "", "simulator backend: interp (default) or aot")
 	metricsOut := flag.String("metrics-out", "", "write simulator perf counters as metrics JSON here")
 	flag.Parse()
 	if *machine == "" {
-		fmt.Fprintln(os.Stderr, "usage: xsim -m <machine> [-s prog.s | prog.xbin] [-batch script] [-run] [-backend interp|compiled|aot]")
+		fmt.Fprintln(os.Stderr, "usage: xsim -m <machine> [-s prog.s | prog.xbin] [-batch script] [-run] [-backend interp|aot]")
 		os.Exit(2)
 	}
 	b, err := xsim.ParseBackend(*backend)
@@ -59,13 +59,9 @@ func main() {
 		return
 	}
 	if b == xsim.BackendAOT {
-		fmt.Fprintln(os.Stderr, "xsim: aot backend drives the -run batch path only; using compiled for this session")
-		b = xsim.BackendCompiled
+		fmt.Fprintln(os.Stderr, "xsim: aot backend drives the -run batch path only; using interp for this session")
 	}
 	sim := xsim.New(d)
-	if b == xsim.BackendInterp {
-		sim.CompiledCore = false
-	}
 	sess := xsim.NewSession(sim, os.Stdout)
 	sess.Open = os.ReadFile
 	sess.Create = func(name string) (io.WriteCloser, error) { return os.Create(name) }

@@ -76,12 +76,12 @@ type Evaluator struct {
 	// MaxInstructions bounds a single simulation (0 = one hundred million,
 	// a backstop against non-halting candidates).
 	MaxInstructions int64
-	// SimBackend selects the simulator execution strategy (interp,
-	// compiled, aot); empty is the compiled default. The aot backend
-	// generates and natively compiles a specialized simulator per
-	// description (internal/gensim) and falls back to compiled when the
-	// toolchain is unavailable or the description is unsupported, so
-	// setting it never makes an evaluation fail.
+	// SimBackend selects the simulator execution strategy (interp or
+	// aot); empty is the interp default. The aot backend generates and
+	// natively compiles a specialized simulator per description
+	// (internal/gensim) and falls back to interp when the toolchain is
+	// unavailable or the description is unsupported, so setting it never
+	// makes an evaluation fail.
 	SimBackend xsim.Backend
 }
 

@@ -143,12 +143,14 @@ func (p *Pipeline) runStages(ev *Evaluator, c *StageCache, d *isdl.Description, 
 	// specialized simulator is a first-class pipeline stage — cached,
 	// spanned and timed like the others — so the cost the paper attributes
 	// to simulator generation (§3.3) is visible in the same instruments.
-	// A codegen failure downgrades this evaluation to the compiled
-	// backend; it never fails the candidate.
+	// A codegen failure downgrades this evaluation to the interp backend;
+	// it never fails the candidate, and each simulation it downgrades
+	// counts as a backend fallback, like one inside xsim.NewEngine.
 	simBackend := ev.SimBackend
+	downgraded := false
 	if simBackend == xsim.BackendAOT {
 		if _, err := p.runCodegen(parent, canonical, d); err != nil {
-			simBackend = xsim.BackendCompiled
+			simBackend, downgraded = xsim.BackendInterp, true
 		}
 	}
 
@@ -178,6 +180,9 @@ func (p *Pipeline) runStages(ev *Evaluator, c *StageCache, d *isdl.Description, 
 	// kernels that produce the same program.
 	img := asm.Marshal(prog)
 	simArt, err := stageRun(p, parent, StageSimulate, StageKey(StageSimulate, canonical, string(img)), func() (SimArtifact, error) {
+		if downgraded && p.Obs != nil {
+			p.Obs.Counter("sim.backend.fallback").Inc()
+		}
 		return runSimulation(d, prog, ev.MaxInstructions, workload, simBackend, p.Obs)
 	})
 	if err != nil {

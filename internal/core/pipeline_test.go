@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,6 +257,47 @@ func TestPipelineCodegenStage(t *testing.T) {
 	if aot.Cycles != plain.Cycles || aot.RuntimeUs != plain.RuntimeUs ||
 		aot.AreaCells != plain.AreaCells || aot.PowerMW != plain.PowerMW {
 		t.Errorf("aot evaluation differs from default backend: %+v vs %+v", aot, plain)
+	}
+}
+
+// TestPipelineAOTDowngradeCounted: when codegen fails, the pipeline runs
+// the evaluation on interp instead. That downgrade is a backend fallback
+// like one inside xsim.NewEngine: every simulate-stage miss counts once in
+// sim.backend.fallback, and the evaluation equals interp's own.
+func TestPipelineAOTDowngradeCounted(t *testing.T) {
+	t.Setenv("REPRO_GENSIM_DISABLE", "1")
+	src := toyCanonical(t)
+	reg := obs.NewRegistry()
+	ev := NewEvaluator()
+	ev.SimBackend = xsim.BackendAOT
+	cache := NewStageCache()
+	pipe := &Pipeline{Evaluator: ev, Cache: cache, Obs: reg}
+
+	var aot *Evaluation
+	for _, k := range []string{pipeKernelA, pipeKernelB, pipeKernelA} {
+		e, err := pipe.EvaluateKernel(src, k, "kernel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aot == nil {
+			aot = e
+		}
+	}
+	misses := cache.PerStage()[StageSimulate].Misses
+	if got := reg.Counters()["sim.backend.fallback"]; misses != 2 || got != misses {
+		t.Errorf("sim.backend.fallback = %d over %d simulate misses, want 2 and 2", got, misses)
+	}
+
+	iev := NewEvaluator()
+	iev.SimBackend = xsim.BackendInterp
+	interp, err := (&Pipeline{Evaluator: iev}).EvaluateKernel(src, pipeKernelA, "kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := *aot, *interp
+	a.Stats, a.Hardware, b.Stats, b.Hardware = nil, nil, nil, nil
+	if a != b || !reflect.DeepEqual(aot.Stats, interp.Stats) {
+		t.Errorf("downgraded evaluation differs from interp:\n%+v %+v\n%+v %+v", a, *aot.Stats, b, *interp.Stats)
 	}
 }
 

@@ -56,10 +56,6 @@ type Table1Row struct {
 // co-simulation pool — until it is).
 type Table1 struct {
 	ILS Table1Row
-	// ILSInterp measures the AST-interpreting core — the baseline the
-	// paper's §6.2 "compiled-code simulator" remark is about (the default
-	// core compiles operations to closures, like GENSIM's generated C).
-	ILSInterp Table1Row
 	// Verilog is the event-driven hardware-model row. Its timed window is
 	// the Tick loop only (summed per run): elaboration and program/data
 	// loading are reported in VerilogSetup, never in the denominator.
@@ -101,12 +97,6 @@ func (t *Table1) Speedup() float64 {
 	return ratio(t.ILS.CyclesPerSec, t.Verilog.CyclesPerSec)
 }
 
-// InterpSpeedup returns the interpreted-core speed over the Verilog-model
-// speed.
-func (t *Table1) InterpSpeedup() float64 {
-	return ratio(t.ILSInterp.CyclesPerSec, t.Verilog.CyclesPerSec)
-}
-
 // Table1Options configures RunTable1Opts.
 type Table1Options struct {
 	// Budget bounds each simulator's measurement.
@@ -129,36 +119,21 @@ func RunTable1Opts(o Table1Options) (*Table1, error) {
 		return nil, err
 	}
 
-	// Instruction-level simulator speed, compiled and interpreted cores.
-	measureILS := func(compiled bool) (Table1Row, error) {
-		sim := xsim.New(d)
-		sim.CompiledCore = compiled
-		var cycles uint64
-		start := time.Now()
-		for cycles == 0 || time.Since(start) < o.Budget {
-			if err := sim.Load(p); err != nil {
-				return Table1Row{}, err
-			}
-			if err := sim.Run(0); err != nil {
-				return Table1Row{}, err
-			}
-			cycles += sim.Cycle()
+	// Instruction-level simulator speed.
+	sim := xsim.New(d)
+	var cycles uint64
+	start := time.Now()
+	for cycles == 0 || time.Since(start) < o.Budget {
+		if err := sim.Load(p); err != nil {
+			return nil, err
 		}
-		elapsed := time.Since(start)
-		name := "XSIM (ILS) Simulator"
-		if !compiled {
-			name = "XSIM (interpreted core)"
+		if err := sim.Run(0); err != nil {
+			return nil, err
 		}
-		return Table1Row{Model: name, CyclesPerSec: ratio(float64(cycles), elapsed.Seconds()), Cycles: cycles, Elapsed: elapsed}, nil
+		cycles += sim.Cycle()
 	}
-	ils, err := measureILS(true)
-	if err != nil {
-		return nil, err
-	}
-	ilsInterp, err := measureILS(false)
-	if err != nil {
-		return nil, err
-	}
+	elapsed := time.Since(start)
+	ils := Table1Row{Model: "XSIM (ILS) Simulator", CyclesPerSec: ratio(float64(cycles), elapsed.Seconds()), Cycles: cycles, Elapsed: elapsed}
 
 	// Synthesizable-Verilog model under the event-driven simulator, fanned
 	// out on the co-simulation pool.
@@ -176,8 +151,7 @@ func RunTable1Opts(o Table1Options) (*Table1, error) {
 	}
 
 	return &Table1{
-		ILS:       ils,
-		ILSInterp: ilsInterp,
+		ILS: ils,
 		Verilog: Table1Row{
 			Model:        "Synthesizable Verilog",
 			CyclesPerSec: stats.SimCyclesPerSec(),
@@ -270,7 +244,6 @@ func (t *Table1) Render() string {
 	sb.WriteString("(SPAM running the 16-tap FIR workload)\n\n")
 	fmt.Fprintf(&sb, "  %-24s %18s %10s\n", "Model", "Speed (cycles/sec)", "Speedup")
 	fmt.Fprintf(&sb, "  %-24s %18.0f %9.0fx\n", t.ILS.Model, t.ILS.CyclesPerSec, t.Speedup())
-	fmt.Fprintf(&sb, "  %-24s %18.0f %9.0fx\n", t.ILSInterp.Model, t.ILSInterp.CyclesPerSec, t.InterpSpeedup())
 	fmt.Fprintf(&sb, "  %-24s %18.0f %10s\n", t.Verilog.Model, t.Verilog.CyclesPerSec, "1")
 	fmt.Fprintf(&sb, "\n  (event-driven model: %d runs evaluated %d events over %d cycles;\n",
 		t.VerilogRuns, t.Events, t.Verilog.Cycles)

@@ -20,7 +20,7 @@ import (
 
 // SuiteOptions configures a suite run.
 type SuiteOptions struct {
-	// Backend selects the xsim backend (empty: compiled).
+	// Backend selects the xsim backend (empty: interp).
 	Backend xsim.Backend
 	// Machines restricts the machine list (default: the whole zoo).
 	Machines []string

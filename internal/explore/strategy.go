@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/xsim"
 )
 
 // Strategy decides how the exploration loop walks the design space. The
@@ -169,8 +168,6 @@ type engine struct {
 	base string
 	// restart is stamped on every Event and Step (0 = the base run).
 	restart int
-	// op-closure cache deltas are reported against the run's baseline.
-	opHits0, opMisses0 uint64
 }
 
 func newEngine(c *Config) *engine {
@@ -200,18 +197,13 @@ func newEngine(c *Config) *engine {
 	for w := 0; w < workers; w++ {
 		c.Obs.SetLaneName(1+w, fmt.Sprintf("worker %d", w))
 	}
-	// Compiled-op reuse happens below the pipeline, in the process-wide
-	// xsim cache; report per-run deltas alongside the stage counters.
-	opHits0, opMisses0 := xsim.SharedOpCache().Stats()
 	return &engine{
-		cfg:       &cfg,
-		pipe:      pipe,
-		stages:    stages,
-		workers:   workers,
-		maxIters:  maxIters,
-		base:      c.Base,
-		opHits0:   opHits0,
-		opMisses0: opMisses0,
+		cfg:      &cfg,
+		pipe:     pipe,
+		stages:   stages,
+		workers:  workers,
+		maxIters: maxIters,
+		base:     c.Base,
 	}
 }
 
@@ -292,10 +284,8 @@ func (e *engine) emitCacheStats(iter int) {
 	if e.stages == nil {
 		return
 	}
-	opHits, opMisses := xsim.SharedOpCache().Stats()
 	e.emit(Event{Kind: "cache", Iter: iter,
-		Line: fmt.Sprintf("iter %d: cache %s; op-closures %d reused / %d compiled",
-			iter, e.stages.StatsLine(), opHits-e.opHits0, opMisses-e.opMisses0)})
+		Line: fmt.Sprintf("iter %d: cache %s", iter, e.stages.StatsLine())})
 }
 
 // expand generates the neighbours of each source, in source order then

@@ -40,43 +40,33 @@ func mustAOT(t *testing.T, d *isdl.Description) *gensim.Engine {
 	return eng
 }
 
-// runAll loads and runs the same program on the aot engine, the compiled
-// closure core and the AST interpreter, then checks final storage state,
-// statistics, cycle count and fault text are identical across all three.
+// runAll loads and runs the same program on the aot engine and the
+// in-process interpreter, then checks final storage state, statistics,
+// cycle count and fault text are identical across both.
 func runAll(t *testing.T, d *isdl.Description, p *asm.Program, limit int64) {
 	t.Helper()
-	engines := map[string]xsim.Engine{}
 	aot := mustAOT(t, d)
-	engines["aot"] = aot
-	compiled := xsim.New(d)
-	engines["compiled"] = compiled
 	interp := xsim.New(d)
-	interp.CompiledCore = false
-	engines["interp"] = interp
-
-	errs := map[string]error{}
-	for name, e := range engines {
+	for _, e := range []xsim.Engine{aot, interp} {
 		if err := e.Load(p); err != nil {
-			t.Fatalf("%s: load: %v", name, err)
+			t.Fatalf("load: %v", err)
 		}
-		errs[name] = e.Run(limit)
 	}
-	for _, name := range []string{"compiled", "interp"} {
-		if (errs[name] == nil) != (errs["aot"] == nil) {
-			t.Fatalf("run error mismatch: aot=%v %s=%v", errs["aot"], name, errs[name])
-		}
-		if errs["aot"] != nil && errs["aot"].Error() != errs[name].Error() {
-			t.Fatalf("fault text mismatch:\naot: %s\n%s:  %s", errs["aot"], name, errs[name])
-		}
-		if engines[name].Halted() != aot.Halted() {
-			t.Fatalf("halted mismatch: aot=%v %s=%v", aot.Halted(), name, engines[name].Halted())
-		}
-		if engines[name].Cycle() != aot.Cycle() {
-			t.Fatalf("cycle mismatch: aot=%d %s=%d", aot.Cycle(), name, engines[name].Cycle())
-		}
-		compareStats(t, name, engines[name].Stats(), aot.Stats())
-		compareSnapshots(t, name, engines[name].Snapshot(), aot.Snapshot())
+	aotErr, interpErr := aot.Run(limit), interp.Run(limit)
+	if (interpErr == nil) != (aotErr == nil) {
+		t.Fatalf("run error mismatch: aot=%v interp=%v", aotErr, interpErr)
 	}
+	if aotErr != nil && aotErr.Error() != interpErr.Error() {
+		t.Fatalf("fault text mismatch:\naot:    %s\ninterp: %s", aotErr, interpErr)
+	}
+	if interp.Halted() != aot.Halted() {
+		t.Fatalf("halted mismatch: aot=%v interp=%v", aot.Halted(), interp.Halted())
+	}
+	if interp.Cycle() != aot.Cycle() {
+		t.Fatalf("cycle mismatch: aot=%d interp=%d", aot.Cycle(), interp.Cycle())
+	}
+	compareStats(t, "interp", interp.Stats(), aot.Stats())
+	compareSnapshots(t, "interp", interp.Snapshot(), aot.Snapshot())
 }
 
 func compareStats(t *testing.T, name string, want, got *xsim.Stats) {
@@ -231,7 +221,7 @@ func TestAOTEquivalenceSPAM(t *testing.T) {
 }
 
 // TestAOTDifferentialRandom is the gauntlet: random machines x random
-// programs, aot vs compiled closure core vs AST interpreter, bit-identical
+// programs, aot vs the in-process interpreter, bit-identical
 // state and statistics under fixed seeds.
 func TestAOTDifferentialRandom(t *testing.T) {
 	if testing.Short() {
@@ -297,11 +287,11 @@ done:
 	if !ref.Halted() {
 		t.Fatal("reference did not halt in lockstep")
 	}
-	compareStats(t, "compiled", ref.Stats(), aot.Stats())
+	compareStats(t, "interp", ref.Stats(), aot.Stats())
 }
 
-// TestFallbackWhenDisabled: with the backend disabled the engine ladder
-// degrades to the compiled core and reports why.
+// TestFallbackWhenDisabled: with the backend disabled the engine falls
+// back to the interpreter and reports why.
 func TestFallbackWhenDisabled(t *testing.T) {
 	t.Setenv("REPRO_GENSIM_DISABLE", "1")
 	if _, err := gensim.Build(machines.Toy()); !errors.Is(err, gensim.ErrUnavailable) {
@@ -312,8 +302,8 @@ func TestFallbackWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if info.Used != xsim.BackendCompiled {
-		t.Fatalf("Used = %s, want compiled fallback", info.Used)
+	if info.Used != xsim.BackendInterp {
+		t.Fatalf("Used = %s, want interp fallback", info.Used)
 	}
 	if info.FallbackReason == "" {
 		t.Fatal("fallback reason empty")
@@ -357,8 +347,8 @@ Field F:
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if info.Used != xsim.BackendCompiled || info.FallbackReason == "" {
-		t.Fatalf("info = %+v, want compiled fallback with reason", info)
+	if info.Used != xsim.BackendInterp || info.FallbackReason == "" {
+		t.Fatalf("info = %+v, want interp fallback with reason", info)
 	}
 }
 

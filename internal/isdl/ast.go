@@ -315,6 +315,9 @@ type Storage struct {
 	Width int
 	Depth int // locations, for addressed kinds; 1 otherwise
 	Base  uint64
+	// Index is the storage's position in Description.Storage, set by the
+	// parser (consumers index per-storage tables by it).
+	Index int
 }
 
 // Alias names an arbitrary sub-part of the processor state: an element of an

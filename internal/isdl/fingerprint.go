@@ -11,8 +11,8 @@ import (
 // Content fingerprints. The exploration loop mutates one operation at a
 // time, so neighbouring candidate descriptions share almost every
 // definition; per-definition fingerprints let the toolchain caches
-// (compiled-op closures in xsim, stage artifacts in core) key by exactly
-// the content a generated artifact depends on, instead of the whole
+// (stage artifacts in core) key by exactly the content a generated
+// artifact depends on, instead of the whole
 // description. A fingerprint is a SHA-256 over canonical text (the same
 // rendering Format uses), so formatting differences never split equal
 // content and any textual change to a definition changes its fingerprint.

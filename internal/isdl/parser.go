@@ -602,7 +602,7 @@ func (p *parser) parseStorage(d *Description) error {
 		if err != nil {
 			return err
 		}
-		st := &Storage{Name: nameTok.Text, Kind: kind, Pos: kindTok.Pos, Depth: 1}
+		st := &Storage{Name: nameTok.Text, Kind: kind, Pos: kindTok.Pos, Depth: 1, Index: len(d.Storage)}
 		if _, err := p.expect(lexIdent, "width"); err != nil {
 			return err
 		}

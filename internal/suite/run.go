@@ -12,7 +12,7 @@ import (
 
 // Options configures one workload run.
 type Options struct {
-	// Backend selects the xsim backend (empty: compiled).
+	// Backend selects the xsim backend (empty: interp).
 	Backend xsim.Backend
 	// Limit bounds executed instructions (0: DefaultLimit).
 	Limit int64

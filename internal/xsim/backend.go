@@ -8,46 +8,44 @@ import (
 	"repro/internal/isdl"
 )
 
-// This file defines the simulator backend ladder of ROADMAP item 3. Three
-// backends produce bit-identical architectural results at different speeds:
+// This file defines the simulator backends. Both produce bit-identical
+// architectural results at different speeds:
 //
-//	interp    the AST interpreter (eval.go) — the reference semantics
-//	compiled  the closure-compiled core (compile.go) — the default
-//	aot       ahead-of-time generated Go, natively compiled per description
-//	          (internal/gensim) — the analogue of the paper's generated,
-//	          natively compiled C simulators (§3.3, §6.2)
+//	interp  the in-process core (eval.go), specialized at decode time — the
+//	        reference semantics and the default
+//	aot     ahead-of-time generated Go, natively compiled per description
+//	        (internal/gensim) — the analogue of the paper's generated,
+//	        natively compiled C simulators (§3.3, §6.2)
 //
-// The aot backend needs a Go toolchain at runtime; NewEngine degrades down
-// the ladder (aot → compiled) instead of failing, reporting the reason, so
-// every caller keeps working on toolchain-less hosts.
+// The aot backend needs a Go toolchain at runtime; NewEngine falls back to
+// interp instead of failing, reporting the reason, so every caller keeps
+// working on toolchain-less hosts.
 
 // Backend names one simulator execution strategy.
 type Backend string
 
 const (
-	// BackendInterp runs the AST interpreter core.
+	// BackendInterp runs the in-process core (the default).
 	BackendInterp Backend = "interp"
-	// BackendCompiled runs the closure-compiled core (the default).
-	BackendCompiled Backend = "compiled"
 	// BackendAOT generates, builds and runs specialized Go for the
-	// description (internal/gensim), falling back to compiled when no
+	// description (internal/gensim), falling back to interp when no
 	// toolchain is available.
 	BackendAOT Backend = "aot"
 )
 
-// Backends lists the selectable backends in ladder order.
-func Backends() []Backend { return []Backend{BackendInterp, BackendCompiled, BackendAOT} }
+// Backends lists the selectable backends, the default first.
+func Backends() []Backend { return []Backend{BackendInterp, BackendAOT} }
 
 // ParseBackend validates a backend name; the empty string selects the
-// default (compiled).
+// default (interp).
 func ParseBackend(s string) (Backend, error) {
 	switch Backend(s) {
 	case "":
-		return BackendCompiled, nil
-	case BackendInterp, BackendCompiled, BackendAOT:
+		return BackendInterp, nil
+	case BackendInterp, BackendAOT:
 		return Backend(s), nil
 	}
-	return "", fmt.Errorf("xsim: unknown backend %q (want interp, compiled or aot)", s)
+	return "", fmt.Errorf("xsim: unknown backend %q (want interp or aot)", s)
 }
 
 // Engine is the backend-independent view of one simulator instance: load a
@@ -82,7 +80,7 @@ type Engine interface {
 // the Engine form of State().Snapshot().
 func (sim *Simulator) Snapshot() map[string][]bitvec.Value { return sim.st.Snapshot() }
 
-// Close releases the simulator (a no-op for the in-process cores).
+// Close releases the simulator (a no-op for the in-process core).
 func (sim *Simulator) Close() error { return nil }
 
 var _ Engine = (*Simulator)(nil)
@@ -103,32 +101,28 @@ type EngineInfo struct {
 	FallbackReason string
 }
 
-// NewEngine builds a simulation engine for the requested backend, walking
-// down the ladder (aot → compiled) when the request cannot be satisfied:
-// no gensim registered, no Go toolchain, or a description the generator
-// does not support. The returned error is non-nil only for an invalid
-// backend name — fallback is not an error.
+// NewEngine builds a simulation engine for the requested backend, falling
+// back from aot to interp when the request cannot be satisfied: no gensim
+// registered, no Go toolchain, or a description the generator does not
+// support. The returned error is non-nil only for an invalid backend name —
+// fallback is not an error.
 func NewEngine(d *isdl.Description, b Backend) (Engine, EngineInfo, error) {
 	if b == "" {
-		b = BackendCompiled
+		b = BackendInterp
 	}
 	info := EngineInfo{Requested: b, Used: b}
 	switch b {
 	case BackendInterp:
-		sim := New(d)
-		sim.CompiledCore = false
-		return sim, info, nil
-	case BackendCompiled:
 		return New(d), info, nil
 	case BackendAOT:
 		if aotFactory == nil {
-			info.Used = BackendCompiled
+			info.Used = BackendInterp
 			info.FallbackReason = "aot backend not linked in (import repro/internal/gensim)"
 			return New(d), info, nil
 		}
 		eng, err := aotFactory(d)
 		if err != nil {
-			info.Used = BackendCompiled
+			info.Used = BackendInterp
 			info.FallbackReason = err.Error()
 			return New(d), info, nil
 		}

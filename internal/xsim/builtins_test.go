@@ -11,9 +11,9 @@ import (
 	"repro/internal/xsim"
 )
 
-// opsSource defines one operation per RTL operator and builtin so both
-// processing cores (compiled closures and the AST interpreter) can be
-// checked operator-by-operator against Go arithmetic.
+// opsSource defines one operation per RTL operator and builtin so the
+// processing core can be checked operator-by-operator against Go
+// arithmetic.
 const opsSource = `
 Machine opsbox;
 Format 32;
@@ -203,14 +203,11 @@ func TestOperatorMatrix(t *testing.T) {
 		}
 	}
 
-	for _, compiled := range []bool{true, false} {
-		// Batch the cases into programs of 8 (register pressure: R1=a,
-		// R2=b via two ldi each since IMM8 is 8-bit: build with shifts...
-		// simpler: one case per program).
-		for _, c := range cases {
-			// Operands are built with the concat opcode (30):
-			// R = (hi & 0xff) << 8 | (lo & 0xff).
-			src := fmt.Sprintf(`
+	// One case per program.
+	for _, c := range cases {
+		// Operands are built with the concat opcode (30):
+		// R = (hi & 0xff) << 8 | (lo & 0xff).
+		src := fmt.Sprintf(`
     ldi R1, %d
     ldi R4, %d
     alu 30, R1, R1, R4
@@ -220,69 +217,63 @@ func TestOperatorMatrix(t *testing.T) {
     alu %d, R5, R1, R2
     halt
 `,
-				int8(c.a>>8), int8(c.a&0xff),
-				int8(c.b>>8), int8(c.b&0xff),
-				c.k)
-			p, err := asm.Assemble(d, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim := xsim.New(d)
-			sim.CompiledCore = compiled
-			if err := sim.Load(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.Run(0); err != nil {
-				t.Fatal(err)
-			}
-			// Verify operand construction first.
-			if got := uint16(sim.State().Get("RF", 1).Uint64()); got != c.a {
-				t.Fatalf("operand a = %#x, want %#x", got, c.a)
-			}
-			if got := uint16(sim.State().Get("RF", 2).Uint64()); got != c.b {
-				t.Fatalf("operand b = %#x, want %#x", got, c.b)
-			}
-			want := goRef(c.k, c.a, c.b)
-			got := uint16(sim.State().Get("RF", 5).Uint64())
-			if got != want {
-				t.Fatalf("core(compiled=%v) opcode %d on %#x,%#x = %#x, want %#x",
-					compiled, c.k, c.a, c.b, got, want)
-			}
-		}
-	}
-}
-
-// TestAliasMidSlice reads and writes an alias covering a middle bit range of
-// a wider register, on both cores.
-func TestAliasMidSlice(t *testing.T) {
-	d, err := isdl.Parse(opsSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, compiled := range []bool{true, false} {
-		p, err := asm.Assemble(d, `
-    ldi R1, -1
-    sta R1          ; ACC[19:4] <- 0xffff
-    lda R2          ; R2 <- ACC[19:4]
-    halt
-`)
+			int8(c.a>>8), int8(c.a&0xff),
+			int8(c.b>>8), int8(c.b&0xff),
+			c.k)
+		p, err := asm.Assemble(d, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sim := xsim.New(d)
-		sim.CompiledCore = compiled
 		if err := sim.Load(p); err != nil {
 			t.Fatal(err)
 		}
 		if err := sim.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		if got := sim.State().Get("ACC", 0).Uint64(); got != 0xffff0 {
-			t.Fatalf("compiled=%v: ACC = %#x, want 0xffff0", compiled, got)
+		// Verify operand construction first.
+		if got := uint16(sim.State().Get("RF", 1).Uint64()); got != c.a {
+			t.Fatalf("operand a = %#x, want %#x", got, c.a)
 		}
-		if got := sim.State().Get("RF", 2).Uint64(); got != 0xffff {
-			t.Fatalf("compiled=%v: R2 = %#x", compiled, got)
+		if got := uint16(sim.State().Get("RF", 2).Uint64()); got != c.b {
+			t.Fatalf("operand b = %#x, want %#x", got, c.b)
 		}
+		want := goRef(c.k, c.a, c.b)
+		got := uint16(sim.State().Get("RF", 5).Uint64())
+		if got != want {
+			t.Fatalf("opcode %d on %#x,%#x = %#x, want %#x", c.k, c.a, c.b, got, want)
+		}
+	}
+}
+
+// TestAliasMidSlice reads and writes an alias covering a middle bit range of
+// a wider register.
+func TestAliasMidSlice(t *testing.T) {
+	d, err := isdl.Parse(opsSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asm.Assemble(d, `
+    ldi R1, -1
+    sta R1          ; ACC[19:4] <- 0xffff
+    lda R2          ; R2 <- ACC[19:4]
+    halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := xsim.New(d)
+	if err := sim.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.State().Get("ACC", 0).Uint64(); got != 0xffff0 {
+		t.Fatalf("ACC = %#x, want 0xffff0", got)
+	}
+	if got := sim.State().Get("RF", 2).Uint64(); got != 0xffff {
+		t.Fatalf("R2 = %#x", got)
 	}
 }
 

@@ -15,48 +15,59 @@ import (
 // values before any RTL statement writes its results"), writes are collected
 // into temporary storage, and the caller commits them afterwards — possibly
 // delayed by the operation's Latency.
+//
+// Everything static is resolved at decode time, the way generated
+// simulators bind operands when they disassemble the program: arguments are
+// bound by parameter position, storage handles are indexed by
+// isdl.Storage.Index, and no name is looked up while an operation executes.
+// Runtime faults (stack overflow/underflow, malformed RTL) are rare, so the
+// evaluator reports them by panicking with *RuntimeError; Step recovers.
 
 // env binds the parameters of one operation or option instance. Environments
 // are built once per decoded instruction (load-time disassembly) and reused
 // every execution; sub-environments for non-terminal arguments are prebuilt
 // recursively.
 type env struct {
-	sim  *Simulator
-	args map[string]*decode.Arg
-	subs map[string]*env
-	// ordered lists the non-terminal sub-environments in parameter
-	// declaration order, for deterministic side-effect evaluation; option
-	// is the decoded option this environment belongs to (nil at op level).
-	ordered []*env
-	option  *isdl.Option
-	// op is set on operation-level environments (used by the compiled
-	// core).
-	op *isdl.Operation
+	sim    *Simulator
+	params []*isdl.Param
+	args   []decode.Arg
+	// subs holds, by parameter position, the sub-environment of each
+	// non-terminal argument (nil for tokens); option is the decoded option
+	// this environment belongs to (nil at operation level).
+	subs   []*env
+	option *isdl.Option
 }
 
 func newEnv(sim *Simulator, params []*isdl.Param, args []decode.Arg) *env {
-	e := &env{sim: sim, args: make(map[string]*decode.Arg, len(params))}
+	e := &env{sim: sim, params: params, args: args}
 	for i := range params {
-		e.args[params[i].Name] = &args[i]
-		if args[i].Option != nil {
-			if e.subs == nil {
-				e.subs = map[string]*env{}
-			}
-			sub := newEnv(sim, args[i].Option.Params, args[i].Sub)
-			sub.option = args[i].Option
-			e.subs[params[i].Name] = sub
-			e.ordered = append(e.ordered, sub)
+		if args[i].Option == nil {
+			continue
 		}
+		if e.subs == nil {
+			e.subs = make([]*env, len(params))
+		}
+		sub := newEnv(sim, args[i].Option.Params, args[i].Sub)
+		sub.option = args[i].Option
+		e.subs[i] = sub
 	}
 	return e
 }
 
-// subEnv returns the prebuilt environment of a non-terminal parameter.
-func (ev *env) subEnv(name string) *env { return ev.subs[name] }
+// param returns the position of p among the environment's parameters.
+func (ev *env) param(p *isdl.Param) int {
+	for i, q := range ev.params {
+		if q == p {
+			return i
+		}
+	}
+	ev.sim.fault("unresolved reference %s", p.Name)
+	return -1
+}
 
-// loc is a write destination: a bit range of one storage location. h is a
-// resolved handle when the write came from the evaluator (zero in read-set
-// entries, which are only compared field-wise).
+// loc is a write destination: a bit range of one storage location. h is the
+// resolved handle for writes from the evaluator (zero in read-set entries,
+// which are only compared field-wise).
 type loc struct {
 	storage string
 	index   int
@@ -98,134 +109,106 @@ type RuntimeError struct {
 
 func (e *RuntimeError) Error() string { return fmt.Sprintf("runtime error at %#x: %s", e.PC, e.Msg) }
 
-func (ev *env) fault(format string, args ...interface{}) error {
-	return &RuntimeError{PC: ev.sim.currentPC, Msg: fmt.Sprintf(format, args...)}
+// fault raises a *RuntimeError at the current instruction.
+func (sim *Simulator) fault(format string, args ...interface{}) {
+	panic(&RuntimeError{PC: sim.currentPC, Msg: fmt.Sprintf(format, args...)})
 }
 
 // execStmts evaluates statements into ph (reads against current state).
-func (ev *env) execStmts(stmts []isdl.Stmt, ph *phase) error {
+func (ev *env) execStmts(stmts []isdl.Stmt, ph *phase) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *isdl.Assign:
-			v, err := ev.eval(s.RHS)
-			if err != nil {
-				return err
-			}
-			l, err := ev.evalLoc(s.LHS)
-			if err != nil {
-				return err
-			}
-			ph.writes = append(ph.writes, write{loc: l, val: v})
+			v := ev.eval(s.RHS)
+			ph.writes = append(ph.writes, write{loc: ev.evalLoc(s.LHS), val: v})
 		case *isdl.If:
-			c, err := ev.eval(s.Cond)
-			if err != nil {
-				return err
-			}
-			body := s.Then
-			if c.IsZero() {
-				body = s.Else
-			}
-			if err := ev.execStmts(body, ph); err != nil {
-				return err
+			if !ev.eval(s.Cond).IsZero() {
+				ev.execStmts(s.Then, ph)
+			} else {
+				ev.execStmts(s.Else, ph)
 			}
 		case *isdl.ExprStmt:
 			call := s.X.(*isdl.Call)
 			switch call.Fn {
 			case "push":
-				v, err := ev.eval(call.Args[1])
-				if err != nil {
-					return err
-				}
-				ph.pushes = append(ph.pushes, pushOp{stack: call.Args[0].(*isdl.Ref).Name, val: v})
+				ph.pushes = append(ph.pushes, pushOp{stack: call.Args[0].(*isdl.Ref).Name, val: ev.eval(call.Args[1])})
 			case "pop":
-				if _, err := ev.eval(call); err != nil {
-					return err
-				}
+				ev.eval(call)
 			}
 		}
 	}
-	return nil
 }
 
 // commit applies the collected writes of a phase. Statements later in the
 // phase override earlier ones on the same bits, matching the sequential
 // write-back of the generated simulators.
-func (sim *Simulator) commit(ph *phase) error {
-	for _, w := range ph.writes {
-		sim.applyWrite(w)
+func (sim *Simulator) commit(ph *phase) {
+	for i := range ph.writes {
+		sim.applyWrite(&ph.writes[i])
 	}
-	for _, p := range ph.pushes {
-		if err := sim.st.Push(p.stack, p.val); err != nil {
-			return &RuntimeError{PC: sim.currentPC, Msg: err.Error()}
+	for i := range ph.pushes {
+		if err := sim.st.Push(ph.pushes[i].stack, ph.pushes[i].val); err != nil {
+			sim.fault("%s", err.Error())
 		}
 	}
-	return nil
 }
 
-func (sim *Simulator) applyWrite(w write) {
-	h := w.loc.h
-	if !h.Valid() {
-		h, _ = sim.st.Handle(w.loc.storage)
-	}
+func (sim *Simulator) applyWrite(w *write) {
 	if w.loc.hi >= 0 {
-		h.SetBits(w.loc.index, w.loc.hi, w.loc.lo, w.val)
+		w.loc.h.SetBits(w.loc.index, w.loc.hi, w.loc.lo, w.val)
 	} else {
-		h.Set(w.loc.index, w.val)
+		w.loc.h.Set(w.loc.index, w.val)
 	}
 	sim.stats.Writes++
 }
 
 // evalLoc resolves an lvalue expression to a concrete write destination,
 // evaluating any index expressions against pre-phase state.
-func (ev *env) evalLoc(e isdl.Expr) (loc, error) {
+func (ev *env) evalLoc(e isdl.Expr) loc {
 	switch e := e.(type) {
 	case *isdl.Ref:
 		switch {
 		case e.Storage != nil:
-			return loc{storage: e.Storage.Name, index: 0, hi: -1, lo: -1, h: ev.sim.handles[e.Storage]}, nil
+			return loc{storage: e.Storage.Name, index: 0, hi: -1, lo: -1, h: ev.sim.stH[e.Storage.Index]}
 		case e.AliasTo != nil:
 			a := e.AliasTo
 			l := loc{storage: a.Target, index: int(a.Index), hi: -1, lo: -1, h: ev.sim.aliasH[a]}
 			if a.Sliced {
 				l.hi, l.lo = a.Hi, a.Lo
 			}
-			return l, nil
-		case e.Param != nil:
-			arg := ev.args[e.Param.Name]
-			return ev.subEnv(e.Param.Name).evalLoc(arg.Option.Value)
+			return l
+		case e.Param != nil && e.Param.NT != nil:
+			sub := ev.subs[ev.param(e.Param)]
+			return sub.evalLoc(sub.option.Value)
 		}
 	case *isdl.Index:
-		idx, err := ev.eval(e.Idx)
-		if err != nil {
-			return loc{}, err
-		}
-		return loc{storage: e.Storage.Name, index: int(idx.Uint64()), hi: -1, lo: -1, h: ev.sim.handles[e.Storage]}, nil
+		idx := ev.eval(e.Idx)
+		return loc{storage: e.Storage.Name, index: int(idx.Uint64()), hi: -1, lo: -1, h: ev.sim.stH[e.Storage.Index]}
 	case *isdl.SliceE:
-		base, err := ev.evalLoc(e.X)
-		if err != nil {
-			return loc{}, err
-		}
+		base := ev.evalLoc(e.X)
 		if base.hi >= 0 {
 			// Slice of a slice: offsets compose.
-			return loc{storage: base.storage, index: base.index, hi: base.lo + e.Hi, lo: base.lo + e.Lo}, nil
+			base.hi, base.lo = base.lo+e.Hi, base.lo+e.Lo
+		} else {
+			base.hi, base.lo = e.Hi, e.Lo
 		}
-		base.hi, base.lo = e.Hi, e.Lo
-		return base, nil
+		return base
 	}
-	return loc{}, ev.fault("%s is not assignable", e)
+	ev.sim.fault("%s is not assignable", e)
+	return loc{}
 }
 
 // eval computes the value of an RTL expression against current state.
-func (ev *env) eval(e isdl.Expr) (bitvec.Value, error) {
+func (ev *env) eval(e isdl.Expr) bitvec.Value {
 	switch e := e.(type) {
 	case *isdl.Lit:
-		return e.Val, nil
+		return e.Val
 
 	case *isdl.Ref:
 		switch {
 		case e.Storage != nil:
 			ev.sim.stats.Reads++
-			return ev.sim.handles[e.Storage].Get(0), nil
+			return ev.sim.stH[e.Storage.Index].Get(0)
 		case e.AliasTo != nil:
 			a := e.AliasTo
 			ev.sim.stats.Reads++
@@ -233,81 +216,56 @@ func (ev *env) eval(e isdl.Expr) (bitvec.Value, error) {
 			if a.Sliced {
 				v = v.Slice(a.Hi, a.Lo)
 			}
-			return v, nil
+			return v
 		case e.Param != nil:
-			arg := ev.args[e.Param.Name]
+			i := ev.param(e.Param)
 			if e.Param.Token != nil {
-				return arg.Value, nil
+				return ev.args[i].Value
 			}
-			return ev.subEnv(e.Param.Name).eval(arg.Option.Value)
+			sub := ev.subs[i]
+			return sub.eval(sub.option.Value)
 		}
-		return bitvec.Value{}, ev.fault("unresolved reference %s", e.Name)
+		ev.sim.fault("unresolved reference %s", e.Name)
 
 	case *isdl.Index:
-		idx, err := ev.eval(e.Idx)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
+		idx := ev.eval(e.Idx)
 		ev.sim.stats.Reads++
-		return ev.sim.handles[e.Storage].Get(int(idx.Uint64())), nil
+		return ev.sim.stH[e.Storage.Index].Get(int(idx.Uint64()))
 
 	case *isdl.SliceE:
-		v, err := ev.eval(e.X)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		return v.Slice(e.Hi, e.Lo), nil
+		return ev.eval(e.X).Slice(e.Hi, e.Lo)
 
 	case *isdl.Unary:
-		v, err := ev.eval(e.X)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
+		v := ev.eval(e.X)
 		switch e.Op {
 		case "-":
-			return v.Neg(), nil
+			return v.Neg()
 		case "~":
-			return v.Not(), nil
+			return v.Not()
 		case "!":
-			return boolVal(v.IsZero()), nil
+			return boolVal(v.IsZero())
 		}
 
 	case *isdl.Binary:
-		x, err := ev.eval(e.X)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
+		x := ev.eval(e.X)
 		// Short-circuit logical operators.
 		switch e.Op {
 		case "&&":
-			if x.IsZero() {
-				return boolVal(false), nil
-			}
-			y, err := ev.eval(e.Y)
-			if err != nil {
-				return bitvec.Value{}, err
-			}
-			return boolVal(!y.IsZero()), nil
+			return boolVal(!x.IsZero() && !ev.eval(e.Y).IsZero())
 		case "||":
-			if !x.IsZero() {
-				return boolVal(true), nil
-			}
-			y, err := ev.eval(e.Y)
-			if err != nil {
-				return bitvec.Value{}, err
-			}
-			return boolVal(!y.IsZero()), nil
+			return boolVal(!x.IsZero() || !ev.eval(e.Y).IsZero())
 		}
-		y, err := ev.eval(e.Y)
-		if err != nil {
-			return bitvec.Value{}, err
+		v, ok := evalBinary(e.Op, x, ev.eval(e.Y))
+		if !ok {
+			ev.sim.fault("unknown operator %q", e.Op)
 		}
-		return evalBinary(e.Op, x, y)
+		return v
 
 	case *isdl.Call:
 		return ev.evalCall(e)
 	}
-	return bitvec.Value{}, ev.fault("cannot evaluate %s", e)
+	ev.sim.fault("cannot evaluate %s", e)
+	return bitvec.Value{}
 }
 
 func boolVal(b bool) bitvec.Value {
@@ -317,56 +275,57 @@ func boolVal(b bool) bitvec.Value {
 	return bitvec.New(1)
 }
 
-func evalBinary(op string, x, y bitvec.Value) (bitvec.Value, error) {
+// evalBinary applies a non-short-circuit binary operator; ok is false for
+// an unknown operator.
+func evalBinary(op string, x, y bitvec.Value) (v bitvec.Value, ok bool) {
 	switch op {
 	case "+":
-		return x.Add(y), nil
+		return x.Add(y), true
 	case "-":
-		return x.Sub(y), nil
+		return x.Sub(y), true
 	case "*":
-		return x.Mul(y), nil
+		return x.Mul(y), true
 	case "/":
-		return x.DivU(y), nil
+		return x.DivU(y), true
 	case "%":
-		return x.ModU(y), nil
+		return x.ModU(y), true
 	case "&":
-		return x.And(y), nil
+		return x.And(y), true
 	case "|":
-		return x.Or(y), nil
+		return x.Or(y), true
 	case "^":
-		return x.Xor(y), nil
+		return x.Xor(y), true
 	case "<<":
-		return x.Shl(int(y.Uint64())), nil
+		return x.Shl(int(y.Uint64())), true
 	case ">>":
-		return x.ShrL(int(y.Uint64())), nil
+		return x.ShrL(int(y.Uint64())), true
 	case "==":
-		return boolVal(x.Eq(y)), nil
+		return boolVal(x.Eq(y)), true
 	case "!=":
-		return boolVal(!x.Eq(y)), nil
+		return boolVal(!x.Eq(y)), true
 	case "<":
-		return boolVal(x.CmpU(y) < 0), nil
+		return boolVal(x.CmpU(y) < 0), true
 	case "<=":
-		return boolVal(x.CmpU(y) <= 0), nil
+		return boolVal(x.CmpU(y) <= 0), true
 	case ">":
-		return boolVal(x.CmpU(y) > 0), nil
+		return boolVal(x.CmpU(y) > 0), true
 	case ">=":
-		return boolVal(x.CmpU(y) >= 0), nil
+		return boolVal(x.CmpU(y) >= 0), true
 	}
-	return bitvec.Value{}, fmt.Errorf("unknown operator %q", op)
+	return bitvec.Value{}, false
 }
 
-func (ev *env) evalCall(e *isdl.Call) (bitvec.Value, error) {
+func (ev *env) evalCall(e *isdl.Call) bitvec.Value {
 	// push/pop touch the stack; the rest are pure.
 	switch e.Fn {
 	case "pop":
-		name := e.Args[0].(*isdl.Ref).Name
-		v, err := ev.sim.st.Pop(name)
+		v, err := ev.sim.st.Pop(e.Args[0].(*isdl.Ref).Name)
 		if err != nil {
-			return bitvec.Value{}, &RuntimeError{PC: ev.sim.currentPC, Msg: err.Error()}
+			ev.sim.fault("%s", err.Error())
 		}
-		return v, nil
+		return v
 	case "push":
-		return bitvec.Value{}, ev.fault("push used as a value")
+		ev.sim.fault("push used as a value")
 	}
 
 	var argBuf [4]bitvec.Value
@@ -382,47 +341,44 @@ func (ev *env) evalCall(e *isdl.Call) (bitvec.Value, error) {
 		if i == 1 && (e.Fn == "sext" || e.Fn == "zext" || e.Fn == "trunc") {
 			continue
 		}
-		v, err := ev.eval(a)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		args[i] = v
+		args[i] = ev.eval(a)
 	}
 	switch e.Fn {
 	case "sext":
-		return args[0].SignExt(e.W), nil
+		return args[0].SignExt(e.W)
 	case "zext":
-		return args[0].ZeroExt(e.W), nil
+		return args[0].ZeroExt(e.W)
 	case "trunc":
-		return args[0].Trunc(e.W), nil
+		return args[0].Trunc(e.W)
 	case "carry":
 		_, c := args[0].AddCarry(args[1])
-		return boolVal(c), nil
+		return boolVal(c)
 	case "borrow":
 		_, b := args[0].SubBorrow(args[1])
-		return boolVal(b), nil
+		return boolVal(b)
 	case "addov":
 		s := args[0].Add(args[1])
-		return boolVal(args[0].Sign() == args[1].Sign() && s.Sign() != args[0].Sign()), nil
+		return boolVal(args[0].Sign() == args[1].Sign() && s.Sign() != args[0].Sign())
 	case "subov":
 		s := args[0].Sub(args[1])
-		return boolVal(args[0].Sign() != args[1].Sign() && s.Sign() != args[0].Sign()), nil
+		return boolVal(args[0].Sign() != args[1].Sign() && s.Sign() != args[0].Sign())
 	case "slt":
-		return boolVal(args[0].CmpS(args[1]) < 0), nil
+		return boolVal(args[0].CmpS(args[1]) < 0)
 	case "sle":
-		return boolVal(args[0].CmpS(args[1]) <= 0), nil
+		return boolVal(args[0].CmpS(args[1]) <= 0)
 	case "sgt":
-		return boolVal(args[0].CmpS(args[1]) > 0), nil
+		return boolVal(args[0].CmpS(args[1]) > 0)
 	case "sge":
-		return boolVal(args[0].CmpS(args[1]) >= 0), nil
+		return boolVal(args[0].CmpS(args[1]) >= 0)
 	case "asr":
-		return args[0].ShrA(int(args[1].Uint64())), nil
+		return args[0].ShrA(int(args[1].Uint64()))
 	case "concat":
 		v := args[0]
 		for _, a := range args[1:] {
 			v = v.Concat(a)
 		}
-		return v, nil
+		return v
 	}
-	return bitvec.Value{}, ev.fault("unknown builtin %s", e.Fn)
+	ev.sim.fault("unknown builtin %s", e.Fn)
+	return bitvec.Value{}
 }

@@ -43,6 +43,39 @@ func TestReloadReproducesRun(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsDecodeCacheForSameImage: reloading an identical program
+// image keeps the dense decode entries (no fetch decodes afresh); a
+// different image drops them, so its own instructions decode and run.
+func TestLoadKeepsDecodeCacheForSameImage(t *testing.T) {
+	d := machines.Toy()
+	sim := xsim.New(d)
+	run := func(src string) uint64 {
+		t.Helper()
+		p, err := asm.Assemble(d, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Perf().DecodeMisses
+	}
+	const prog = "mv R1, #5\n mv R2, #3\n add R3, R1, R2\n halt"
+	first := run(prog)
+	if got := run(prog); got != first {
+		t.Errorf("reload with identical image re-decoded %d instructions", got-first)
+	}
+	if got := run("mv R1, #7\n halt"); got != first+2 {
+		t.Errorf("reload with different image decoded %d instructions, want 2", got-first)
+	}
+	if got := reg(t, sim, 1); got != 7 {
+		t.Errorf("after reload R1 = %d, want 7", got)
+	}
+}
+
 // TestFetchOutsideLoadedImage: instructions materialized into instruction
 // memory beyond the loaded program image sit outside the dense decode
 // window and must decode through the fallback path.

@@ -12,15 +12,13 @@ import (
 // ScaleSimulator-style parallel simulators expose built-in perf counters.
 // Architectural statistics (Stats) describe the simulated machine and reset
 // with it; these counters describe the simulator and are cumulative over
-// the simulator's lifetime: decode-cache and compiled-op cache traffic
-// accrue as instructions are decoded, and every Run adds its wall-clock
+// the simulator's lifetime: decode-cache traffic accrues as instructions
+// are decoded, and every Run adds its wall-clock
 // time and executed instruction/cycle/stall deltas, so simulated MIPS stays
 // meaningful across Load/Reset cycles.
 type perfCounters struct {
 	decodeHits   uint64
 	decodeMisses uint64
-	opReused     uint64
-	opCompiled   uint64
 	instructions uint64
 	cycles       uint64
 	dataStalls   uint64
@@ -39,9 +37,6 @@ type PerfReport struct {
 	// from a cached decoded instruction, a miss decodes fresh.
 	DecodeHits   uint64 `json:"decode_hits"`
 	DecodeMisses uint64 `json:"decode_misses"`
-	// Compiled-op cache traffic: reused closures vs. fresh compilations.
-	OpsReused   uint64 `json:"ops_reused"`
-	OpsCompiled uint64 `json:"ops_compiled"`
 	// RunSeconds is wall-clock time inside Run; MIPS and SimCyclesPerSec
 	// are simulated instructions and cycles per host second.
 	RunSeconds      float64 `json:"run_seconds"`
@@ -58,8 +53,6 @@ func (sim *Simulator) Perf() PerfReport {
 		StructStalls: sim.perf.structStalls,
 		DecodeHits:   sim.perf.decodeHits,
 		DecodeMisses: sim.perf.decodeMisses,
-		OpsReused:    sim.perf.opReused,
-		OpsCompiled:  sim.perf.opCompiled,
 	}
 	p.DeriveRates(sim.perf.runNs)
 	return p
@@ -96,15 +89,6 @@ func (p PerfReport) DecodeHitRate() float64 {
 	return 0
 }
 
-// OpReuseRate is the fraction of decoded operations whose compiled closure
-// came from the op cache.
-func (p PerfReport) OpReuseRate() float64 {
-	if total := p.OpsReused + p.OpsCompiled; total > 0 {
-		return float64(p.OpsReused) / float64(total)
-	}
-	return 0
-}
-
 // Summary renders the counters as a short report.
 func (p PerfReport) Summary() string {
 	var sb strings.Builder
@@ -112,8 +96,6 @@ func (p PerfReport) Summary() string {
 		p.Instructions, p.Cycles, p.DataStalls, p.StructStalls)
 	fmt.Fprintf(&sb, "decode cache:   %d hits / %d misses (%.1f%% hit rate)\n",
 		p.DecodeHits, p.DecodeMisses, 100*p.DecodeHitRate())
-	fmt.Fprintf(&sb, "compiled ops:   %d reused / %d compiled (%.1f%% reuse)\n",
-		p.OpsReused, p.OpsCompiled, 100*p.OpReuseRate())
 	if p.RunSeconds > 0 {
 		fmt.Fprintf(&sb, "simulation:     %.4f s wall, %.2f MIPS, %.0f cycles/s\n",
 			p.RunSeconds, p.MIPS, p.SimCyclesPerSec)
@@ -137,7 +119,5 @@ func (p PerfReport) Publish(r *obs.Registry) {
 	r.Counter("xsim.stalls.struct").Add(p.StructStalls)
 	r.Counter("xsim.decode.hits").Add(p.DecodeHits)
 	r.Counter("xsim.decode.misses").Add(p.DecodeMisses)
-	r.Counter("xsim.ops.reused").Add(p.OpsReused)
-	r.Counter("xsim.ops.compiled").Add(p.OpsCompiled)
 	r.Counter("xsim.run_ns").Add(uint64(p.RunSeconds * 1e9))
 }

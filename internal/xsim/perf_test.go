@@ -49,9 +49,6 @@ func TestPerfCounters(t *testing.T) {
 	if p.DecodeHitRate() <= 0.5 {
 		t.Errorf("decode hit rate = %v, want > 0.5 for a loop", p.DecodeHitRate())
 	}
-	if p.OpsReused+p.OpsCompiled == 0 {
-		t.Error("no compiled-op traffic recorded")
-	}
 	if p.RunSeconds <= 0 {
 		t.Errorf("run seconds = %v, want > 0", p.RunSeconds)
 	}
@@ -60,7 +57,7 @@ func TestPerfCounters(t *testing.T) {
 	}
 
 	sum := p.Summary()
-	for _, want := range []string{"instructions:", "decode cache:", "compiled ops:", "MIPS"} {
+	for _, want := range []string{"instructions:", "decode cache:", "MIPS"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}

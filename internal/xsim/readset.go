@@ -199,8 +199,7 @@ func staticEval(e isdl.Expr, se staticEnv) (bitvec.Value, bool) {
 		if !okx || !oky {
 			return bitvec.Value{}, false
 		}
-		v, err := evalBinary(e.Op, x, y)
-		return v, err == nil
+		return evalBinary(e.Op, x, y)
 	case *isdl.Call:
 		switch e.Fn {
 		case "sext", "zext", "trunc":

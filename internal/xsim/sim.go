@@ -112,9 +112,10 @@ type opInfo struct {
 	// count is the cached execution counter for this operation (avoids a
 	// per-step string-keyed map update).
 	count *uint64
-	// Compiled-core phase functions (nil when running the interpreter).
-	actionFn stmtFn
-	sideFn   stmtFn
+	// optSide lists the sub-environments of the non-terminal options whose
+	// side effects run after the operation's own (e.g. post-increment
+	// addressing), in parameter declaration order, depth first.
+	optSide []*env
 }
 
 // instInfo is one decoded, pre-analyzed instruction.
@@ -122,6 +123,10 @@ type instInfo struct {
 	inst  *decode.Inst
 	ops   []opInfo
 	cycle int // instruction cycles: max over operations
+	// actionOps and sideOps index the operations with statements in each
+	// phase; the rest (typically the nops of idle VLIW fields) have no
+	// effect to evaluate or commit.
+	actionOps, sideOps []int
 }
 
 // ErrBreakpoint is returned by Run when it stops at a breakpoint.
@@ -141,25 +146,15 @@ type Simulator struct {
 	cacheOv    map[int]*instInfo
 	opCounters map[*isdl.Operation]*uint64
 	phaseBuf   []phase
-	// handles bypass name lookup on the hot path; resolved once at
-	// construction (they stay valid across Reset).
-	handles map[*isdl.Storage]state.Handle
-	aliasH  map[*isdl.Alias]state.Handle
-	pcH     state.Handle
-	imH     state.Handle
-	// Compiled-core plumbing: ctx is the execution context compiled
-	// closures run against, cc resolves AST references to layout positions
-	// at compile time, opc is the (shareable) compiled-op cache with its
-	// per-description fingerprint memo and the layout fingerprint half of
-	// its keys.
-	ctx       *execCtx
-	cc        *compileCtx
-	opc       *OpCache
-	opFPs     map[*isdl.Operation]isdl.Fingerprint
-	layoutFP  isdl.Fingerprint
-	pcName    string
-	imName    string
-	haltName  string // storage that halts the machine when non-zero
+	// Handles bypass name lookup on the hot path; resolved once at
+	// construction (they stay valid across Reset). stH is indexed by
+	// isdl.Storage.Index; haltH is the storage that halts the machine when
+	// non-zero (invalid when there is none).
+	stH       []state.Handle
+	aliasH    map[*isdl.Alias]state.Handle
+	pcH       state.Handle
+	imH       state.Handle
+	haltH     state.Handle
 	currentPC int
 
 	cycle       uint64
@@ -183,12 +178,6 @@ type Simulator struct {
 	// StallModel enables the latency/usage interlock (§3.3.3); disabling
 	// it is ablation C.
 	StallModel bool
-	// CompiledCore selects the closure-compiled processing core (the
-	// analogue of GENSIM's generated, natively compiled C — and the §6.2
-	// compiled-code direction). Disabling it runs the AST interpreter;
-	// the two are equivalent (cross-checked by tests). Changing the flag
-	// takes effect for instructions decoded afterwards (call Reset).
-	CompiledCore bool
 }
 
 // New builds a simulator for a description. A storage named "HLT" (any
@@ -196,53 +185,31 @@ type Simulator struct {
 // SetHaltStorage to choose a different one.
 func New(d *isdl.Description) *Simulator {
 	sim := &Simulator{
-		d:            d,
-		st:           state.New(d),
-		cacheOv:      map[int]*instInfo{},
-		opCounters:   map[*isdl.Operation]*uint64{},
-		phaseBuf:     make([]phase, len(d.Fields)),
-		pcName:       d.PC().Name,
-		imName:       d.InstructionMemory().Name,
-		fieldFreeAt:  make([]uint64, len(d.Fields)),
-		breakpoints:  map[int]bool{},
-		StallModel:   true,
-		CompiledCore: true,
+		d:           d,
+		st:          state.New(d),
+		cacheOv:     map[int]*instInfo{},
+		opCounters:  map[*isdl.Operation]*uint64{},
+		phaseBuf:    make([]phase, len(d.Fields)),
+		fieldFreeAt: make([]uint64, len(d.Fields)),
+		breakpoints: map[int]bool{},
+		StallModel:  true,
 	}
 	sim.stats.OpCounts = map[string]uint64{}
 	sim.stats.FieldIssue = make([]uint64, len(d.Fields))
-	sim.handles = make(map[*isdl.Storage]state.Handle, len(d.Storage))
+	sim.stH = make([]state.Handle, len(d.Storage))
 	for _, st := range d.Storage {
-		h, _ := sim.st.Handle(st.Name)
-		sim.handles[st] = h
+		sim.stH[st.Index], _ = sim.st.Handle(st.Name)
 	}
 	sim.aliasH = make(map[*isdl.Alias]state.Handle, len(d.Aliases))
 	for _, a := range d.Aliases {
-		h, _ := sim.st.Handle(a.Target)
-		sim.aliasH[a] = h
+		sim.aliasH[a], _ = sim.st.Handle(a.Target)
 	}
-	sim.pcH = sim.handles[d.PC()]
-	sim.imH = sim.handles[d.InstructionMemory()]
-	sim.ctx = &execCtx{
-		sim:    sim,
-		stH:    make([]state.Handle, len(d.Storage)),
-		aliasH: make([]state.Handle, len(d.Aliases)),
-	}
-	for i, st := range d.Storage {
-		sim.ctx.stH[i] = sim.handles[st]
-	}
-	for i, a := range d.Aliases {
-		sim.ctx.aliasH[i] = sim.aliasH[a]
-	}
-	sim.cc = newCompileCtx(d)
-	sim.opc = sharedOpCache
-	sim.opFPs = map[*isdl.Operation]isdl.Fingerprint{}
-	sim.layoutFP = isdl.LayoutFingerprint(d)
-	if _, ok := d.StorageByName["HLT"]; ok {
-		sim.haltName = "HLT"
-	}
+	sim.pcH = sim.stH[d.PC().Index]
+	sim.imH = sim.stH[d.InstructionMemory().Index]
+	sim.haltH, _ = sim.st.Handle("HLT")
 	// Self-modifying writes invalidate the load-time decode of the
 	// affected address.
-	if _, err := sim.st.Watch(sim.imName, -1, func(ev state.ChangeEvent) {
+	if _, err := sim.st.Watch(d.InstructionMemory().Name, -1, func(ev state.ChangeEvent) {
 		sim.invalidate(ev.Index)
 	}); err != nil {
 		panic("xsim: " + err.Error())
@@ -287,10 +254,11 @@ func (sim *Simulator) Err() error { return sim.stopErr }
 
 // SetHaltStorage selects the storage whose non-zero value halts the machine.
 func (sim *Simulator) SetHaltStorage(name string) error {
-	if _, ok := sim.d.StorageByName[name]; !ok {
+	st, ok := sim.d.StorageByName[name]
+	if !ok {
 		return fmt.Errorf("xsim: unknown storage %s", name)
 	}
-	sim.haltName = name
+	sim.haltH = sim.stH[st.Index]
 	return nil
 }
 
@@ -332,8 +300,8 @@ func (sim *Simulator) Breakpoints() []int {
 // skip the whole re-decode. The comparison runs against current memory
 // contents, so self-modified images never keep stale decodes. Map-
 // overflow decodes (addresses outside the image) are always dropped —
-// Reset clears the memory they decoded from. To force a full re-decode
-// (e.g. after flipping CompiledCore), call Reset before Load.
+// Reset clears the memory they decoded from. To force a full re-decode,
+// call Reset before Load.
 func (sim *Simulator) Load(p *asm.Program) error {
 	keep := sim.sameImage(p)
 	sim.reset(keep)
@@ -464,12 +432,14 @@ func (sim *Simulator) fetch(pc int) (*instInfo, error) {
 			active:  len(dop.Op.Action) > 0 || len(dop.Op.SideEffect) > 0,
 			count:   counter,
 		}
-		oi.env.op = dop.Op
-		if sim.CompiledCore {
-			oi.actionFn, oi.sideFn = sim.compiledFor(dop, oi.env)
-		}
-		addOptionCosts(&oi, dop.Args)
+		addOptionCosts(&oi, oi.env)
 		oi.reads = readSet(sim, dop)
+		if len(dop.Op.Action) > 0 {
+			ii.actionOps = append(ii.actionOps, len(ii.ops))
+		}
+		if len(dop.Op.SideEffect) > 0 || len(oi.optSide) > 0 {
+			ii.sideOps = append(ii.sideOps, len(ii.ops))
+		}
 		ii.ops = append(ii.ops, oi)
 		if oi.cycle > ii.cycle {
 			ii.cycle = oi.cycle
@@ -484,20 +454,22 @@ func (sim *Simulator) fetch(pc int) (*instInfo, error) {
 }
 
 // addOptionCosts folds non-terminal option costs and timing into the
-// operation's (ISDL option costs are additive adders, §2.1.1).
-func addOptionCosts(oi *opInfo, args []decode.Arg) {
-	for i := range args {
-		a := &args[i]
-		if a.Option == nil {
+// operation's (ISDL option costs are additive adders, §2.1.1) and collects
+// the options with side effects.
+func addOptionCosts(oi *opInfo, e *env) {
+	for _, sub := range e.subs {
+		if sub == nil {
 			continue
 		}
-		oi.cycle += a.Option.Costs.Cycle
-		oi.latency += a.Option.Timing.Latency
-		oi.usage += a.Option.Timing.Usage
-		if len(a.Option.SideEffect) > 0 {
+		o := sub.option
+		oi.cycle += o.Costs.Cycle
+		oi.latency += o.Timing.Latency
+		oi.usage += o.Timing.Usage
+		if len(o.SideEffect) > 0 {
 			oi.active = true
+			oi.optSide = append(oi.optSide, sub)
 		}
-		addOptionCosts(oi, a.Sub)
+		addOptionCosts(oi, sub)
 	}
 }
 
@@ -507,7 +479,7 @@ func (sim *Simulator) Step() (err error) {
 	if sim.halted {
 		return sim.stopErr
 	}
-	// The compiled core reports rare faults (stack overflow/underflow) by
+	// The evaluator reports rare faults (stack overflow/underflow) by
 	// panicking with *RuntimeError.
 	defer func() {
 		if r := recover(); r != nil {
@@ -542,8 +514,8 @@ func (sim *Simulator) Step() (err error) {
 		dataStart := issue
 		for changed := true; changed; {
 			changed = false
-			for _, p := range sim.pending {
-				if p.commitAt >= issue && instReads(ii, p.w.loc) {
+			for i := range sim.pending {
+				if p := &sim.pending[i]; p.commitAt >= issue && instReads(ii, &p.w.loc) {
 					issue = p.commitAt + 1
 					changed = true
 				}
@@ -559,18 +531,10 @@ func (sim *Simulator) Step() (err error) {
 	// control-flow operation overwrites it.
 	sim.pcH.Set(0, bitvec.FromUint64(sim.d.PC().Width, uint64(pc+size)))
 
-	if err := sim.execPhase(ii, issue, false); err != nil {
-		sim.halted = true
-		sim.stopErr = err
-		return err
-	}
+	sim.execPhase(ii, issue, false)
 	// Side effects conceptually take place after the actions, still within
 	// the same cycle (§3.3.3).
-	if err := sim.execPhase(ii, issue, true); err != nil {
-		sim.halted = true
-		sim.stopErr = err
-		return err
-	}
+	sim.execPhase(ii, issue, true)
 
 	for fi := range ii.ops {
 		oi := &ii.ops[fi]
@@ -587,7 +551,7 @@ func (sim *Simulator) Step() (err error) {
 	if sim.trace != nil {
 		fmt.Fprintf(sim.trace, "%x\n", pc)
 	}
-	if sim.haltName != "" && !sim.st.Get(sim.haltName, 0).IsZero() {
+	if sim.haltH.Valid() && !sim.haltH.Get(0).IsZero() {
 		sim.halted = true
 		// Flush outstanding write-backs so the final state is complete.
 		sim.commitPendingBefore(^uint64(0))
@@ -597,77 +561,50 @@ func (sim *Simulator) Step() (err error) {
 
 // execPhase runs the action phase (sideEffects=false) or the side-effects
 // phase (sideEffects=true) for every operation of the instruction: all reads
-// happen against pre-phase state, then writes commit (or are scheduled per
-// the operation's latency).
-func (sim *Simulator) execPhase(ii *instInfo, issue uint64, sideEffects bool) error {
+// happen against pre-phase state, then writes commit in field order (or are
+// scheduled per the operation's latency).
+func (sim *Simulator) execPhase(ii *instInfo, issue uint64, sideEffects bool) {
+	work := ii.actionOps
+	if sideEffects {
+		work = ii.sideOps
+	}
 	phases := sim.phaseBuf
-	for i := range phases {
-		phases[i].writes = phases[i].writes[:0]
-		phases[i].pushes = phases[i].pushes[:0]
-	}
-	for i := range ii.ops {
+	for _, i := range work {
+		ph := &phases[i]
+		ph.writes, ph.pushes = ph.writes[:0], ph.pushes[:0]
 		oi := &ii.ops[i]
-		if oi.actionFn != nil {
-			// Compiled core: option side effects are folded into sideFn.
-			if sideEffects {
-				oi.sideFn(sim.ctx, &phases[i])
-			} else {
-				oi.actionFn(sim.ctx, &phases[i])
-			}
-			continue
-		}
-		stmts := oi.dop.Op.Action
 		if sideEffects {
-			stmts = oi.dop.Op.SideEffect
-		}
-		if err := oi.env.execStmts(stmts, &phases[i]); err != nil {
-			return err
-		}
-		if sideEffects {
-			// Non-terminal option side effects (e.g. post-increment
-			// addressing) run with the option's own environment.
-			if err := execOptionSideEffects(oi.env, &phases[i]); err != nil {
-				return err
+			oi.env.execStmts(oi.dop.Op.SideEffect, ph)
+			for _, sub := range oi.optSide {
+				sub.execStmts(sub.option.SideEffect, ph)
 			}
+		} else {
+			oi.env.execStmts(oi.dop.Op.Action, ph)
 		}
 	}
-	for i := range ii.ops {
-		oi := &ii.ops[i]
-		if err := sim.commitWithLatency(&phases[i], oi.latency, issue); err != nil {
-			return err
-		}
+	for _, i := range work {
+		sim.commitWithLatency(&phases[i], ii.ops[i].latency, issue)
 	}
-	return nil
-}
-
-func execOptionSideEffects(parent *env, ph *phase) error {
-	for _, sub := range parent.ordered {
-		if err := sub.execStmts(sub.option.SideEffect, ph); err != nil {
-			return err
-		}
-		if err := execOptionSideEffects(sub, ph); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // commitWithLatency applies a phase's effects: latency-1 writes and all
 // stack operations commit now; longer-latency writes are queued. Writes to
 // the program counter always commit immediately.
-func (sim *Simulator) commitWithLatency(ph *phase, latency int, issue uint64) error {
+func (sim *Simulator) commitWithLatency(ph *phase, latency int, issue uint64) {
 	if latency <= 1 {
-		return sim.commit(ph)
+		sim.commit(ph)
+		return
 	}
 	imm := phase{pushes: ph.pushes}
-	for _, w := range ph.writes {
-		if w.loc.storage == sim.pcName {
-			imm.writes = append(imm.writes, w)
+	for i := range ph.writes {
+		w := &ph.writes[i]
+		if w.loc.h == sim.pcH {
+			imm.writes = append(imm.writes, *w)
 			continue
 		}
-		sim.pending = append(sim.pending, pendingWrite{w: w, commitAt: issue + uint64(latency) - 1})
+		sim.pending = append(sim.pending, pendingWrite{w: *w, commitAt: issue + uint64(latency) - 1})
 	}
-	return sim.commit(&imm)
+	sim.commit(&imm)
 }
 
 // commitPendingBefore commits every pending write visible to an instruction
@@ -677,12 +614,13 @@ func (sim *Simulator) commitPendingBefore(issue uint64) {
 		return
 	}
 	kept := sim.pending[:0]
-	for _, p := range sim.pending {
+	for i := range sim.pending {
+		p := &sim.pending[i]
 		if p.commitAt < issue {
 			sim.st.Cycle = p.commitAt
-			sim.applyWrite(p.w)
+			sim.applyWrite(&p.w)
 		} else {
-			kept = append(kept, p)
+			kept = append(kept, *p)
 		}
 	}
 	sim.pending = kept
@@ -690,7 +628,7 @@ func (sim *Simulator) commitPendingBefore(issue uint64) {
 
 // instReads reports whether the instruction's read set intersects a write
 // location.
-func instReads(ii *instInfo, l loc) bool {
+func instReads(ii *instInfo, l *loc) bool {
 	for i := range ii.ops {
 		for _, r := range ii.ops[i].reads {
 			if r.storage != l.storage {
@@ -736,8 +674,8 @@ func (sim *Simulator) Run(limit int64) error {
 		if limit > 0 && executed >= limit {
 			return nil
 		}
-		if executed > 0 {
-			if pc := int(sim.st.PC().Uint64()); sim.breakpoints[pc] {
+		if executed > 0 && len(sim.breakpoints) > 0 {
+			if pc := int(sim.pcH.Get(0).Uint64()); sim.breakpoints[pc] {
 				return ErrBreakpoint
 			}
 		}

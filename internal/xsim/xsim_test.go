@@ -531,55 +531,72 @@ func TestHaltFlushesPendingWrites(t *testing.T) {
 	}
 }
 
-// TestCompiledVsInterpretedCore cross-checks the two processing cores: the
-// closure-compiled core (GENSIM's generated-C analogue) and the AST
-// interpreter must produce identical architectural state and cycle counts
-// on every toy workload.
-func TestCompiledVsInterpretedCore(t *testing.T) {
-	programs := []string{
-		"mv R1, #5\n mv R2, #3\n add R3, R1, R2\n sub R4, R1, #7\n halt",
-		"mv R1, #0\n mv R2, #10\nloop:\n beq R2, R0, done\n add R1, R1, R2\n sub R2, R2, #1\n jmp loop\ndone:\n halt",
-		".data DMEM 16 7\n mv R1, #16\n ld R2, @R1\n add R2, R2, #1\n mv R3, #17\n st @R3, R2\n halt",
-		"mv R1, #1\n call fn\n halt\nfn:\n push R1\n mv R1, #9\n pop R2\n ret",
-		"mv R1, #4\n mul R2, R1, #3\n add R3, R2, #1\n halt",
+// TestCorePrograms pins the processing core's architectural results —
+// cycles, state writes and registers — on a set of toy workloads:
+// straight-line arithmetic, a loop, memory, the stack and a latency stall.
+func TestCorePrograms(t *testing.T) {
+	cases := []struct {
+		src            string
+		cycles, writes uint64
+		rf             [8]uint64
+	}{
+		{"mv R1, #5\n mv R2, #3\n add R3, R1, R2\n sub R4, R1, #7\n halt",
+			5, 7, [8]uint64{0, 5, 3, 8, 254}},
+		{"mv R1, #0\n mv R2, #10\nloop:\n beq R2, R0, done\n add R1, R1, R2\n sub R2, R2, #1\n jmp loop\ndone:\n halt",
+			44, 54, [8]uint64{0, 55}},
+		{".data DMEM 16 7\n mv R1, #16\n ld R2, @R1\n add R2, R2, #1\n mv R3, #17\n st @R3, R2\n halt",
+			7, 7, [8]uint64{0, 16, 8, 17}},
+		{"mv R1, #1\n call fn\n halt\nfn:\n push R1\n mv R1, #9\n pop R2\n ret",
+			7, 6, [8]uint64{0, 9, 1}},
+		{"mv R1, #4\n mul R2, R1, #3\n add R3, R2, #1\n halt",
+			6, 5, [8]uint64{0, 4, 12, 13}},
 	}
-	d := machines.Toy()
-	for i, src := range programs {
-		p, err := asm.Assemble(d, src)
-		if err != nil {
-			t.Fatal(err)
+	for i, c := range cases {
+		sim := runToy(t, c.src)
+		var rf [8]uint64
+		for r := range rf {
+			rf[r] = reg(t, sim, r)
 		}
-		run := func(compiled bool) *xsim.Simulator {
-			sim := xsim.New(d)
-			sim.CompiledCore = compiled
-			if err := sim.Load(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.Run(10000); err != nil {
-				t.Fatal(err)
-			}
-			return sim
+		if sim.Cycle() != c.cycles || sim.Stats().Writes != c.writes || rf != c.rf {
+			t.Errorf("program %d: cycles %d writes %d RF %v, want %d %d %v",
+				i, sim.Cycle(), sim.Stats().Writes, rf, c.cycles, c.writes, c.rf)
 		}
-		a, b := run(true), run(false)
-		if a.Cycle() != b.Cycle() {
-			t.Fatalf("program %d: cycles differ: %d vs %d", i, a.Cycle(), b.Cycle())
-		}
-		sa, sb := a.State().Snapshot(), b.State().Snapshot()
-		for name, va := range sa {
-			vb := sb[name]
-			for j := range va {
-				if !va[j].Eq(vb[j]) {
-					t.Fatalf("program %d: %s[%d] differs: %s vs %s", i, name, j, va[j], vb[j])
-				}
+		if i == 2 {
+			if got := sim.State().Get("DMEM", 17).Uint64(); got != 8 {
+				t.Errorf("DMEM[17] = %d, want 8", got)
 			}
 		}
 	}
 }
 
-// TestCompiledCoreFault: runtime faults surface as errors, not panics.
-func TestCompiledCoreFault(t *testing.T) {
+// TestInterpreterFault: runtime faults halt the machine with a
+// *RuntimeError naming the faulting instruction; any other panic (here one
+// raised by a state monitor) is not a simulation fault and propagates.
+func TestInterpreterFault(t *testing.T) {
 	d := machines.Toy()
-	p, err := asm.Assemble(d, "pop R1\n halt")
+	for _, c := range []struct{ src, msg string }{
+		{"mv R1, #1\nloop:\n push R0\n jmp loop", "state: stack STK overflow (depth 16)"},
+		{"mv R1, #1\n pop R1\n halt", "state: stack STK underflow"},
+	} {
+		p, err := asm.Assemble(d, c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := xsim.New(d)
+		if err := sim.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		err = sim.Run(1000)
+		var re *xsim.RuntimeError
+		if !errors.As(err, &re) || re.PC != 1 || re.Msg != c.msg {
+			t.Fatalf("err = %#v, want RuntimeError at 0x1: %s", err, c.msg)
+		}
+		if !sim.Halted() || sim.Err() != err {
+			t.Fatalf("fault did not halt the machine: halted=%v err=%v", sim.Halted(), sim.Err())
+		}
+	}
+
+	p, err := asm.Assemble(d, "mv R1, #1\n halt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,10 +604,64 @@ func TestCompiledCoreFault(t *testing.T) {
 	if err := sim.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	err = sim.Run(10)
-	var re *xsim.RuntimeError
-	if !errors.As(err, &re) || !strings.Contains(err.Error(), "underflow") {
-		t.Fatalf("err = %v, want underflow RuntimeError", err)
+	type boom struct{}
+	if _, err := sim.State().Watch("RF", 1, func(state.ChangeEvent) { panic(boom{}) }); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != (boom{}) {
+			t.Fatalf("recovered %v, want the monitor's own panic", r)
+		}
+	}()
+	sim.Run(10)
+	t.Fatal("monitor panic was swallowed")
+}
+
+// TestSliceOfSlicedAlias writes through a slice of a sliced alias: the
+// offsets compose onto the aliased register and the write lands on the
+// right bits through the resolved storage handle.
+func TestSliceOfSlicedAlias(t *testing.T) {
+	d, err := isdl.Parse(`
+Machine slices;
+Format 8;
+Section Global_Definitions
+Section Storage
+InstructionMemory IMEM width 8 depth 16;
+Register ACC width 16;
+ControlRegister HLT width 1;
+ProgramCounter PC width 4;
+Alias MID = ACC[11:4];
+Section Instruction_Set
+Field F:
+  op set
+    Encode { I[7:4] = 0x1; }
+    Action { MID[5:2] <- 0b1011; }
+  op halt
+    Encode { I[7:4] = 0x2; }
+    Action { HLT <- 0b1; }
+  op nop
+    Encode { I[7:4] = 0x0; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asm.Assemble(d, "set\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := xsim.New(d)
+	if err := sim.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	// MID[5:2] is ACC[9:6].
+	if got := sim.State().Get("ACC", 0).Uint64(); got != 0b1011<<6 {
+		t.Errorf("ACC = %#x, want %#x", got, 0b1011<<6)
+	}
+	if got := sim.Stats().Writes; got != 2 {
+		t.Errorf("writes = %d, want 2 (set, halt)", got)
 	}
 }
 
@@ -651,5 +722,25 @@ Field F:
 	// One cycle per instruction regardless of width.
 	if got := sim.Cycle(); got != 5 {
 		t.Fatalf("cycles = %d, want 5", got)
+	}
+}
+
+// TestParseBackend: the empty name selects the interp default, and a name
+// outside interp/aot — including the removed closure-compiled core's
+// "compiled" — is rejected with an error naming the valid choices.
+func TestParseBackend(t *testing.T) {
+	for in, want := range map[string]xsim.Backend{"": xsim.BackendInterp, "interp": xsim.BackendInterp, "aot": xsim.BackendAOT} {
+		if got, err := xsim.ParseBackend(in); err != nil || got != want {
+			t.Errorf("ParseBackend(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"compiled", "jit"} {
+		_, err := xsim.ParseBackend(in)
+		if err == nil || !strings.Contains(err.Error(), "interp") || !strings.Contains(err.Error(), "aot") {
+			t.Errorf("ParseBackend(%q) error = %v, want one naming interp and aot", in, err)
+		}
+	}
+	if got := xsim.Backends(); len(got) != 2 || got[0] != xsim.BackendInterp || got[1] != xsim.BackendAOT {
+		t.Errorf("Backends() = %v, want [interp aot]", got)
 	}
 }
