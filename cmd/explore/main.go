@@ -11,7 +11,7 @@
 //	        [-frontier-out frontier.json|frontier.csv] [-frontier-cap n]
 //	        [-restarts n] [-seed s] [-iters 8] [-workers n]
 //	        [-sim-backend interp|aot]
-//	        [-no-cache] [-cache-file c.json]
+//	        [-no-cache]
 //	        [-store dir:PATH|http://HOST] [-o best.isdl]
 //
 // Strategies (-strategy, docs/EXPLORE.md):
@@ -34,21 +34,17 @@
 // reports each restart's best plus the global winner.
 //
 // Neighbour candidates within an iteration are evaluated concurrently
-// (-workers, default NumCPU) and every pipeline stage is memoized across
-// iterations and restarts (see docs/PIPELINE.md); for every strategy the
-// result is bit-identical to a sequential, uncached run. -cache-file
-// persists the serializable stages (compile, simulate, synthesize) across
-// invocations: the file is loaded if it exists (a missing file is a
-// normal first run; a corrupt one is a hard error) and rewritten on
-// success, so a repeated exploration starts with compilation and
-// synthesis fully warm.
+// (-workers, default NumCPU), and whole evaluations and synthesis figures
+// are memoized across iterations and restarts (see docs/PIPELINE.md); for
+// every strategy the result is bit-identical to a sequential, uncached
+// run.
 //
 // -store attaches a shared artifact store (docs/PIPELINE.md,
 // docs/SERVICE.md): dir:PATH is a directory any number of concurrent
-// processes may share, http://HOST is a cmd/served daemon. Every
-// serializable stage artifact — including whole evaluations and aot
-// simulator binaries — is read from and written through to the store, so
-// two explorers on different machines never evaluate the same
+// processes may share, http://HOST is a cmd/served daemon. Whole
+// evaluations, synthesis figures and aot simulator binaries are read from
+// and written through to the store, so two explorers — in one run after
+// another, or on different machines — never evaluate the same
 // architecture twice.
 //
 // The run is instrumented end to end (docs/OBSERVABILITY.md): -trace-out
@@ -115,7 +111,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent candidate evaluations per iteration (0 = NumCPU)")
 	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp (default) or aot (docs/GENSIM.md)")
 	noCache := flag.Bool("no-cache", false, "disable evaluation memoization across iterations")
-	cacheFile := flag.String("cache-file", "", "persist the stage cache here across runs (loaded if present, saved on success)")
 	storeSpec := flag.String("store", "", "shared artifact store: dir:PATH or http://HOST (cmd/served); see docs/SERVICE.md")
 	out := flag.String("o", "", "write the winning ISDL description here")
 	wRun := flag.Float64("w-runtime", 1, "objective weight: run time (us)")
@@ -195,15 +190,6 @@ func main() {
 	var cache *core.StageCache
 	if !*noCache {
 		cache = core.NewStageCache()
-		if *cacheFile != "" {
-			if loaded, err := cache.LoadFileIfExists(*cacheFile); err != nil {
-				fatal(err) // corrupt/unreadable: never silently start cold
-			} else if loaded {
-				fmt.Printf("loaded stage cache %s (%d artifacts)\n", *cacheFile, cache.Len())
-			} else {
-				fmt.Printf("no stage cache at %s yet; starting empty\n", *cacheFile)
-			}
-		}
 		if *storeSpec != "" {
 			st, err := blob.Open(*storeSpec)
 			if err != nil {
@@ -269,12 +255,6 @@ func main() {
 		if *storeSpec != "" {
 			sh, sm, se := cache.StoreStats()
 			fmt.Printf("blob store: %d served / %d absent / %d errors\n", sh, sm, se)
-		}
-		if *cacheFile != "" {
-			if err := cache.SaveFile(*cacheFile); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("saved stage cache %s (%d artifacts)\n", *cacheFile, cache.Len())
 		}
 	}
 	if *frontierOut != "" {

@@ -279,7 +279,7 @@ func (s *server) run(j *job) {
 	} else {
 		// The live hardware model is not wire-representable (it holds the
 		// cyclic ISDL AST) and is dropped from results, exactly as the
-		// persisted combine artifact drops it (internal/core/persist.go).
+		// stored combine artifact drops it (internal/core/blobstore.go).
 		wire := *eval
 		wire.Hardware = nil
 		j.mu.Lock()

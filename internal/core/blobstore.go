@@ -2,17 +2,16 @@ package core
 
 // The StageCache's shared substrate. A BlobStore (internal/blob) turns
 // the per-process memo table into a cross-process, cross-machine cache:
-// every serializable stage artifact is written through to the store on
-// Put, and a memory miss consults the store before declaring a real
-// miss — so an architecture evaluated by any process against the same
-// store is never evaluated again by anyone. The in-memory tables remain
-// the first tier (they also hold the unserializable stages: parse ASTs
-// and assembled programs), the store is the second.
+// synthesis figures and whole evaluations are written through to the
+// store on Put, and a memory miss consults the store before declaring a
+// real miss — so an architecture evaluated by any process against the
+// same store is never evaluated again by anyone. The in-memory tables
+// remain the first tier, the store is the second.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/blob"
 )
@@ -26,23 +25,69 @@ import (
 // blob.Open("mem" | "dir:PATH" | "http://HOST").
 type BlobStore = blob.Store
 
-// storeBacked marks the stages whose artifacts serialize to store blobs.
-// Parse and Assemble hold live ASTs and stay memory-only; everything
-// else — including Combine, whose hit short-circuits the whole
-// pipeline, and Codegen, whose artifact is validated against the local
-// filesystem on the way in — is shared.
-var storeBacked = [NumStages]bool{
-	StageCompile:    true,
-	StageSimulate:   true,
-	StageSynthesize: true,
-	StageCombine:    true,
-	StageCodegen:    true,
+// persistVersion guards the blob format: it is part of every stage's
+// namespace, so a store populated by an older toolchain is invisible to
+// a newer one instead of misread. Bump it whenever a stored artifact's
+// shape or a stage key's composition changes. Version 3: Synthesize keys
+// by canonical text, the evaluation key covers the workload label, and
+// only synthesize and combine are stored.
+const persistVersion = 3
+
+// storeNS is a stage's blob namespace.
+func storeNS(s Stage) string { return fmt.Sprintf("%s.v%d", s, persistVersion) }
+
+// storedEntry is the body of one store blob: exactly one of the artifact
+// fields, or Err for a memoized deterministic failure. The blob's address
+// carries the key.
+type storedEntry struct {
+	Err        string         `json:"err,omitempty"`
+	Synthesize *SynthArtifact `json:"synthesize,omitempty"`
+	Combine    *Evaluation    `json:"combine,omitempty"`
 }
 
-// storeNS is a stage's blob namespace. It carries the persistence format
-// version, so a store populated by an older toolchain is simply invisible
-// to a newer one instead of misread.
-func storeNS(s Stage) string { return fmt.Sprintf("%s.v%d", s, persistVersion) }
+// encodeStageBlob renders one memo entry as a store blob. The live
+// hardware model does not serialize, so only its figures travel. The
+// second result is false for entries with no serializable artifact.
+func encodeStageBlob(e stageEntry) ([]byte, bool) {
+	var se storedEntry
+	if e.err != nil {
+		se.Err = e.err.Error()
+	} else {
+		switch v := e.val.(type) {
+		case SynthArtifact:
+			v.Result = nil
+			se.Synthesize = &v
+		case *Evaluation:
+			if v == nil {
+				return nil, false
+			}
+			cp := *v
+			cp.Hardware = nil
+			se.Combine = &cp
+		default:
+			return nil, false
+		}
+	}
+	data, err := json.Marshal(&se)
+	return data, err == nil
+}
+
+// decodeStageBlob parses a store blob back into a memo entry of stage s.
+func decodeStageBlob(s Stage, data []byte) (stageEntry, error) {
+	var se storedEntry
+	if err := json.Unmarshal(data, &se); err != nil {
+		return stageEntry{}, fmt.Errorf("core: decode %s blob: %w", s, err)
+	}
+	switch {
+	case se.Err != "":
+		return stageEntry{err: errors.New(se.Err)}, nil
+	case s == StageSynthesize && se.Synthesize != nil:
+		return stageEntry{val: *se.Synthesize}, nil
+	case s == StageCombine && se.Combine != nil:
+		return stageEntry{val: se.Combine}, nil
+	}
+	return stageEntry{}, fmt.Errorf("core: %s blob carries no %s artifact", s, s)
+}
 
 // SetStore attaches the shared artifact store. Set it before evaluation
 // starts; entries already memoized are not backfilled. A nil store
@@ -55,9 +100,8 @@ func (c *StageCache) SetStore(bs BlobStore) {
 
 // storeGet consults the attached store after a memory miss. A store hit
 // is decoded, installed in the memory tier and counted as a stage hit;
-// store trouble (network, decode, a codegen binary that does not exist
-// on this machine) degrades to a miss — the stage recomputes, evaluation
-// never fails on the store's account.
+// store trouble (network, decode) degrades to a miss — the stage
+// recomputes, evaluation never fails on the store's account.
 func (c *StageCache) storeGet(bs BlobStore, s Stage, k CacheKey) (stageEntry, bool) {
 	data, err := bs.Get(storeNS(s), blob.Key(k))
 	if err != nil {
@@ -77,12 +121,6 @@ func (c *StageCache) storeGet(bs BlobStore, s Stage, k CacheKey) (stageEntry, bo
 		c.mu.Unlock()
 		return stageEntry{}, false
 	}
-	if !storeEntryUsable(s, e) {
-		c.mu.Lock()
-		c.storeMisses.Inc()
-		c.mu.Unlock()
-		return stageEntry{}, false
-	}
 	c.mu.Lock()
 	c.tables[s][k] = e
 	c.hits[s].Inc()
@@ -92,10 +130,10 @@ func (c *StageCache) storeGet(bs BlobStore, s Stage, k CacheKey) (stageEntry, bo
 }
 
 // storePut writes one completed entry through to the store. Entries that
-// do not serialize (live ASTs, nil values) and store errors are silently
-// skipped — the memory tier already has the artifact.
+// do not serialize (nil values) and store errors are silently skipped —
+// the memory tier already has the artifact.
 func (c *StageCache) storePut(bs BlobStore, s Stage, k CacheKey, e stageEntry) {
-	data, ok := encodeStageBlob(s, e)
+	data, ok := encodeStageBlob(e)
 	if !ok {
 		return
 	}
@@ -104,22 +142,6 @@ func (c *StageCache) storePut(bs BlobStore, s Stage, k CacheKey, e stageEntry) {
 		c.storeErrs.Inc()
 		c.mu.Unlock()
 	}
-}
-
-// storeEntryUsable rejects store entries that are valid JSON but useless
-// on this machine: a Codegen artifact names a binary in a local build
-// cache, so an entry written by another host (or a since-cleaned cache)
-// must recompute rather than hand the simulator a dangling path.
-func storeEntryUsable(s Stage, e stageEntry) bool {
-	if s != StageCodegen || e.err != nil {
-		return true
-	}
-	a, ok := e.val.(CodegenArtifact)
-	if !ok {
-		return false
-	}
-	_, err := os.Stat(a.Bin)
-	return err == nil
 }
 
 // StoreStats returns the store-tier traffic: hits served from the

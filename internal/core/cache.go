@@ -1,16 +1,16 @@
 package core
 
-// Stage-level memoization. One hill-climbing iteration regenerates many
-// candidates a previous iteration already scored (only one operation
-// changes per accepted move), and the paper's single-description design
-// makes every generated tool a pure function of its inputs: synthesis
-// depends only on the ISDL description, compilation and assembly only on
-// the (description, kernel) pair, simulation only on the description and
-// the program image. The StageCache keys each pipeline stage's artifact by
-// a cryptographic hash of exactly those inputs — canonical ISDL text
-// (isdl.Format output) so that formatting differences never split
-// equivalent architectures — so a stage re-runs only when something it
-// actually reads has changed.
+// Memoization. One hill-climbing iteration regenerates candidates a
+// previous iteration (or restart, or process) already scored, and the
+// paper's single-description design makes every generated tool a pure
+// function of its inputs. Only two artifacts are ever reused, so only
+// two stages are memoized: the whole evaluation, keyed by canonical ISDL
+// text (isdl.Format output, so formatting differences never split
+// equivalent architectures), kernel and workload label; and the hardware
+// model, keyed by canonical ISDL alone, because it does not depend on the
+// application (a kernel-only change reuses it). Parse, compile, assemble
+// and simulate run every time; their runs are counted as misses, so the
+// per-stage metrics still cover the whole pipeline.
 
 import (
 	"crypto/sha256"
@@ -25,39 +25,30 @@ import (
 type Stage uint8
 
 const (
-	// StageParse is ISDL parsing + canonicalization. It is never cached —
-	// the artifact would be a mutable AST, which stages deliberately do
-	// not share across goroutines — but its runs are counted so the
-	// metrics show the full pipeline.
+	// StageParse is ISDL parsing + canonicalization. Not memoized (the
+	// artifact would be a mutable AST); every run counts as a miss.
 	StageParse Stage = iota
-	// StageCompile is the retargetable compiler: (canonical ISDL, kernel)
-	// → assembly text.
+	// StageCompile is the retargetable compiler: (description, kernel) →
+	// assembly text. Not memoized; every run counts as a miss.
 	StageCompile
-	// StageAssemble is the assembler: (canonical ISDL, kernel) →
-	// *asm.Program.
+	// StageAssemble is the assembler: (description, assembly) →
+	// *asm.Program. Not memoized; every run counts as a miss.
 	StageAssemble
-	// StageSimulate is the instruction-level simulator: (canonical ISDL,
-	// program image) → SimArtifact.
+	// StageSimulate is the instruction-level simulator: (description,
+	// program) → SimArtifact. Not memoized; every run counts as a miss.
 	StageSimulate
 	// StageSynthesize is the hardware model: canonical ISDL →
-	// SynthArtifact.
+	// SynthArtifact. Memoized.
 	StageSynthesize
 	// StageCombine folds simulation and synthesis into the final
-	// *Evaluation, keyed like the whole pipeline: (canonical ISDL,
-	// kernel) via EvalKey.
+	// *Evaluation. Memoized as the whole evaluation, keyed by (canonical
+	// ISDL, kernel, workload label).
 	StageCombine
-	// StageCodegen is the aot simulator generator (internal/gensim):
-	// canonical ISDL → generated+compiled specialized simulator binary.
-	// Only run when the evaluator selects the aot backend. Memoized in
-	// process (success and unsupported-description outcomes) but never
-	// persisted — the artifact is a path into gensim's own on-disk build
-	// cache, which already survives processes.
-	StageCodegen
 	// NumStages is the stage count (for iteration).
 	NumStages
 )
 
-var stageNames = [NumStages]string{"parse", "compile", "assemble", "simulate", "synthesize", "combine", "codegen"}
+var stageNames = [NumStages]string{"parse", "compile", "assemble", "simulate", "synthesize", "combine"}
 
 // String returns the stage's short name.
 func (s Stage) String() string {
@@ -67,8 +58,11 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// CacheKey identifies one stage artifact (or one whole-pipeline
-// evaluation). Build it with StageKey, or EvalKey for the final stage.
+// memoized marks the stages whose artifacts a StageCache keeps, in memory
+// and in an attached store. Every other stage only has its runs counted.
+var memoized = [NumStages]bool{StageSynthesize: true, StageCombine: true}
+
+// CacheKey identifies one memoized artifact. Build it with StageKey.
 type CacheKey [sha256.Size]byte
 
 // StageKey hashes a stage tag and its input parts into a cache key. Every
@@ -90,24 +84,6 @@ func StageKey(s Stage, parts ...string) CacheKey {
 	return k
 }
 
-// EvalKey hashes a canonical ISDL source and a workload identity (the kernel
-// or assembly text plus any label that selects the workload) into the final
-// stage's cache key. The two inputs are length-prefix separated, so no pair
-// of distinct (source, workload) inputs can collide by concatenation.
-func EvalKey(canonicalISDL, workload string) CacheKey {
-	h := sha256.New()
-	var n [8]byte
-	for i, l := 0, len(canonicalISDL); i < 8; i++ {
-		n[i] = byte(l >> (8 * i))
-	}
-	h.Write(n[:])
-	h.Write([]byte(canonicalISDL))
-	h.Write([]byte(workload))
-	var k CacheKey
-	h.Sum(k[:0])
-	return k
-}
-
 // stageEntry records one completed stage run: either an artifact or the
 // deterministic error the stage produced (an infeasible candidate stays
 // infeasible, so failures are worth memoizing too).
@@ -121,11 +97,12 @@ type StageStats struct {
 	Hits, Misses uint64
 }
 
-// StageCache is a thread-safe memo table for pipeline stage artifacts. A
-// cache is only valid for one evaluator configuration (technology library,
-// synthesis options, instruction limit) — the keys do not cover it — so
-// use a fresh cache per configuration. Entries never expire otherwise: a
-// stage's inputs fully determine its deterministic result.
+// StageCache is a thread-safe memo table for pipeline stage artifacts,
+// plus the hit/miss counters of every stage. A cache is only valid for
+// one evaluator configuration (technology library, synthesis options,
+// instruction limit) — the keys do not cover it — so use a fresh cache
+// per configuration. Entries never expire otherwise: a stage's inputs
+// fully determine its deterministic result.
 //
 // Hit and miss counts live in obs.Counter instruments: standalone ones by
 // default, or — after Bind — counters owned by an obs.Registry, so cache
@@ -136,8 +113,8 @@ type StageStats struct {
 //
 // The memory tables are the first tier. With SetStore, a BlobStore
 // (internal/blob — shared directory or remote HTTP) becomes the second:
-// serializable stage artifacts are written through on Put and consulted
-// on a memory miss, so processes sharing a store share every artifact
+// synthesis figures and whole evaluations are written through on Put and
+// consulted on a memory miss, so processes sharing a store share them
 // (see blobstore.go and docs/PIPELINE.md).
 type StageCache struct {
 	mu     sync.Mutex
@@ -206,7 +183,7 @@ func (c *StageCache) Bind(r *obs.Registry) {
 
 // Get looks up a stage's key, counting a hit or a miss. On a hit it
 // returns the memoized artifact or error. A memory miss consults the
-// attached BlobStore (if any) for the serializable stages before
+// attached BlobStore (if any) for the memoized stages before
 // counting the miss; a store hit installs the entry in memory and counts
 // as a hit, so StageStats reflect work avoided, wherever the artifact
 // came from.
@@ -219,7 +196,7 @@ func (c *StageCache) Get(s Stage, k CacheKey) (val any, err error, ok bool) {
 	}
 	bs := c.store
 	c.mu.Unlock()
-	if bs != nil && storeBacked[s] {
+	if bs != nil && memoized[s] {
 		if e, ok := c.storeGet(bs, s, k); ok {
 			return e.val, e.err, true
 		}
@@ -231,7 +208,7 @@ func (c *StageCache) Get(s Stage, k CacheKey) (val any, err error, ok bool) {
 }
 
 // Put stores a completed stage artifact (or its deterministic failure)
-// under a key, writing serializable stages through to the attached
+// under a key, writing memoized stages through to the attached
 // BlobStore. Concurrent Puts for the same key are benign: every stage is
 // a pure function of the key, so every writer stores the same result.
 func (c *StageCache) Put(s Stage, k CacheKey, val any, err error) {
@@ -240,13 +217,13 @@ func (c *StageCache) Put(s Stage, k CacheKey, val any, err error) {
 	c.tables[s][k] = e
 	bs := c.store
 	c.mu.Unlock()
-	if bs != nil && storeBacked[s] {
+	if bs != nil && memoized[s] {
 		c.storePut(bs, s, k, e)
 	}
 }
 
-// countRun records an uncached stage execution (StageParse) as a miss, so
-// per-stage metrics cover the full pipeline.
+// countRun records a run of an unmemoized stage as a miss, so per-stage
+// metrics cover the full pipeline.
 func (c *StageCache) countRun(s Stage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,16 +242,6 @@ func (c *StageCache) PerStage() [NumStages]StageStats {
 	return out
 }
 
-// Stats returns the aggregate hit and miss counts across all stages.
-func (c *StageCache) Stats() (hits, misses uint64) {
-	ps := c.PerStage()
-	for _, s := range ps {
-		hits += s.Hits
-		misses += s.Misses
-	}
-	return hits, misses
-}
-
 // StatsLine renders the per-stage counters compactly for logs, one
 // "name hits/misses" pair per stage in pipeline order.
 func (c *StageCache) StatsLine() string {
@@ -284,17 +251,6 @@ func (c *StageCache) StatsLine() string {
 		parts = append(parts, fmt.Sprintf("%s %d/%d", s, ps[s].Hits, ps[s].Misses))
 	}
 	return strings.Join(parts, " ")
-}
-
-// Len returns the total number of memoized artifacts across all stages.
-func (c *StageCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.tables {
-		n += len(t)
-	}
-	return n
 }
 
 // StageLen returns the number of memoized artifacts of one stage.

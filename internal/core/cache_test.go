@@ -7,19 +7,25 @@ import (
 	"testing"
 )
 
-func TestEvalKeyDistinguishesInputs(t *testing.T) {
-	base := EvalKey("machine A", "kernel 1")
-	if EvalKey("machine A", "kernel 1") != base {
+func TestStageKeyDistinguishesInputs(t *testing.T) {
+	base := StageKey(StageCombine, "machine A", "kernel 1", "label")
+	if StageKey(StageCombine, "machine A", "kernel 1", "label") != base {
 		t.Error("key not stable for identical inputs")
 	}
-	if EvalKey("machine B", "kernel 1") == base {
+	if StageKey(StageCombine, "machine B", "kernel 1", "label") == base {
 		t.Error("key ignores the ISDL source")
 	}
-	if EvalKey("machine A", "kernel 2") == base {
-		t.Error("key ignores the workload")
+	if StageKey(StageCombine, "machine A", "kernel 2", "label") == base {
+		t.Error("key ignores the kernel")
+	}
+	if StageKey(StageCombine, "machine A", "kernel 1", "other") == base {
+		t.Error("key ignores the workload label")
+	}
+	if StageKey(StageSynthesize, "machine A", "kernel 1", "label") == base {
+		t.Error("key ignores the stage")
 	}
 	// The length prefix keeps shifted concatenations apart.
-	if EvalKey("machine A kernel", " 1") == EvalKey("machine A", " kernel 1") {
+	if StageKey(StageCombine, "machine A kernel", " 1") == StageKey(StageCombine, "machine A", " kernel 1") {
 		t.Error("concatenation collision")
 	}
 }
@@ -33,7 +39,7 @@ func combineStats(c *StageCache) (hits, misses uint64) {
 
 func TestCombineStageHitMissCounting(t *testing.T) {
 	c := NewStageCache()
-	k := EvalKey("m", "w")
+	k := StageKey(StageCombine, "m", "w")
 	if _, _, ok := c.Get(StageCombine, k); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -50,17 +56,17 @@ func TestCombineStageHitMissCounting(t *testing.T) {
 		t.Errorf("StageLen = %d, want 1", n)
 	}
 	// Other stages' tables and counters are untouched.
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("aggregate stats = %d hits / %d misses, want 1/1", hits, misses)
+	ps := c.PerStage()
+	for s := Stage(0); s < NumStages; s++ {
+		if s != StageCombine && (c.StageLen(s) != 0 || ps[s] != StageStats{}) {
+			t.Errorf("stage %s: %d entries, %+v", s, c.StageLen(s), ps[s])
+		}
 	}
 }
 
 func TestCombineStageMemoizesFailures(t *testing.T) {
 	c := NewStageCache()
-	k := EvalKey("m", "w")
+	k := StageKey(StageCombine, "m", "w")
 	infeasible := errors.New("compile: no add operation")
 	c.Put(StageCombine, k, nil, infeasible)
 	ev, err, ok := c.Get(StageCombine, k)
@@ -80,7 +86,7 @@ func TestCombineStageConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				k := EvalKey(fmt.Sprintf("m%d", i%17), "w")
+				k := StageKey(StageCombine, fmt.Sprintf("m%d", i%17), "w")
 				if _, _, ok := c.Get(StageCombine, k); !ok {
 					c.Put(StageCombine, k, &Evaluation{Cycles: uint64(i)}, nil)
 				}

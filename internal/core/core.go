@@ -123,19 +123,10 @@ func (ev *Evaluator) EvaluateSource(isdlText, asmText, workload string) (*Evalua
 	return ev.Evaluate(d, prog, workload)
 }
 
-// Combine folds a finished simulation and a synthesized hardware model into
-// the evaluation figures. It is exported so callers that already ran the
-// simulator (e.g. with breakpoints or traces) can reuse the methodology.
-func Combine(d *isdl.Description, workload string, sim *xsim.Simulator, hw *hgen.Result, lib *tech.Library) *Evaluation {
-	return combineArtifacts(d.Name, workload,
-		SimArtifact{Cycles: sim.Cycle(), Stats: sim.Stats()},
-		SynthArtifact{CycleNs: hw.CycleNs, AreaCells: hw.AreaCells, EnergyPerInstrPJ: hw.EnergyPerInstrPJ, Result: hw},
-		lib)
-}
-
-// combineArtifacts is the stage-artifact form of Combine: pure arithmetic
-// over detached simulation measurements and synthesis figures, so it works
-// for artifacts restored from a persisted cache just as for live runs.
+// combineArtifacts folds a finished simulation and a synthesized hardware
+// model into the evaluation figures: pure arithmetic over detached
+// simulation measurements and synthesis figures, so it works for
+// synthesis figures served from a blob store just as for live runs.
 func combineArtifacts(machine, workload string, sa SimArtifact, ha SynthArtifact, lib *tech.Library) *Evaluation {
 	stats := sa.Stats
 	e := &Evaluation{

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/gensim"
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/obs"
@@ -38,10 +35,10 @@ func wantStage(t *testing.T, d [NumStages]StageStats, s Stage, hits, misses uint
 	}
 }
 
-// TestPipelineStageKeyComposition checks that each stage key covers exactly
-// its inputs: a formatting-only ISDL change reuses every artifact, and a
-// kernel-only change reuses the Synthesize artifact while redoing the
-// workload-dependent stages.
+// TestPipelineStageKeyComposition checks that each memoized key covers
+// exactly its inputs: a formatting-only ISDL change reuses the whole
+// evaluation, and a kernel-only change reuses the Synthesize artifact while
+// redoing the workload-dependent stages.
 func TestPipelineStageKeyComposition(t *testing.T) {
 	src := toyCanonical(t)
 	cache := NewStageCache()
@@ -53,19 +50,13 @@ func TestPipelineStageKeyComposition(t *testing.T) {
 	}
 	cold := cache.PerStage()
 	for s := StageCompile; s < NumStages; s++ {
-		if s == StageCodegen {
-			// Codegen runs only when the aot simulator backend is
-			// requested (TestPipelineCodegenStage).
-			wantStage(t, cold, s, 0, 0)
-			continue
-		}
 		if cold[s].Misses != 1 || cold[s].Hits != 0 {
 			t.Errorf("cold run, stage %s: %+v, want exactly one miss", s, cold[s])
 		}
 	}
 
-	// Formatting-only change: same canonical text, so every stage key is
-	// unchanged and the final (combine) key already answers.
+	// Formatting-only change: same canonical text, so the evaluation key
+	// already answers.
 	reformatted := strings.ReplaceAll(src, "\n", "\n\n")
 	if isdl.Format(mustParse(t, reformatted)) != src {
 		t.Fatal("reformatted source is not formatting-only")
@@ -98,56 +89,6 @@ func TestPipelineStageKeyComposition(t *testing.T) {
 	wantStage(t, d, StageCombine, 0, 1)
 	if kb.CycleNs != base.CycleNs || kb.AreaCells != base.AreaCells {
 		t.Error("kernel-only change altered the hardware figures")
-	}
-}
-
-// TestPipelineSynthKeyIgnoresEncoding: the Synthesize stage keys by the
-// structural fingerprint of what synthesis reads, so an encoding-only
-// mutation (reassigning opcodes) reuses the hardware artifact while the
-// workload-dependent stages (whose output bits change) re-run.
-func TestPipelineSynthKeyIgnoresEncoding(t *testing.T) {
-	d := machines.SPAM()
-	base := isdl.Format(d)
-
-	// Swap the ALU add/sub opcode constants — decode stays unambiguous,
-	// program images change, hardware structure does not.
-	var add, sub *isdl.Operation
-	for _, f := range d.Fields {
-		if f.ByName["add"] != nil && f.ByName["sub"] != nil {
-			add, sub = f.ByName["add"], f.ByName["sub"]
-			break
-		}
-	}
-	if add == nil || sub == nil || !add.Encode[0].ConstSet || !sub.Encode[0].ConstSet {
-		t.Fatal("SPAM ALU add/sub opcode layout changed; update this test")
-	}
-	add.Encode[0].Const, sub.Encode[0].Const = sub.Encode[0].Const, add.Encode[0].Const
-	mutated := isdl.Format(d)
-	if mutated == base {
-		t.Fatal("opcode swap did not change the canonical text")
-	}
-
-	cache := NewStageCache()
-	pipe := &Pipeline{Cache: cache}
-	e1, err := pipe.EvaluateKernel(base, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := cache.PerStage()
-	e2, err := pipe.EvaluateKernel(mutated, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := statsDelta(snap, cache.PerStage())
-	wantStage(t, delta, StageSynthesize, 1, 0)
-	wantStage(t, delta, StageCompile, 0, 1)
-	wantStage(t, delta, StageSimulate, 0, 1)
-	wantStage(t, delta, StageCombine, 0, 1)
-	if e2.CycleNs != e1.CycleNs || e2.AreaCells != e1.AreaCells {
-		t.Error("encoding-only change altered the hardware figures")
-	}
-	if e2.Cycles != e1.Cycles {
-		t.Errorf("opcode reassignment changed the cycle count: %d vs %d", e2.Cycles, e1.Cycles)
 	}
 }
 
@@ -220,50 +161,10 @@ func TestPipelineInstrumentation(t *testing.T) {
 	}
 }
 
-// TestPipelineCodegenStage: with the aot simulator backend, codegen runs as
-// its own memoized stage — one miss on the first evaluation of a
-// description, a hit for every later kernel on the same description — and
-// the resulting figures are bit-identical to the default backend's.
-func TestPipelineCodegenStage(t *testing.T) {
-	if _, err := gensim.Build(machines.Toy()); err != nil {
-		t.Skipf("aot backend unavailable: %v", err)
-	}
-	src := toyCanonical(t)
-	cache := NewStageCache()
-	ev := NewEvaluator()
-	ev.SimBackend = xsim.BackendAOT
-	pipe := &Pipeline{Evaluator: ev, Cache: cache}
-
-	aot, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := cache.PerStage()
-	wantStage(t, cold, StageCodegen, 0, 1)
-
-	// A different kernel on the same description reuses the built simulator.
-	snap := cache.PerStage()
-	if _, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel"); err != nil {
-		t.Fatal(err)
-	}
-	d := statsDelta(snap, cache.PerStage())
-	wantStage(t, d, StageCodegen, 1, 0)
-
-	// The aot path produces the same evaluation as the default backend.
-	plain, err := (&Pipeline{}).EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aot.Cycles != plain.Cycles || aot.RuntimeUs != plain.RuntimeUs ||
-		aot.AreaCells != plain.AreaCells || aot.PowerMW != plain.PowerMW {
-		t.Errorf("aot evaluation differs from default backend: %+v vs %+v", aot, plain)
-	}
-}
-
-// TestPipelineAOTDowngradeCounted: when codegen fails, the pipeline runs
-// the evaluation on interp instead. That downgrade is a backend fallback
-// like one inside xsim.NewEngine: every simulate-stage miss counts once in
-// sim.backend.fallback, and the evaluation equals interp's own.
+// TestPipelineAOTDowngradeCounted: when the aot simulator cannot be built,
+// xsim.NewEngine runs the evaluation on interp instead. Every simulate run
+// counts that downgrade once in sim.backend.fallback, and the evaluation
+// equals interp's own.
 func TestPipelineAOTDowngradeCounted(t *testing.T) {
 	t.Setenv("REPRO_GENSIM_DISABLE", "1")
 	src := toyCanonical(t)
@@ -347,59 +248,23 @@ func TestPipelineMemoizesFailures(t *testing.T) {
 	wantStage(t, d, StageCompile, 0, 0)
 }
 
-// TestStageCachePersistenceRoundTrip: Save/Load carries the compile,
-// simulate and synthesize artifacts (and memoized failures) across caches,
-// so a fresh process re-evaluates a known candidate without compiling,
-// simulating or synthesizing — only assembly and the final combine re-run.
-func TestStageCachePersistenceRoundTrip(t *testing.T) {
+// TestPipelineKeysWorkloadLabel: the workload label is part of the
+// evaluation key, so two evaluations that differ only in the label each
+// report their own.
+func TestPipelineKeysWorkloadLabel(t *testing.T) {
 	src := toyCanonical(t)
-	first := NewStageCache()
-	base, err := (&Pipeline{Cache: first}).EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
+	cache := NewStageCache()
+	pipe := &Pipeline{Cache: cache}
+	for _, label := range []string{"first", "second", "first"} {
+		e, err := pipe.EvaluateKernel(src, pipeKernelA, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Workload != label {
+			t.Errorf("EvaluateKernel(..., %q) returned workload %q", label, e.Workload)
+		}
 	}
-	bad := "var x;\nx = undefinedCall();\n"
-	if _, err := (&Pipeline{Cache: first}).EvaluateKernel(src, bad, "kernel"); err == nil {
-		t.Fatal("expected a compile failure")
-	}
-
-	var blob bytes.Buffer
-	if err := first.Save(&blob); err != nil {
-		t.Fatal(err)
-	}
-
-	second := NewStageCache()
-	if err := second.Load(bytes.NewReader(blob.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := (&Pipeline{Cache: second}).EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := second.PerStage()
-	wantStage(t, ps, StageCompile, 1, 0)
-	wantStage(t, ps, StageSimulate, 1, 0)
-	wantStage(t, ps, StageSynthesize, 1, 0)
-	wantStage(t, ps, StageAssemble, 0, 1)
-	wantStage(t, ps, StageCombine, 0, 1)
-
-	if reloaded.Cycles != base.Cycles || reloaded.RuntimeUs != base.RuntimeUs ||
-		reloaded.AreaCells != base.AreaCells || reloaded.PowerMW != base.PowerMW {
-		t.Errorf("reloaded evaluation differs: %+v vs %+v", reloaded, base)
-	}
-
-	// The memoized failure survives persistence too.
-	if _, err := (&Pipeline{Cache: second}).EvaluateKernel(src, bad, "kernel"); err == nil {
-		t.Error("persisted failure lost")
-	}
-
-	// Version skew is rejected instead of misread.
-	cur := fmt.Sprintf(`"version":%d`, persistVersion)
-	skew := strings.Replace(blob.String(), cur, `"version":99`, 1)
-	if skew == blob.String() {
-		t.Fatalf("persisted blob does not contain %s", cur)
-	}
-	if err := NewStageCache().Load(strings.NewReader(skew)); err == nil {
-		t.Error("incompatible cache version accepted")
+	if ps := cache.PerStage(); ps[StageCombine] != (StageStats{Hits: 1, Misses: 2}) {
+		t.Errorf("combine stage %+v, want 1 hit / 2 misses", ps[StageCombine])
 	}
 }

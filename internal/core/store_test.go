@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -12,30 +10,26 @@ import (
 	"repro/internal/obs"
 )
 
-// TestStageCacheStoreWriteThrough: Puts of serializable stages land in
+// TestStageCacheStoreWriteThrough: Puts of the memoized stages land in
 // the store, and a fresh cache over the same store serves them as hits.
 func TestStageCacheStoreWriteThrough(t *testing.T) {
 	st := blob.NewMem()
 	a := NewStageCache()
 	a.SetStore(st)
 
-	kc := StageKey(StageCompile, "machine", "kernel")
-	a.Put(StageCompile, kc, "add R1, R2, R3", nil)
-	ks := StageKey(StageSimulate, "machine", "image")
-	a.Put(StageSimulate, ks, SimArtifact{Cycles: 42}, nil)
-	ke := EvalKey("machine", "kernel")
+	ks := StageKey(StageSynthesize, "machine")
+	a.Put(StageSynthesize, ks, SynthArtifact{CycleNs: 7.5, AreaCells: 1200}, nil)
+	ke := StageKey(StageCombine, "machine", "kernel", "label")
 	a.Put(StageCombine, ke, &Evaluation{Machine: "m", Cycles: 42, RuntimeUs: 1.5}, nil)
-	if st.Len() != 3 {
-		t.Fatalf("store holds %d blobs, want 3", st.Len())
+	if st.Len() != 2 {
+		t.Fatalf("store holds %d blobs, want 2", st.Len())
 	}
 
 	b := NewStageCache()
 	b.SetStore(st)
-	if v, err, ok := b.Get(StageCompile, kc); !ok || err != nil || v.(string) != "add R1, R2, R3" {
-		t.Fatalf("compile via store = (%v, %v, %v)", v, err, ok)
-	}
-	if v, _, ok := b.Get(StageSimulate, ks); !ok || v.(SimArtifact).Cycles != 42 {
-		t.Fatalf("simulate via store = (%v, %v)", v, ok)
+	v, err, ok := b.Get(StageSynthesize, ks)
+	if !ok || err != nil || v.(SynthArtifact) != (SynthArtifact{CycleNs: 7.5, AreaCells: 1200}) {
+		t.Fatalf("synthesize via store = (%v, %v, %v)", v, err, ok)
 	}
 	ev, err, ok := b.Get(StageCombine, ke)
 	if !ok || err != nil {
@@ -45,15 +39,15 @@ func TestStageCacheStoreWriteThrough(t *testing.T) {
 		t.Fatalf("combine artifact mangled: %+v", e)
 	}
 	ps := b.PerStage()
-	if ps[StageCompile].Hits != 1 || ps[StageCompile].Misses != 0 {
-		t.Errorf("store-served Get counted as %d hits / %d misses", ps[StageCompile].Hits, ps[StageCompile].Misses)
+	if ps[StageSynthesize].Hits != 1 || ps[StageSynthesize].Misses != 0 {
+		t.Errorf("store-served Get counted as %d hits / %d misses", ps[StageSynthesize].Hits, ps[StageSynthesize].Misses)
 	}
-	if hits, misses, errs := b.StoreStats(); hits != 3 || misses != 0 || errs != 0 {
-		t.Errorf("StoreStats = %d/%d/%d, want 3/0/0", hits, misses, errs)
+	if hits, misses, errs := b.StoreStats(); hits != 2 || misses != 0 || errs != 0 {
+		t.Errorf("StoreStats = %d/%d/%d, want 2/0/0", hits, misses, errs)
 	}
 	// Second Get of the same key is a pure memory hit: no new store traffic.
-	b.Get(StageCompile, kc)
-	if hits, _, _ := b.StoreStats(); hits != 3 {
+	b.Get(StageSynthesize, ks)
+	if hits, _, _ := b.StoreStats(); hits != 2 {
 		t.Errorf("memory-tier hit went to the store (store hits %d)", hits)
 	}
 }
@@ -63,19 +57,19 @@ func TestStageCacheStoreSharesFailures(t *testing.T) {
 	st := blob.NewMem()
 	a := NewStageCache()
 	a.SetStore(st)
-	k := StageKey(StageCompile, "machine", "bad kernel")
-	a.Put(StageCompile, k, nil, fmt.Errorf("compile: no add operation"))
+	k := StageKey(StageCombine, "machine", "bad kernel", "label")
+	a.Put(StageCombine, k, (*Evaluation)(nil), fmt.Errorf("compile: no add operation"))
 
 	b := NewStageCache()
 	b.SetStore(st)
-	_, err, ok := b.Get(StageCompile, k)
+	_, err, ok := b.Get(StageCombine, k)
 	if !ok || err == nil || err.Error() != "compile: no add operation" {
 		t.Fatalf("failure via store = (%v, %v)", err, ok)
 	}
 }
 
-// Unserializable stages stay memory-only: nothing in the store, and a
-// fresh cache misses.
+// Unmemoized stages stay memory-only: nothing in the store, and a fresh
+// cache misses.
 func TestStageCacheStoreSkipsMemoryOnlyStages(t *testing.T) {
 	st := blob.NewMem()
 	a := NewStageCache()
@@ -89,35 +83,6 @@ func TestStageCacheStoreSkipsMemoryOnlyStages(t *testing.T) {
 	b.SetStore(st)
 	if _, _, ok := b.Get(StageAssemble, k); ok {
 		t.Fatal("assemble entry served from store")
-	}
-}
-
-// A Codegen artifact names a binary in a local build cache; an entry
-// whose binary does not exist on this machine must degrade to a miss,
-// while one whose binary exists is served.
-func TestStageCacheStoreValidatesCodegenBinary(t *testing.T) {
-	st := blob.NewMem()
-	a := NewStageCache()
-	a.SetStore(st)
-
-	gone := StageKey(StageCodegen, "desc-elsewhere")
-	a.Put(StageCodegen, gone, CodegenArtifact{Fingerprint: "f1", Bin: "/nonexistent/path/sim"}, nil)
-
-	bin := filepath.Join(t.TempDir(), "sim")
-	if err := os.WriteFile(bin, []byte("#!/bin/true\n"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	here := StageKey(StageCodegen, "desc-here")
-	a.Put(StageCodegen, here, CodegenArtifact{Fingerprint: "f2", Bin: bin}, nil)
-
-	b := NewStageCache()
-	b.SetStore(st)
-	if _, _, ok := b.Get(StageCodegen, gone); ok {
-		t.Fatal("served a codegen artifact with a dangling binary path")
-	}
-	v, _, ok := b.Get(StageCodegen, here)
-	if !ok || v.(CodegenArtifact).Bin != bin {
-		t.Fatalf("codegen with live binary = (%v, %v)", v, ok)
 	}
 }
 
@@ -138,14 +103,14 @@ func TestStageCacheConcurrentStore(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				k := StageKey(StageCompile, "m", fmt.Sprint(i))
-				want := fmt.Sprintf("asm %d", i)
-				c.Put(StageCompile, k, want, nil)
-				if v, _, ok := c.Get(StageCompile, k); !ok || v.(string) != want {
+				k := StageKey(StageSynthesize, fmt.Sprint(i))
+				want := SynthArtifact{AreaCells: float64(i)}
+				c.Put(StageSynthesize, k, want, nil)
+				if v, _, ok := c.Get(StageSynthesize, k); !ok || v.(SynthArtifact) != want {
 					t.Errorf("goroutine %d: Get(%d) = (%v, %v)", g, i, v, ok)
 					return
 				}
-				ke := EvalKey("m", fmt.Sprint(i))
+				ke := StageKey(StageCombine, "m", fmt.Sprint(i))
 				c.Put(StageCombine, ke, &Evaluation{Cycles: uint64(i)}, nil)
 				c.Get(StageCombine, ke)
 			}

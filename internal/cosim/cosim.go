@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/asm"
 	"repro/internal/obs"
 	"repro/internal/verilog"
 )
@@ -353,4 +354,23 @@ func (w Workload) Run(l *Lane) (*verilog.Sim, error) {
 		return nil, err
 	}
 	return hw, nil
+}
+
+// LoadProgram loads an assembled program image — instruction words plus
+// initialized data — into a generated hardware model's memories (the
+// "s_"-prefixed storage nets HGEN emits). It is the usual Workload.Init.
+func LoadProgram(hw *verilog.Sim, p *asm.Program) error {
+	for i, w := range p.Words {
+		if err := hw.SetMem("s_IMEM", p.Base+i, w); err != nil {
+			return err
+		}
+	}
+	for _, di := range p.Data {
+		for i, v := range di.Values {
+			if err := hw.SetMem("s_"+di.Storage, di.Base+i, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

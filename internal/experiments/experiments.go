@@ -168,26 +168,6 @@ func RunTable1Opts(o Table1Options) (*Table1, error) {
 	}, nil
 }
 
-// LoadProgram loads an assembled program image — instruction words plus
-// initialized data — into a generated hardware model's memories (the
-// "s_"-prefixed storage nets HGEN emits). Shared by the Table 1
-// measurement and the co-simulation benchmarks.
-func LoadProgram(hw *verilog.Sim, p *asm.Program) error {
-	for i, w := range p.Words {
-		if err := hw.SetMem("s_IMEM", p.Base+i, w); err != nil {
-			return err
-		}
-	}
-	for _, di := range p.Data {
-		for i, v := range di.Values {
-			if err := hw.SetMem("s_"+di.Storage, di.Base+i, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // measureVerilog runs whole FIR workloads on the event-driven model across
 // the co-simulation pool until the budget is spent (and at least
 // MinVerilogRuns workloads either way). Only the Tick loops are timed as
@@ -212,7 +192,7 @@ func measureVerilog(mod *verilog.Module, p *asm.Program, o Table1Options, now fu
 	if o.Budget > 0 {
 		stop = func() bool { return now().Sub(start) > 4*o.Budget }
 	}
-	wl := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return LoadProgram(hw, p) }, Stop: stop}
+	wl := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return cosim.LoadProgram(hw, p) }, Stop: stop}
 
 	var total cosim.Stats
 	for {

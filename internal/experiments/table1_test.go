@@ -67,7 +67,7 @@ func TestVerilogEventsAccumulate(t *testing.T) {
 
 // TestVerilogSetupExcluded pins the timed windows with an injected clock
 // that advances one second per reading: each run must bill exactly one
-// clock step to setup (NewSim + LoadProgram) and one to simulation (the
+// clock step to setup (NewSim + cosim.LoadProgram) and one to simulation (the
 // Tick loop), so the cycles/sec denominator is the Tick loop alone — the
 // old code started the clock before elaboration.
 func TestVerilogSetupExcluded(t *testing.T) {
@@ -131,7 +131,7 @@ func TestVerilogParallelBitIdentity(t *testing.T) {
 		pool := &cosim.Pool{Workers: workers}
 		finals := make([]map[string]string, runs)
 		stats, err := pool.Run("identity", runs, func(i int, l *cosim.Lane) error {
-			hw, err := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return LoadProgram(hw, p) }}.Run(l)
+			hw, err := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return cosim.LoadProgram(hw, p) }}.Run(l)
 			if err != nil {
 				return err
 			}

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/blob"
@@ -79,8 +78,8 @@ func storeNS() string {
 	return fmt.Sprintf("gensim.bin.g%d.%s-%s", GeneratorVersion, runtime.GOOS, runtime.GOARCH)
 }
 
-// BuildResult describes one generate+build: where the binary landed,
-// whether the cache already had it, and how long codegen+build took.
+// BuildResult describes one generate+build: where the binary landed and
+// whether the cache already had it.
 type BuildResult struct {
 	Dir         string // cache entry directory
 	Bin         string // built simulator binary
@@ -89,7 +88,6 @@ type BuildResult struct {
 	// StoreHit reports the binary was fetched from the shared blob store
 	// rather than built locally (CacheHit is also set: no build ran).
 	StoreHit bool
-	BuildNs  int64
 }
 
 // Build generates, compiles and caches the specialized simulator for d.
@@ -110,7 +108,6 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 		return &BuildResult{Dir: dir, Bin: bin, Fingerprint: fp, CacheHit: true}, nil
 	}
 
-	start := time.Now()
 	src, err := Generate(d)
 	if err != nil {
 		return nil, err
@@ -165,7 +162,6 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 		Dir:         dir,
 		Bin:         bin,
 		Fingerprint: fp,
-		BuildNs:     time.Since(start).Nanoseconds(),
 	}, nil
 }
 

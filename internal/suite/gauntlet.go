@@ -344,7 +344,7 @@ func cosimLeg(d *isdl.Description, prog *asm.Program, want map[string][]bitvec.V
 			if hw, err = verilog.NewSim(mod); err != nil {
 				return err
 			}
-			return loadHW(hw, prog)
+			return cosim.LoadProgram(hw, prog)
 		}); err != nil {
 			return err
 		}
@@ -411,25 +411,6 @@ func depthOf(st *isdl.Storage) int {
 		return st.Depth
 	}
 	return 1
-}
-
-// loadHW loads the assembled program image and data initializers into the
-// hardware model's memories (the suite-local twin of
-// experiments.LoadProgram, which cannot be imported without a cycle).
-func loadHW(hw *verilog.Sim, p *asm.Program) error {
-	for i, w := range p.Words {
-		if err := hw.SetMem("s_IMEM", p.Base+i, w); err != nil {
-			return err
-		}
-	}
-	for _, di := range p.Data {
-		for i, v := range di.Values {
-			if err := hw.SetMem("s_"+di.Storage, di.Base+i, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Render formats the report as a fixed-width table plus a divergence list
