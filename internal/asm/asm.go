@@ -92,13 +92,13 @@ func EncodeInstruction(d *isdl.Description, specs []*OpSpec) ([]bitvec.Value, er
 	if len(specs) != len(d.Fields) {
 		return nil, fmt.Errorf("asm: instruction needs %d operations, got %d", len(d.Fields), len(specs))
 	}
-	sel := map[*isdl.Operation]bool{}
+	sel := make([]*isdl.Operation, len(specs))
 	size := 1
 	for i, sp := range specs {
 		if sp.Op.Field != d.Fields[i] {
 			return nil, fmt.Errorf("asm: operation %s is not in field %s", sp.Op.QualName(), d.Fields[i].Name)
 		}
-		sel[sp.Op] = true
+		sel[i] = sp.Op
 		if sp.Op.Costs.Size > size {
 			size = sp.Op.Costs.Size
 		}

@@ -32,6 +32,9 @@ func schedule(d *isdl.Description, emits []emitted, noPacking bool) string {
 	}
 
 	var bundle []*emitted
+	// sel is canJoin's trial instruction, one operation per field, reused
+	// across calls.
+	sel := make([]*isdl.Operation, len(d.Fields))
 	flush := func() {
 		if len(bundle) == 0 {
 			return
@@ -51,18 +54,16 @@ func schedule(d *isdl.Description, emits []emitted, noPacking bool) string {
 		if noPacking {
 			return false
 		}
-		sel := map[*isdl.Operation]bool{}
-		used := map[int]bool{}
+		clear(sel)
 		for _, m := range bundle {
 			if m.control {
 				return false
 			}
 			fi := m.dop.Op.Field.Index
-			if used[fi] {
+			if sel[fi] != nil {
 				return false
 			}
-			used[fi] = true
-			sel[m.dop.Op] = true
+			sel[fi] = m.dop.Op
 			// Hazards against this member.
 			for _, r := range e.reads {
 				for _, w := range m.writes {
@@ -80,19 +81,19 @@ func schedule(d *isdl.Description, emits []emitted, noPacking bool) string {
 			}
 		}
 		fi := e.dop.Op.Field.Index
-		if used[fi] {
+		if sel[fi] != nil {
 			return false
 		}
-		sel[e.dop.Op] = true
+		sel[fi] = e.dop.Op
 		// Fill the remaining fields with nops for the constraint check.
-		for i := range d.Fields {
-			if i == fi || used[i] {
+		for i := range sel {
+			if sel[i] != nil {
 				continue
 			}
 			if nops[i] == nil {
 				return false
 			}
-			sel[nops[i]] = true
+			sel[i] = nops[i]
 		}
 		return decode.CheckConstraints(d, sel) == nil
 	}

@@ -153,6 +153,7 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 				for ph, sec := range hw.PhaseSeconds {
 					p.Obs.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
 				}
+				p.Obs.Counter("synth.coexist.exhausted").Add(uint64(hw.CoexistExhausted))
 			}
 			return SynthArtifact{
 				CycleNs:          hw.CycleNs,

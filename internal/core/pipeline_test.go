@@ -122,6 +122,9 @@ func TestPipelineInstrumentation(t *testing.T) {
 	if counters["xsim.instructions"] == 0 {
 		t.Error("simulator perf counters not published")
 	}
+	if v, ok := counters["synth.coexist.exhausted"]; !ok || v != 0 {
+		t.Errorf("synth.coexist.exhausted = %d (present %v), want a published 0", v, ok)
+	}
 	spans := reg.Spans()
 	if len(spans) != 4 { // compile, assemble, simulate, synthesize
 		t.Errorf("got %d spans, want 4: %+v", len(spans), spans)

@@ -109,14 +109,14 @@ func NT(nt *isdl.NonTerminal, ret bitvec.Value) (*isdl.Option, []Arg, error) {
 // field, then the constraint check.
 func Instruction(d *isdl.Description, word bitvec.Value) (*Inst, error) {
 	inst := &Inst{Word: word, Size: 1}
-	sel := make(map[*isdl.Operation]bool, len(d.Fields))
-	for _, f := range d.Fields {
+	sel := make([]*isdl.Operation, len(d.Fields))
+	for i, f := range d.Fields {
 		op, err := Field(f, word)
 		if err != nil {
 			return nil, err
 		}
 		inst.Ops = append(inst.Ops, op)
-		sel[op.Op] = true
+		sel[i] = op.Op
 		if op.Op.Costs.Size > inst.Size {
 			inst.Size = op.Op.Costs.Size
 		}
@@ -127,11 +127,13 @@ func Instruction(d *isdl.Description, word bitvec.Value) (*Inst, error) {
 	return inst, nil
 }
 
-// CheckConstraints verifies that the selected operation set satisfies every
-// constraint of the description (§2.1.4).
-func CheckConstraints(d *isdl.Description, selected map[*isdl.Operation]bool) error {
+// CheckConstraints verifies that a complete selection, one operation per
+// field indexed by Field.Index, satisfies every constraint of the
+// description (§2.1.4). The error names the first violated constraint and
+// is built only then.
+func CheckConstraints(d *isdl.Description, sel []*isdl.Operation) error {
 	for _, c := range d.Constraints {
-		if !c.Eval(selected) {
+		if c.Eval(sel) != isdl.True {
 			return fmt.Errorf("constraint violated: %s", c.Text)
 		}
 	}

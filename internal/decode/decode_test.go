@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bitvec"
 	"repro/internal/decode"
+	"repro/internal/isdl"
 	"repro/internal/machines"
 )
 
@@ -123,5 +124,28 @@ func TestCheckConstraintsEmpty(t *testing.T) {
 	d := machines.Toy() // toy has no constraints
 	if err := decode.CheckConstraints(d, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckConstraintsNamesViolation: on a complete selection the check
+// passes or names the first violated constraint.
+func TestCheckConstraintsNamesViolation(t *testing.T) {
+	d := machines.SPAM()
+	sel := make([]*isdl.Operation, len(d.Fields))
+	for i, f := range d.Fields {
+		sel[i] = f.ByName["nop"]
+	}
+	if err := decode.CheckConstraints(d, sel); err != nil {
+		t.Fatalf("all-nop instruction: %v", err)
+	}
+	alu, mac := d.FieldByName("ALU"), d.FieldByName("MAC")
+	sel[mac.Index] = mac.ByName["sachi"]
+	if err := decode.CheckConstraints(d, sel); err != nil {
+		t.Fatalf("sachi beside ALU.nop: %v", err)
+	}
+	sel[alu.Index] = alu.ByName["add"]
+	err := decode.CheckConstraints(d, sel)
+	if err == nil || err.Error() != "constraint violated: (MAC.sachi -> ALU.nop)" {
+		t.Fatalf("sachi beside ALU.add: %v", err)
 	}
 }

@@ -241,6 +241,9 @@ type Table2Row struct {
 	VerilogLines int
 	DieSizeCells float64
 	SynthSec     float64
+	// CoexistExhausted is hgen.Result.CoexistExhausted: pairs whose
+	// constraint search ran out of budget and were left unshared.
+	CoexistExhausted int
 }
 
 // RunTable2 synthesizes both processors with the paper's configuration.
@@ -252,11 +255,12 @@ func RunTable2() ([]Table2Row, error) {
 			return nil, err
 		}
 		rows = append(rows, Table2Row{
-			Processor:    strings.ToUpper(d.Name),
-			CycleNs:      r.CycleNs,
-			VerilogLines: r.VerilogLines,
-			DieSizeCells: r.AreaCells,
-			SynthSec:     r.SynthSeconds,
+			Processor:        strings.ToUpper(d.Name),
+			CycleNs:          r.CycleNs,
+			VerilogLines:     r.VerilogLines,
+			DieSizeCells:     r.AreaCells,
+			SynthSec:         r.SynthSeconds,
+			CoexistExhausted: r.CoexistExhausted,
 		})
 	}
 	return rows, nil
@@ -272,7 +276,19 @@ func RenderTable2(rows []Table2Row) string {
 		fmt.Fprintf(&sb, "  %-10s %12.1f %18d %22.0f %20.3f\n",
 			r.Processor, r.CycleNs, r.VerilogLines, r.DieSizeCells, r.SynthSec)
 	}
+	for _, r := range rows {
+		writeExhausted(&sb, r.Processor, r.CoexistExhausted)
+	}
 	return sb.String()
+}
+
+// writeExhausted warns that a row's die size is conservative: n operation
+// pairs exhausted HGEN's constraint-search budget and were assumed to
+// coexist.
+func writeExhausted(sb *strings.Builder, row string, n int) {
+	if n > 0 {
+		fmt.Fprintf(sb, "  warning: %s: %d operation pairs exhausted the sharing search budget; die size is an upper bound\n", row, n)
+	}
 }
 
 // SharingRow is one ablation-A measurement.
@@ -283,6 +299,8 @@ type SharingRow struct {
 	Datapath  float64 // units + operand muxes (where sharing acts)
 	Units     int
 	Nodes     int
+	// CoexistExhausted is hgen.Result.CoexistExhausted.
+	CoexistExhausted int
 }
 
 // zooPair resolves the paper's two DSPs through the machine zoo.
@@ -313,6 +331,7 @@ func RunAblationSharing() ([]SharingRow, error) {
 				DieSize:  r.AreaCells,
 				Datapath: r.Breakdown["datapath"] + r.Breakdown["operand muxes"],
 				Units:    len(r.Units), Nodes: len(r.Nodes),
+				CoexistExhausted: r.CoexistExhausted,
 			})
 		}
 	}
@@ -326,6 +345,9 @@ func RenderSharing(rows []SharingRow) string {
 	fmt.Fprintf(&sb, "  %-10s %-20s %12s %16s %8s %8s\n", "Processor", "Sharing", "Die (cells)", "Datapath (cells)", "Units", "Nodes")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "  %-10s %-20s %12.0f %16.0f %8d %8d\n", r.Processor, r.Mode.String(), r.DieSize, r.Datapath, r.Units, r.Nodes)
+	}
+	for _, r := range rows {
+		writeExhausted(&sb, r.Processor+" "+r.Mode.String(), r.CoexistExhausted)
 	}
 	return sb.String()
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/hgen"
 )
 
 // TestTable1Shape runs the Table 1 measurement with a tiny budget and checks
@@ -43,6 +44,24 @@ func TestTable2Shape(t *testing.T) {
 	}
 	if !strings.Contains(experiments.RenderTable2(rows), "Table 2") {
 		t.Error("render missing header")
+	}
+}
+
+// TestExhaustionWarnings: Table 2 and Ablation A warn about a die size
+// left conservative by an exhausted sharing search, and only then.
+func TestExhaustionWarnings(t *testing.T) {
+	t2 := []experiments.Table2Row{{Processor: "SPAM"}, {Processor: "BIG", CoexistExhausted: 3}}
+	out := experiments.RenderTable2(t2)
+	if !strings.Contains(out, "warning: BIG: 3 operation pairs exhausted") || strings.Contains(out, "warning: SPAM") {
+		t.Errorf("Table 2 warnings:\n%s", out)
+	}
+	sh := []experiments.SharingRow{{Processor: "BIG", Mode: hgen.ShareRules}, {Processor: "BIG", Mode: hgen.ShareRulesAndConstraints, CoexistExhausted: 2}}
+	out = experiments.RenderSharing(sh)
+	if !strings.Contains(out, "warning: BIG rules+constraints: 2 operation pairs exhausted") || strings.Count(out, "warning") != 1 {
+		t.Errorf("Ablation A warnings:\n%s", out)
+	}
+	if out := experiments.RenderTable2(t2[:1]); strings.Contains(out, "warning") {
+		t.Errorf("warning without exhaustion:\n%s", out)
 	}
 }
 

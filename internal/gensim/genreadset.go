@@ -16,7 +16,7 @@ import (
 // whole-storage wildcard (index -1).
 
 // maxCombos bounds the option-combination product per operation; a
-// description beyond it is unsupported (falls back to the closure core).
+// description beyond it is unsupported (falls back to the interpreter).
 const maxCombos = 512
 
 type choice struct {

@@ -14,12 +14,11 @@
 // The source is built once per description with `go build` into a cache
 // directory keyed by the ISDL fingerprint and driven over a versioned
 // JSON-lines stdin/stdout protocol (docs/GENSIM.md). The generated simulator is
-// bit-identical to the interpreter and closure cores — final state, Stats,
-// stall counts, fault messages — which the differential gauntlet in this
-// package enforces. Descriptions outside the specializable subset (an RTL
-// expression or storage wider than 64 bits) and hosts without a Go
-// toolchain degrade gracefully: xsim.NewEngine falls back to the closure
-// core.
+// bit-identical to the interpreter — final state, Stats, stall counts, fault
+// messages — which the differential gauntlet in this package enforces.
+// Descriptions outside the specializable subset (an RTL expression or
+// storage wider than 64 bits) and hosts without a Go toolchain degrade
+// gracefully: xsim.NewEngine falls back to the interpreter.
 package gensim
 
 import (
@@ -41,13 +40,13 @@ const ProtoVersion = 1
 
 // ErrUnavailable reports that the aot backend cannot run on this host: the
 // Go toolchain is missing or REPRO_GENSIM_DISABLE is set. Callers fall back
-// to the closure core.
+// to the interpreter.
 var ErrUnavailable = errors.New("gensim: aot backend unavailable (no Go toolchain or REPRO_GENSIM_DISABLE set)")
 
 // UnsupportedError reports a description outside the specializable subset
 // (e.g. an RTL expression wider than 64 bits). It is a deterministic
 // property of the description, so pipeline caches may memoize it; callers
-// fall back to the closure core.
+// fall back to the interpreter.
 type UnsupportedError struct {
 	Reason string
 }

@@ -2,6 +2,7 @@ package hgen_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -136,30 +137,28 @@ func TestSynthesizeSPAMVerilog(t *testing.T) {
 	}
 }
 
-// TestSharingReducesArea is ablation A: more sharing, less area; and
-// constraints unlock sharing that rules 1–4 alone cannot (the §4.1.1 bus
-// example).
+// TestSharingReducesArea is ablation A, pinned: more sharing, less area;
+// and SPAM's constraints (accumulator stores vs ALU) unlock sharing that
+// rules 1–4 alone cannot (the §4.1.1 bus example).
 func TestSharingReducesArea(t *testing.T) {
-	for _, d := range []*isdl.Description{machines.SPAM(), machines.SPAM2()} {
-		areas := map[hgen.SharingMode]float64{}
-		for _, mode := range []hgen.SharingMode{hgen.ShareOff, hgen.ShareRules, hgen.ShareRulesAndConstraints} {
-			opts := hgen.Options{Sharing: mode, Decode: hgen.DecodeTwoLevel}
-			areas[mode] = synth(t, d, opts).AreaCells
+	for _, tc := range []struct {
+		d     *isdl.Description
+		mode  hgen.SharingMode
+		cells float64
+		units int
+	}{
+		{machines.SPAM(), hgen.ShareOff, 293516, 26},
+		{machines.SPAM(), hgen.ShareRules, 273580, 17},
+		{machines.SPAM(), hgen.ShareRulesAndConstraints, 273484, 16},
+		{machines.SPAM2(), hgen.ShareOff, 87388, 8},
+		{machines.SPAM2(), hgen.ShareRules, 87310, 6},
+		{machines.SPAM2(), hgen.ShareRulesAndConstraints, 87310, 6},
+	} {
+		r := synth(t, tc.d, hgen.Options{Sharing: tc.mode, Decode: hgen.DecodeTwoLevel})
+		if math.Round(r.AreaCells) != tc.cells || len(r.Units) != tc.units || r.CoexistExhausted != 0 {
+			t.Errorf("%s %s: %.0f cells, %d units, %d exhausted; want %.0f cells, %d units, 0 exhausted",
+				tc.d.Name, tc.mode, r.AreaCells, len(r.Units), r.CoexistExhausted, tc.cells, tc.units)
 		}
-		if !(areas[hgen.ShareOff] > areas[hgen.ShareRules]) {
-			t.Errorf("%s: rules sharing did not reduce area: %v", d.Name, areas)
-		}
-		if !(areas[hgen.ShareRules] >= areas[hgen.ShareRulesAndConstraints]) {
-			t.Errorf("%s: constraint sharing increased area: %v", d.Name, areas)
-		}
-	}
-	// SPAM's constraints (accumulator stores vs ALU) must actually help.
-	opts := hgen.Options{Sharing: hgen.ShareRules, Decode: hgen.DecodeTwoLevel}
-	rules := synth(t, machines.SPAM(), opts)
-	opts.Sharing = hgen.ShareRulesAndConstraints
-	full := synth(t, machines.SPAM(), opts)
-	if !(full.AreaCells < rules.AreaCells) {
-		t.Errorf("SPAM constraints did not unlock sharing: %.0f vs %.0f", full.AreaCells, rules.AreaCells)
 	}
 }
 

@@ -3,7 +3,6 @@ package hgen
 import (
 	"sort"
 
-	"repro/internal/decode"
 	"repro/internal/isdl"
 )
 
@@ -104,19 +103,29 @@ func paramOf(path string) string {
 	return path
 }
 
+// coexistenceBudget caps the search nodes spent on one operation pair.
+const coexistenceBudget = 200000
+
 // coexistence answers "can these two operations appear in the same valid
 // instruction?" by searching for a completing selection of one operation
-// per remaining field that satisfies every constraint.
+// per remaining field that satisfies every constraint. Each node evaluates
+// every constraint three-valued over the partial selection: one definite
+// False cuts the branch, and all True answers yes without choosing the
+// remaining fields (the parser rejects empty fields, so some completion
+// exists). Within the budget the answer is exact.
 type coexistence struct {
 	d     *isdl.Description
 	cache map[[2]*isdl.Operation]bool
-	// budget caps the search; exhausting it answers "yes" (conservative:
-	// no sharing).
-	budget int
+	// budget is what is left of coexistenceBudget for the current pair;
+	// exhausting it answers "yes" (conservative: no sharing), and
+	// exhausted counts the pairs answered that way.
+	budget    int
+	exhausted int
+	sel       []*isdl.Operation
 }
 
 func newCoexistence(d *isdl.Description) *coexistence {
-	return &coexistence{d: d, cache: map[[2]*isdl.Operation]bool{}}
+	return &coexistence{d: d, cache: map[[2]*isdl.Operation]bool{}, sel: make([]*isdl.Operation, len(d.Fields))}
 }
 
 func (c *coexistence) canCoexist(a, b *isdl.Operation) bool {
@@ -130,38 +139,50 @@ func (c *coexistence) canCoexist(a, b *isdl.Operation) bool {
 	if v, ok := c.cache[key]; ok {
 		return v
 	}
-	c.budget = 200000
-	sel := make([]*isdl.Operation, len(c.d.Fields))
-	sel[a.Field.Index] = a
-	sel[b.Field.Index] = b
-	v := c.search(sel, 0)
+	c.budget = coexistenceBudget
+	clear(c.sel)
+	c.sel[a.Field.Index] = a
+	c.sel[b.Field.Index] = b
+	v := c.search(0)
+	if c.budget < 0 {
+		c.exhausted++
+	}
 	c.cache[key] = v
 	return v
 }
 
-func (c *coexistence) search(sel []*isdl.Operation, field int) bool {
+// search reports whether the selection, with the fields before field
+// already decided, extends to a valid instruction.
+func (c *coexistence) search(field int) bool {
 	if c.budget <= 0 {
-		return true // give up: assume they can co-occur
+		c.budget = -1 // tells canCoexist the pair was not decided
+		return true   // give up: assume they can co-occur
 	}
 	c.budget--
-	if field == len(sel) {
-		m := make(map[*isdl.Operation]bool, len(sel))
-		for _, op := range sel {
-			m[op] = true
+	sure := true
+	for _, k := range c.d.Constraints {
+		switch k.Eval(c.sel) {
+		case isdl.False:
+			return false
+		case isdl.Unknown:
+			sure = false
 		}
-		return decode.CheckConstraints(c.d, m) == nil
 	}
-	if sel[field] != nil {
-		return c.search(sel, field+1)
+	if sure {
+		return true
+	}
+	// Some constraint is undecided, so some field is still unchosen.
+	for c.sel[field] != nil {
+		field++
 	}
 	for _, op := range c.d.Fields[field].Ops {
-		sel[field] = op
-		if c.search(sel, field+1) {
-			sel[field] = nil
+		c.sel[field] = op
+		if c.search(field + 1) {
+			c.sel[field] = nil
 			return true
 		}
 	}
-	sel[field] = nil
+	c.sel[field] = nil
 	return false
 }
 

@@ -94,6 +94,10 @@ type Result struct {
 	// area/cycle/energy estimation) and "emit" (Verilog generation and the
 	// re-parse gate; absent when EmitVerilog is off).
 	PhaseSeconds map[string]float64
+	// CoexistExhausted counts the cross-field operation pairs whose
+	// constraint search ran out of budget and was assumed to coexist, so
+	// they were not shared: a conservative answer that can overstate area.
+	CoexistExhausted int
 }
 
 // Synthesize compiles a description into a hardware model.
@@ -104,6 +108,7 @@ func Synthesize(d *isdl.Description, lib *tech.Library, opts Options) (*Result, 
 	r.Nodes = extractNodes(d)
 	coex := newCoexistence(d)
 	a := shareMatrix(d, r.Nodes, opts.Sharing, coex)
+	r.CoexistExhausted = coex.exhausted
 	var cliques [][]int
 	if opts.Sharing != ShareOff {
 		cliques = maximalCliques(a, 4000)
@@ -537,6 +542,9 @@ func (r *Result) Report() string {
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(&sb, "  %-16s %8.0f\n", k, r.Breakdown[k])
+	}
+	if r.CoexistExhausted > 0 {
+		fmt.Fprintf(&sb, "coexistence:    %d operation pairs exhausted the search budget (assumed to coexist, not shared)\n", r.CoexistExhausted)
 	}
 	fmt.Fprintf(&sb, "units:          %d (from %d RTL nodes)\n", len(r.Units), len(r.Nodes))
 	for _, u := range r.Units {

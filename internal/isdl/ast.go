@@ -410,26 +410,56 @@ func (*CAtom) cexpr() {}
 func (*CNot) cexpr()  {}
 func (*CBin) cexpr()  {}
 
-// Eval evaluates a constraint expression over the set of selected operations.
-func (c *Constraint) Eval(selected map[*Operation]bool) bool {
-	return cEval(c.Expr, selected)
+// Truth is a three-valued (Kleene) truth value: the answer a constraint
+// gives over a selection that may leave fields unchosen. The encoding makes
+// negation a sign flip, conjunction a minimum and disjunction a maximum.
+type Truth int8
+
+const (
+	False   Truth = -1
+	Unknown Truth = 0
+	True    Truth = 1
+)
+
+// Eval evaluates the constraint over a selection of one operation per
+// field, indexed by Field.Index. A nil entry is a field not chosen yet, and
+// an atom over it is Unknown. A definite answer (True or False) holds for
+// every way of completing the selection; on a complete selection the
+// answer is always definite. Eval allocates nothing.
+func (c *Constraint) Eval(sel []*Operation) Truth {
+	return cEval(c.Expr, sel)
 }
 
-func cEval(e CExpr, sel map[*Operation]bool) bool {
+func cEval(e CExpr, sel []*Operation) Truth {
 	switch e := e.(type) {
 	case *CAtom:
-		return sel[e.ResolvedOp]
+		switch op := sel[e.ResolvedField.Index]; op {
+		case nil:
+			return Unknown
+		case e.ResolvedOp:
+			return True
+		}
+		return False
 	case *CNot:
-		return !cEval(e.X, sel)
+		return -cEval(e.X, sel)
 	case *CBin:
-		x, y := cEval(e.X, sel), cEval(e.Y, sel)
+		x := cEval(e.X, sel)
 		switch e.Op {
 		case "&":
-			return x && y
+			if x == False {
+				return False
+			}
+			return min(x, cEval(e.Y, sel))
 		case "|":
-			return x || y
+			if x == True {
+				return True
+			}
+			return max(x, cEval(e.Y, sel))
 		case "->":
-			return !x || y
+			if x == False {
+				return True
+			}
+			return max(-x, cEval(e.Y, sel))
 		}
 	}
 	panic("isdl: bad constraint expression")

@@ -2,6 +2,8 @@ package isdl_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,25 +167,135 @@ constraint B.y -> A.anop;
 	ax := d.Fields[0].ByName["x"]
 	an := d.Fields[0].ByName["anop"]
 	by := d.Fields[1].ByName["y"]
-	sel := func(ops ...*isdl.Operation) map[*isdl.Operation]bool {
-		m := map[*isdl.Operation]bool{}
-		for _, o := range ops {
-			m[o] = true
+	bn := d.Fields[1].ByName["bnop"]
+	cases := []struct {
+		c    int
+		a, b *isdl.Operation // nil: field not chosen yet
+		want isdl.Truth
+	}{
+		{0, ax, by, isdl.False}, // never A.x & B.y fails when both are selected
+		{0, ax, bn, isdl.True},
+		{0, an, by, isdl.True},
+		{0, ax, nil, isdl.Unknown},
+		{0, an, nil, isdl.True}, // decided before B is chosen
+		{0, nil, nil, isdl.Unknown},
+		{1, an, by, isdl.True}, // B.y -> A.anop
+		{1, ax, by, isdl.False},
+		{1, ax, bn, isdl.True},
+		{1, nil, bn, isdl.True},
+		{1, nil, by, isdl.Unknown},
+		{1, ax, nil, isdl.Unknown},
+	}
+	for _, tc := range cases {
+		sel := []*isdl.Operation{tc.a, tc.b}
+		if got := d.Constraints[tc.c].Eval(sel); got != tc.want {
+			t.Errorf("%s over %s: %d, want %d", d.Constraints[tc.c].Text, selString(sel), got, tc.want)
 		}
-		return m
 	}
-	if d.Constraints[0].Eval(sel(ax, by)) {
-		t.Error("never A.x & B.y should fail when both selected")
+}
+
+// TestConstraintEvalThreeValued is the oracle for the three-valued
+// evaluator: on random expressions and random partial selections, a
+// definite answer agrees with every completion of the selection, and on
+// complete selections Eval equals plain two-valued evaluation.
+func TestConstraintEvalThreeValued(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	fields := make([]*isdl.Field, 4)
+	for i := range fields {
+		f := &isdl.Field{Name: fmt.Sprintf("F%d", i), Index: i}
+		for j := 0; j < 2+i%2; j++ {
+			f.Ops = append(f.Ops, &isdl.Operation{Name: fmt.Sprintf("o%d", j), Field: f})
+		}
+		fields[i] = f
 	}
-	if !d.Constraints[0].Eval(sel(ax)) {
-		t.Error("constraint should pass with only A.x")
+	var gen func(depth int) isdl.CExpr
+	gen = func(depth int) isdl.CExpr {
+		if depth == 0 || rnd.Intn(3) == 0 {
+			f := fields[rnd.Intn(len(fields))]
+			op := f.Ops[rnd.Intn(len(f.Ops))]
+			return &isdl.CAtom{Field: f.Name, Op: op.Name, ResolvedField: f, ResolvedOp: op}
+		}
+		if rnd.Intn(4) == 0 {
+			return &isdl.CNot{X: gen(depth - 1)}
+		}
+		return &isdl.CBin{Op: []string{"&", "|", "->"}[rnd.Intn(3)], X: gen(depth - 1), Y: gen(depth - 1)}
 	}
-	if !d.Constraints[1].Eval(sel(an, by)) {
-		t.Error("B.y -> A.anop should pass")
+	var plain func(e isdl.CExpr, sel []*isdl.Operation) bool
+	plain = func(e isdl.CExpr, sel []*isdl.Operation) bool {
+		switch e := e.(type) {
+		case *isdl.CAtom:
+			return sel[e.ResolvedField.Index] == e.ResolvedOp
+		case *isdl.CNot:
+			return !plain(e.X, sel)
+		case *isdl.CBin:
+			x, y := plain(e.X, sel), plain(e.Y, sel)
+			switch e.Op {
+			case "&":
+				return x && y
+			case "|":
+				return x || y
+			}
+			return !x || y
+		}
+		panic("bad constraint expression")
 	}
-	if d.Constraints[1].Eval(sel(ax, by)) {
-		t.Error("B.y -> A.anop should fail with A.x")
+	var complete func(sel []*isdl.Operation, f int, visit func())
+	complete = func(sel []*isdl.Operation, f int, visit func()) {
+		if f == len(sel) {
+			visit()
+			return
+		}
+		if sel[f] != nil {
+			complete(sel, f+1, visit)
+			return
+		}
+		for _, op := range fields[f].Ops {
+			sel[f] = op
+			complete(sel, f+1, visit)
+		}
+		sel[f] = nil
 	}
+
+	definite := 0
+	for trial := 0; trial < 3000; trial++ {
+		c := &isdl.Constraint{Expr: gen(4)}
+		sel := make([]*isdl.Operation, len(fields))
+		for i, f := range fields {
+			if rnd.Intn(2) == 0 {
+				sel[i] = f.Ops[rnd.Intn(len(f.Ops))]
+			}
+		}
+		partial := c.Eval(sel)
+		if partial != isdl.Unknown && slices.Contains(sel, nil) {
+			definite++
+		}
+		complete(sel, 0, func() {
+			want := isdl.False
+			if plain(c.Expr, sel) {
+				want = isdl.True
+			}
+			if got := c.Eval(sel); got != want {
+				t.Fatalf("trial %d: complete selection %s: Eval %d, plain %d", trial, selString(sel), got, want)
+			}
+			if partial != isdl.Unknown && partial != want {
+				t.Fatalf("trial %d: partial answer %d contradicted by completion %s", trial, partial, selString(sel))
+			}
+		})
+	}
+	if definite == 0 {
+		t.Error("no partial selection got a definite answer")
+	}
+}
+
+func selString(sel []*isdl.Operation) string {
+	parts := make([]string, len(sel))
+	for i, op := range sel {
+		parts[i] = "-"
+		if op != nil {
+			parts[i] = op.QualName()
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // --- error-path tests -------------------------------------------------------
