@@ -277,13 +277,8 @@ func (s *server) run(j *job) {
 		s.reg.Counter("served.jobs.failed").Inc()
 		sp.SetArg("err", err.Error())
 	} else {
-		// The live hardware model is not wire-representable (it holds the
-		// cyclic ISDL AST) and is dropped from results, exactly as the
-		// stored combine artifact drops it (internal/core/blobstore.go).
-		wire := *eval
-		wire.Hardware = nil
 		j.mu.Lock()
-		j.status, j.eval, j.cached = statusDone, &wire, cached
+		j.status, j.eval, j.cached = statusDone, eval, cached
 		j.mu.Unlock()
 		s.reg.Counter("served.jobs.done").Inc()
 		if cached {

@@ -30,7 +30,9 @@ type BlobStore = blob.Store
 // a newer one instead of misread. Bump it whenever a stored artifact's
 // shape or a stage key's composition changes. Version 3: Synthesize keys
 // by canonical text, the evaluation key covers the workload label, and
-// only synthesize and combine are stored.
+// only synthesize and combine are stored. Dropping Evaluation's
+// always-null "Hardware" key did not bump it: encoding/json ignores that
+// key in older blobs (TestDecodeCombineBlobWithHardwareKey).
 const persistVersion = 3
 
 // storeNS is a stage's blob namespace.
@@ -45,9 +47,8 @@ type storedEntry struct {
 	Combine    *Evaluation    `json:"combine,omitempty"`
 }
 
-// encodeStageBlob renders one memo entry as a store blob. The live
-// hardware model does not serialize, so only its figures travel. The
-// second result is false for entries with no serializable artifact.
+// encodeStageBlob renders one memo entry as a store blob. The second
+// result is false for entries with no serializable artifact.
 func encodeStageBlob(e stageEntry) ([]byte, bool) {
 	var se storedEntry
 	if e.err != nil {
@@ -55,15 +56,12 @@ func encodeStageBlob(e stageEntry) ([]byte, bool) {
 	} else {
 		switch v := e.val.(type) {
 		case SynthArtifact:
-			v.Result = nil
 			se.Synthesize = &v
 		case *Evaluation:
 			if v == nil {
 				return nil, false
 			}
-			cp := *v
-			cp.Hardware = nil
-			se.Combine = &cp
+			se.Combine = v
 		default:
 			return nil, false
 		}

@@ -35,7 +35,7 @@ const (
 	// *asm.Program. Not memoized; every run counts as a miss.
 	StageAssemble
 	// StageSimulate is the instruction-level simulator: (description,
-	// program) → SimArtifact. Not memoized; every run counts as a miss.
+	// program) → xsim.Stats. Not memoized; every run counts as a miss.
 	StageSimulate
 	// StageSynthesize is the hardware model: canonical ISDL →
 	// SynthArtifact. Memoized.

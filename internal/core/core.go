@@ -24,7 +24,9 @@ import (
 )
 
 // Evaluation is the complete figure of merit for one (architecture,
-// workload) pair.
+// workload) pair. It is plain data: it keeps the figures, never the
+// simulator or hardware model that produced them, so it can be cached,
+// stored and served as it is.
 type Evaluation struct {
 	Machine  string
 	Workload string
@@ -32,12 +34,11 @@ type Evaluation struct {
 	// From the instruction-level simulator.
 	Cycles       uint64
 	Instructions uint64
-	Stats        *xsim.Stats
+	Stats        xsim.Stats
 
 	// From the hardware model.
 	CycleNs   float64
 	AreaCells float64
-	Hardware  *hgen.Result
 
 	// Combined figures.
 	RuntimeUs float64 // cycles × cycle length
@@ -94,19 +95,15 @@ func NewEvaluator() *Evaluator {
 
 // Evaluate runs the full methodology for one candidate and workload.
 func (ev *Evaluator) Evaluate(d *isdl.Description, prog *asm.Program, workload string) (*Evaluation, error) {
-	simArt, err := runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, nil)
+	stats, err := runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	hw, err := hgen.Synthesize(d, ev.Lib, ev.Synthesis)
+	synth, err := ev.synthesize(d, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: synthesize: %w", err)
+		return nil, err
 	}
-
-	return combineArtifacts(d.Name, workload, simArt,
-		SynthArtifact{CycleNs: hw.CycleNs, AreaCells: hw.AreaCells, EnergyPerInstrPJ: hw.EnergyPerInstrPJ, Result: hw},
-		ev.Lib), nil
+	return combineArtifacts(d.Name, workload, stats, synth, ev.Lib), nil
 }
 
 // EvaluateSource is the convenience entry point over raw text: the ISDL
@@ -123,21 +120,19 @@ func (ev *Evaluator) EvaluateSource(isdlText, asmText, workload string) (*Evalua
 	return ev.Evaluate(d, prog, workload)
 }
 
-// combineArtifacts folds a finished simulation and a synthesized hardware
-// model into the evaluation figures: pure arithmetic over detached
-// simulation measurements and synthesis figures, so it works for
-// synthesis figures served from a blob store just as for live runs.
-func combineArtifacts(machine, workload string, sa SimArtifact, ha SynthArtifact, lib *tech.Library) *Evaluation {
-	stats := sa.Stats
+// combineArtifacts folds a finished simulation's statistics and the
+// synthesis figures into the evaluation figures: pure arithmetic, so it
+// works for synthesis figures served from a blob store just as for live
+// runs.
+func combineArtifacts(machine, workload string, stats xsim.Stats, ha SynthArtifact, lib *tech.Library) *Evaluation {
 	e := &Evaluation{
 		Machine:      machine,
 		Workload:     workload,
-		Cycles:       sa.Cycles,
+		Cycles:       stats.Cycles,
 		Instructions: stats.Instructions,
 		Stats:        stats,
 		CycleNs:      ha.CycleNs,
 		AreaCells:    ha.AreaCells,
-		Hardware:     ha.Result,
 	}
 	e.RuntimeUs = float64(e.Cycles) * e.CycleNs / 1e3
 

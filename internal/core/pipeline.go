@@ -25,22 +25,12 @@ import (
 	"repro/internal/xsim"
 )
 
-// SimArtifact is the Simulate stage's result: the measurements Combine
-// needs, detached from the live simulator.
-type SimArtifact struct {
-	Cycles uint64
-	Stats  *xsim.Stats
-}
-
 // SynthArtifact is the Synthesize stage's result: the cost figures Combine
-// needs. Result carries the full hardware model when synthesis ran in this
-// process; the blob store keeps only the figures, so artifacts and
-// evaluations served from a store have a nil Result and Hardware.
+// needs, and nothing else of the hardware model.
 type SynthArtifact struct {
 	CycleNs          float64
 	AreaCells        float64
 	EnergyPerInstrPJ float64
-	Result           *hgen.Result `json:"-"`
 }
 
 // ParseError reports an ISDL text that failed to parse. Every later
@@ -134,7 +124,7 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 	if err != nil {
 		return nil, err
 	}
-	simArt, err := stageRun(p, parent, StageSimulate, func() (SimArtifact, error) {
+	stats, err := stageRun(p, parent, StageSimulate, func() (xsim.Stats, error) {
 		return runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, p.Obs)
 	})
 	if err != nil {
@@ -142,25 +132,10 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 	}
 
 	// Synthesize: independent of the workload, so a kernel change reuses
-	// the hardware model.
+	// the synthesis figures.
 	synthArt, err := memo(p.Cache, StageSynthesize, StageKey(StageSynthesize, canonical), func() (SynthArtifact, error) {
 		return stageRun(p, parent, StageSynthesize, func() (SynthArtifact, error) {
-			hw, err := hgen.Synthesize(d, ev.Lib, ev.Synthesis)
-			if err != nil {
-				return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
-			}
-			if p.Obs != nil {
-				for ph, sec := range hw.PhaseSeconds {
-					p.Obs.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
-				}
-				p.Obs.Counter("synth.coexist.exhausted").Add(uint64(hw.CoexistExhausted))
-			}
-			return SynthArtifact{
-				CycleNs:          hw.CycleNs,
-				AreaCells:        hw.AreaCells,
-				EnergyPerInstrPJ: hw.EnergyPerInstrPJ,
-				Result:           hw,
-			}, nil
+			return ev.synthesize(d, p.Obs)
 		})
 	})
 	if err != nil {
@@ -173,7 +148,7 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 	if p.Obs != nil {
 		start = time.Now()
 	}
-	e := combineArtifacts(d.Name, workload, simArt, synthArt, ev.Lib)
+	e := combineArtifacts(d.Name, workload, stats, synthArt, ev.Lib)
 	if p.Obs != nil {
 		p.Obs.Histogram("stage.combine.ns").Observe(time.Since(start))
 	}
@@ -181,20 +156,20 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 }
 
 // runSimulation executes a program on a fresh engine of the requested
-// backend and detaches the measurements; the engine's own perf counters are
-// published into the registry (they are per-run deltas here, so repeated
-// publishes sum to the total simulated work).
-func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload string, backend xsim.Backend, r *obs.Registry) (SimArtifact, error) {
+// backend and returns its statistics snapshot; the engine's own perf
+// counters are published into the registry (they are per-run deltas here,
+// so repeated publishes sum to the total simulated work).
+func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload string, backend xsim.Backend, r *obs.Registry) (xsim.Stats, error) {
 	eng, info, err := xsim.NewEngine(d, backend)
 	if err != nil {
-		return SimArtifact{}, fmt.Errorf("core: simulator backend: %w", err)
+		return xsim.Stats{}, fmt.Errorf("core: simulator backend: %w", err)
 	}
 	defer eng.Close()
 	if r != nil && info.FallbackReason != "" {
 		r.Counter("sim.backend.fallback").Inc()
 	}
 	if err := eng.Load(prog); err != nil {
-		return SimArtifact{}, fmt.Errorf("core: load: %w", err)
+		return xsim.Stats{}, fmt.Errorf("core: load: %w", err)
 	}
 	if limit <= 0 {
 		limit = 100_000_000
@@ -204,12 +179,29 @@ func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload
 		eng.Perf().Publish(r)
 	}
 	if err != nil {
-		return SimArtifact{}, fmt.Errorf("core: simulate: %w", err)
+		return xsim.Stats{}, fmt.Errorf("core: simulate: %w", err)
 	}
 	if !eng.Halted() {
-		return SimArtifact{}, fmt.Errorf("core: workload %s did not halt within %d instructions", workload, limit)
+		return xsim.Stats{}, fmt.Errorf("core: workload %s did not halt within %d instructions", workload, limit)
 	}
-	return SimArtifact{Cycles: eng.Cycle(), Stats: eng.Stats()}, nil
+	return eng.Stats(), nil
+}
+
+// synthesize builds the hardware model and returns its cost figures; the
+// model itself is dropped here. With a registry, the synthesis phase
+// timings and the exhausted constraint-search count are published.
+func (ev *Evaluator) synthesize(d *isdl.Description, r *obs.Registry) (SynthArtifact, error) {
+	hw, err := hgen.Synthesize(d, ev.Lib, ev.Synthesis)
+	if err != nil {
+		return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
+	}
+	if r != nil {
+		for ph, sec := range hw.PhaseSeconds {
+			r.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
+		}
+		r.Counter("synth.coexist.exhausted").Add(uint64(hw.CoexistExhausted))
+	}
+	return SynthArtifact{CycleNs: hw.CycleNs, AreaCells: hw.AreaCells, EnergyPerInstrPJ: hw.EnergyPerInstrPJ}, nil
 }
 
 // memo answers a memoized stage from the cache, or runs it and stores

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -123,8 +124,9 @@ func TestStageCacheConcurrentStore(t *testing.T) {
 // process pair: pipeline A evaluates against an empty shared store;
 // pipeline B, with a cold memory cache over the same store, re-evaluates
 // and recomputes nothing — every stage after Parse is zero-miss, the
-// Combine hit short-circuits the walk, and the figures are identical.
-// (The cross-process version lives in internal/explore.)
+// Combine hit short-circuits the walk, and the store-served evaluation
+// equals the in-process one. (The cross-process version lives in
+// internal/explore.)
 func TestPipelineFullyServedFromStore(t *testing.T) {
 	src := toyCanonical(t)
 	st := blob.NewMem()
@@ -156,31 +158,38 @@ func TestPipelineFullyServedFromStore(t *testing.T) {
 		t.Errorf("combine hits = %d, want 1 (store-served short circuit)", ps[StageCombine].Hits)
 	}
 
-	// Figures identical; only the live hardware model (deliberately not
-	// serialized) differs.
-	aj := mustJSON(t, evalFigures(a))
-	bj := mustJSON(t, evalFigures(b))
-	if aj != bj {
-		t.Errorf("figures diverge:\nA: %s\nB: %s", aj, bj)
-	}
-	if b.Hardware != nil {
-		t.Error("store-served evaluation resurrected a live hardware model")
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("store-served evaluation differs:\nA: %+v\nB: %+v", a, b)
 	}
 }
 
-// evalFigures strips the live model so serialized and in-process
-// evaluations compare equal.
-func evalFigures(e *Evaluation) Evaluation {
-	cp := *e
-	cp.Hardware = nil
-	return cp
-}
+// hardwareKeyCombineBlob is the version-3 combine blob for (toy,
+// pipeKernelA, "kernel") as written while Evaluation still carried the
+// hardware model, which always serialized as "Hardware":null.
+const hardwareKeyCombineBlob = `{"combine":{"Machine":"toy","Workload":"kernel","Cycles":3,"Instructions":3,` +
+	`"Stats":{"Cycles":3,"Instructions":3,"DataStalls":0,"StructStalls":0,"Reads":2,"Writes":4,` +
+	`"OpCounts":{"EX.add":1,"EX.halt":1,"EX.mv":1},"FieldIssue":[3]},"CycleNs":30.72,"AreaCells":13931,` +
+	`"Hardware":null,"RuntimeUs":0.09215999999999999,"PowerMW":3.022653666666665,"EnergyUJ":0.0002785677619199998}}`
 
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
+// TestDecodeCombineBlobWithHardwareKey pins why persistVersion did not
+// change when the hardware model left Evaluation: encoding/json ignores
+// the stale "Hardware" key, so such a blob decodes to exactly the
+// evaluation computed today, and re-encodes to the same bytes minus the
+// key.
+func TestDecodeCombineBlobWithHardwareKey(t *testing.T) {
+	e, err := decodeStageBlob(StageCombine, []byte(hardwareKeyCombineBlob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	live, err := (&Pipeline{}).EvaluateKernel(toyCanonical(t), pipeKernelA, "kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(e.val, live) {
+		t.Errorf("decoded blob differs from the live evaluation:\ndecoded %+v\nlive    %+v", e.val, live)
+	}
+	want := strings.Replace(hardwareKeyCombineBlob, `"Hardware":null,`, "", 1)
+	if data, ok := encodeStageBlob(e); !ok || string(data) != want {
+		t.Errorf("re-encoded blob:\n%s\nwant\n%s", data, want)
+	}
 }

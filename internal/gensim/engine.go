@@ -165,9 +165,10 @@ func (e *Engine) Cycle() uint64 {
 	return e.resp.Cycle
 }
 
-// Stats returns architectural statistics identical to the other backends'.
-func (e *Engine) Stats() *xsim.Stats {
-	s := &xsim.Stats{
+// Stats returns a snapshot of the architectural statistics, identical to
+// the other backends'.
+func (e *Engine) Stats() xsim.Stats {
+	s := xsim.Stats{
 		OpCounts:   map[string]uint64{},
 		FieldIssue: make([]uint64, len(e.d.Fields)),
 	}

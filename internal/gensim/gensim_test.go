@@ -3,9 +3,12 @@ package gensim_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -69,12 +72,12 @@ func runAll(t *testing.T, d *isdl.Description, p *asm.Program, limit int64) {
 	compareSnapshots(t, "interp", interp.Snapshot(), aot.Snapshot())
 }
 
-func compareStats(t *testing.T, name string, want, got *xsim.Stats) {
+func compareStats(t *testing.T, name string, want, got xsim.Stats) {
 	t.Helper()
 	if want.Cycles != got.Cycles || want.Instructions != got.Instructions ||
 		want.DataStalls != got.DataStalls || want.StructStalls != got.StructStalls ||
 		want.Reads != got.Reads || want.Writes != got.Writes {
-		t.Fatalf("stats mismatch vs %s:\nwant %+v\ngot  %+v", name, *want, *got)
+		t.Fatalf("stats mismatch vs %s:\nwant %+v\ngot  %+v", name, want, got)
 	}
 	if len(want.OpCounts) != len(got.OpCounts) {
 		t.Fatalf("op count keys mismatch vs %s: want %v got %v", name, want.OpCounts, got.OpCounts)
@@ -288,6 +291,46 @@ done:
 		t.Fatal("reference did not halt in lockstep")
 	}
 	compareStats(t, "interp", ref.Stats(), aot.Stats())
+}
+
+// TestAOTStatsSnapshot: an aot Stats snapshot owns its map and slice, so
+// loading and running another program with a different operation mix on
+// the same engine leaves it exactly as it was.
+func TestAOTStatsSnapshot(t *testing.T) {
+	d := machines.Toy()
+	eng, info, err := xsim.NewEngine(d, xsim.BackendAOT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if info.Used != xsim.BackendAOT {
+		t.Skipf("aot backend unavailable: %s", info.FallbackReason)
+	}
+	run := func(src string) (snap, cp xsim.Stats) {
+		t.Helper()
+		p, err := asm.Assemble(d, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(1000); err != nil || !eng.Halted() {
+			t.Fatalf("run: err %v, halted %v", err, eng.Halted())
+		}
+		snap = eng.Stats()
+		cp = snap
+		cp.OpCounts = maps.Clone(snap.OpCounts)
+		cp.FieldIssue = slices.Clone(snap.FieldIssue)
+		return snap, cp
+	}
+	snap, want := run("mv R1, #5\n mv R2, #3\n add R3, R1, R2\n halt")
+	if got, _ := run("mv R1, #0\nloop: add R1, R1, #1\n sub R2, R1, #4\n beq R2, R0, done\n jmp loop\ndone: halt"); reflect.DeepEqual(got, want) {
+		t.Fatal("both programs gave equal statistics; the test needs different operation mixes")
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Errorf("Stats snapshot changed under a later Load/Run:\nnow  %+v\nwant %+v", snap, want)
+	}
 }
 
 // TestFallbackWhenDisabled: with the backend disabled the engine falls

@@ -190,8 +190,8 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 		tr.Err = fmt.Sprintf("interp: %v", err)
 		return tr
 	}
-	tr.Cycles = interp.Stats().Cycles
-	tr.Instructions = interp.Stats().Instructions
+	wantStats := interp.Stats()
+	tr.Cycles, tr.Instructions = wantStats.Cycles, wantStats.Instructions
 	got, err := extractRegion(interp, d, out)
 	if err != nil {
 		tr.Err = fmt.Sprintf("interp: %v", err)
@@ -201,7 +201,6 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 		diverge("golden", err.Error())
 	}
 	want := interp.Snapshot()
-	wantStats := interp.Stats()
 
 	// aot leg: the generated simulator must match interp bit for bit. On
 	// a fallback the leg would repeat the reference leg, so it is skipped.
@@ -256,7 +255,7 @@ func runEngine(eng xsim.Engine, prog *asm.Program) error {
 }
 
 // diffStats reports the first architectural-statistics disagreement, or "".
-func diffStats(a, b *xsim.Stats) string {
+func diffStats(a, b xsim.Stats) string {
 	type f struct {
 		name string
 		a, b uint64

@@ -63,8 +63,9 @@ type Engine interface {
 	Err() error
 	// Cycle returns the current cycle count.
 	Cycle() uint64
-	// Stats returns the architectural statistics gathered so far.
-	Stats() *Stats
+	// Stats returns a snapshot of the architectural statistics gathered
+	// so far; later calls on the engine never change it.
+	Stats() Stats
 	// Perf returns the simulator's own performance counters.
 	Perf() PerfReport
 	// Snapshot captures every storage element (for co-simulation checks).

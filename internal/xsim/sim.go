@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -58,7 +59,7 @@ type Stats struct {
 
 // Utilization returns each field's busy fraction over the executed
 // instructions.
-func (s *Stats) Utilization() []float64 {
+func (s Stats) Utilization() []float64 {
 	out := make([]float64, len(s.FieldIssue))
 	if s.Instructions == 0 {
 		return out
@@ -70,7 +71,7 @@ func (s *Stats) Utilization() []float64 {
 }
 
 // Summary renders the statistics as text.
-func (s *Stats) Summary(d *isdl.Description) string {
+func (s Stats) Summary(d *isdl.Description) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cycles:        %d\n", s.Cycles)
 	fmt.Fprintf(&sb, "instructions:  %d\n", s.Instructions)
@@ -165,7 +166,9 @@ type Simulator struct {
 
 	breakpoints map[int]bool
 	trace       io.Writer
-	stats       Stats
+	// stats holds the running counts. Its OpCounts stays nil: Stats
+	// builds that map from opCounters.
+	stats Stats
 	// perf counts the simulator's own work (decode-cache traffic, wall
 	// clock, cumulative simulated work); see perf.go. Unlike stats it
 	// survives Reset.
@@ -194,7 +197,6 @@ func New(d *isdl.Description) *Simulator {
 		breakpoints: map[int]bool{},
 		StallModel:  true,
 	}
-	sim.stats.OpCounts = map[string]uint64{}
 	sim.stats.FieldIssue = make([]uint64, len(d.Fields))
 	sim.stH = make([]state.Handle, len(d.Storage))
 	for _, st := range d.Storage {
@@ -233,14 +235,19 @@ func (sim *Simulator) State() *state.State { return sim.st }
 // Description returns the machine description.
 func (sim *Simulator) Description() *isdl.Description { return sim.d }
 
-// Stats returns the utilization statistics gathered so far.
-func (sim *Simulator) Stats() *Stats {
-	// Per-operation counts are kept in cached counters on the hot path;
-	// materialize the map view here.
+// Stats returns a snapshot of the utilization statistics gathered so far.
+// The snapshot owns its map and slice: later runs, Loads and Resets of the
+// simulator never change it.
+func (sim *Simulator) Stats() Stats {
+	s := sim.stats
+	s.FieldIssue = slices.Clone(s.FieldIssue)
+	// Per-operation counts are kept in cached counters on the hot path,
+	// one per operation decoded since New; materialize the map view here.
+	s.OpCounts = make(map[string]uint64, len(sim.opCounters))
 	for op, c := range sim.opCounters {
-		sim.stats.OpCounts[op.QualName()] = *c
+		s.OpCounts[op.QualName()] = *c
 	}
-	return &sim.stats
+	return s
 }
 
 // Cycle returns the current cycle count.
@@ -384,12 +391,9 @@ func (sim *Simulator) reset(keepDecodes bool) {
 	}
 	sim.halted = false
 	sim.stopErr = nil
-	oc, fi := sim.stats.OpCounts, sim.stats.FieldIssue
-	clear(oc)
-	for i := range fi {
-		fi[i] = 0
-	}
-	sim.stats = Stats{OpCounts: oc, FieldIssue: fi}
+	fi := sim.stats.FieldIssue
+	clear(fi)
+	sim.stats = Stats{FieldIssue: fi}
 }
 
 // fetch returns the pre-analyzed instruction at pc, decoding on first use

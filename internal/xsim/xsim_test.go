@@ -3,6 +3,9 @@ package xsim_test
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -398,6 +401,57 @@ func TestStats(t *testing.T) {
 	if s := st.Summary(sim.Description()); !strings.Contains(s, "EX.add") || !strings.Contains(s, "utilization") {
 		t.Errorf("summary: %q", s)
 	}
+}
+
+// Two toy programs with different operation mixes and image sizes, for
+// the Stats snapshot test.
+const (
+	statsProgA = "mv R1, #5\n mv R2, #3\n add R3, R1, R2\n halt"
+	statsProgB = `
+    mv R1, #0
+loop:
+    add R1, R1, #1
+    sub R2, R1, #4
+    beq R2, R0, done
+    jmp loop
+done:
+    halt`
+)
+
+// TestStatsSnapshot: Stats returns a snapshot that owns its map and
+// slice, so loading and running another program on the same simulator
+// leaves an earlier snapshot exactly as it was.
+func TestStatsSnapshot(t *testing.T) {
+	d := machines.Toy()
+	sim := xsim.New(d)
+	snap, want := runForStats(t, sim, d, statsProgA)
+	if got, _ := runForStats(t, sim, d, statsProgB); reflect.DeepEqual(got, want) {
+		t.Fatal("programs A and B gave equal statistics; the test needs different operation mixes")
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Errorf("Stats snapshot changed under a later Load/Run:\nnow  %+v\nwant %+v", snap, want)
+	}
+}
+
+// runForStats loads and runs src to halt on sim and returns its Stats
+// snapshot together with a deep copy of it.
+func runForStats(t *testing.T, sim *xsim.Simulator, d *isdl.Description, src string) (snap, cp xsim.Stats) {
+	t.Helper()
+	p, err := asm.Assemble(d, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(1000); err != nil || !sim.Halted() {
+		t.Fatalf("run: err %v, halted %v", err, sim.Halted())
+	}
+	snap = sim.Stats()
+	cp = snap
+	cp.OpCounts = maps.Clone(snap.OpCounts)
+	cp.FieldIssue = slices.Clone(snap.FieldIssue)
+	return snap, cp
 }
 
 func TestMonitorsDuringRun(t *testing.T) {

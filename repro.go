@@ -44,7 +44,8 @@ type (
 	Simulator = xsim.Simulator
 	// Session is the simulator's command/batch interface.
 	Session = xsim.Session
-	// Stats are the simulator's utilization statistics.
+	// Stats are the simulator's utilization statistics. Simulator.Stats
+	// returns a snapshot: later runs of the simulator never change it.
 	Stats = xsim.Stats
 	// Synthesis is the HGEN hardware implementation model.
 	Synthesis = hgen.Result
