@@ -103,6 +103,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"bad directive", ".frob 1", "unknown directive"},
 		{"data overflow", ".data RF 7 1 2 3", "overflows"},
 		{"data bad storage", ".data ACC 0 1", "not addressed"},
+		{"data twice", ".data RF 2 1 2\n.data RF 0 5\n.data RF 3 9", "line 3: .data initializes RF[3] twice"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

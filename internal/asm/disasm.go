@@ -31,14 +31,16 @@ func DisassembleWord(d *isdl.Description, word bitvec.Value) (string, error) {
 func RenderInst(d *isdl.Description, inst *decode.Inst) string {
 	parts := make([]string, 0, len(inst.Ops))
 	for _, op := range inst.Ops {
-		parts = append(parts, RenderOp(d, op))
+		parts = append(parts, RenderOp(d, op, nil))
 	}
 	return strings.Join(parts, " || ")
 }
 
 // RenderOp renders one decoded operation, qualifying the mnemonic with its
-// field when the name is ambiguous across fields.
-func RenderOp(d *isdl.Description, op *decode.Op) string {
+// field when the name is ambiguous across fields. labels maps an index of
+// the operation's parameters to a label written instead of the argument
+// (the compiler's branch targets); it may be nil.
+func RenderOp(d *isdl.Description, op *decode.Op, labels map[int]string) string {
 	var sb strings.Builder
 	count := 0
 	for _, f := range d.Fields {
@@ -51,11 +53,11 @@ func RenderOp(d *isdl.Description, op *decode.Op) string {
 		sb.WriteByte('.')
 	}
 	sb.WriteString(op.Op.Name)
-	renderSyntax(&sb, op.Op.Syntax, op.Args, true)
+	renderSyntax(&sb, op.Op.Syntax, op.Args, labels, true)
 	return sb.String()
 }
 
-func renderSyntax(sb *strings.Builder, syn []isdl.SynElem, args []decode.Arg, leadingSpace bool) {
+func renderSyntax(sb *strings.Builder, syn []isdl.SynElem, args []decode.Arg, labels map[int]string, leadingSpace bool) {
 	first := leadingSpace
 	for _, el := range syn {
 		switch {
@@ -73,6 +75,10 @@ func renderSyntax(sb *strings.Builder, syn []isdl.SynElem, args []decode.Arg, le
 				sb.WriteByte(' ')
 				first = false
 			}
+			if l, ok := labels[el.Param]; ok {
+				sb.WriteString(l)
+				continue
+			}
 			renderArg(sb, &args[el.Param])
 		}
 	}
@@ -89,7 +95,7 @@ func renderArg(sb *strings.Builder, a *decode.Arg) {
 		sb.WriteString(name)
 		return
 	}
-	renderSyntax(sb, a.Option.Syntax, a.Sub, false)
+	renderSyntax(sb, a.Option.Syntax, a.Sub, nil, false)
 }
 
 // DisassembleProgram renders a whole program as an address-annotated

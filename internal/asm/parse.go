@@ -137,6 +137,12 @@ func (a *assembler) run(src string, syms map[string]int, sizing bool) (*Program,
 				if int(base)+len(vals) > st.Depth {
 					return nil, fail(".data overflows %s (depth %d)", stg, st.Depth)
 				}
+				for _, prev := range p.Data {
+					lo := max(prev.Base, int(base))
+					if prev.Storage == stg && lo < min(prev.Base+len(prev.Values), int(base)+len(vals)) {
+						return nil, fail(".data initializes %s[%d] twice", stg, lo)
+					}
+				}
 				p.Data = append(p.Data, DataInit{Storage: stg, Base: int(base), Values: vals})
 			case "word":
 				for !sc.eol() {

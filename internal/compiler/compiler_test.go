@@ -207,6 +207,34 @@ v9 = v0 + v1;
 	}
 }
 
+// TestCompileSpillSkipsArrays puts an array at the top of the spill memory:
+// the spill slots must go below it instead of overwriting its elements.
+func TestCompileSpillSkipsArrays(t *testing.T) {
+	src := `
+array out[4] in DMEM at 252 = {11, 22, 33, 44};
+var v1 = 1, v2 = 2, v3 = 3, v4 = 4, v5 = 5, v6 = 6;
+v1 = v1 + v2;
+v3 = v3 + v4;
+out[0] = v5 + v6;
+`
+	d := machines.Toy()
+	sim, asmText := compileAndRun(t, d, src)
+	for i, want := range []uint64{11, 22, 33, 44} {
+		if got := sim.State().Get("DMEM", 252+i).Uint64(); got != want {
+			t.Errorf("out[%d] = %d, want %d\n%s", i, got, want, asmText)
+		}
+	}
+	if !strings.Contains(asmText, ".data DMEM 251 5") || !strings.Contains(asmText, ".data DMEM 250 6") {
+		t.Errorf("want v5 and v6 spilled just below the array:\n%s", asmText)
+	}
+
+	// With the whole memory taken by arrays no spill slot is left.
+	full := strings.Replace(src, "out[4] in DMEM at 252", "out[256] in DMEM at 0", 1)
+	if _, err := compiler.Compile(d, full); err == nil || !strings.Contains(err.Error(), "variable v5") {
+		t.Errorf("err = %v, want no spill slot left for v5", err)
+	}
+}
+
 // TestCompileMulWhereAvailable uses * on machines with a multiplier pattern
 // (toy has mul; SPAM's MAC writes ACC, not RF, so it is not classified).
 func TestCompileMulWhereAvailable(t *testing.T) {

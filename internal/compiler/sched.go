@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/decode"
 	"repro/internal/isdl"
 )
@@ -41,7 +42,7 @@ func schedule(d *isdl.Description, emits []emitted, noPacking bool) string {
 		}
 		parts := make([]string, len(bundle))
 		for i, e := range bundle {
-			parts[i] = renderOpText(d, e)
+			parts[i] = asm.RenderOp(d, e.dop, e.syms)
 		}
 		fmt.Fprintf(&sb, "    %s\n", strings.Join(parts, " || "))
 		bundle = bundle[:0]
@@ -115,64 +116,4 @@ func schedule(d *isdl.Description, emits []emitted, noPacking bool) string {
 	}
 	flush()
 	return sb.String()
-}
-
-// renderOpText renders one operation as assembly, substituting symbolic
-// labels for branch/jump target parameters. The mnemonic is field-qualified
-// when ambiguous, exactly as the disassembler would print it.
-func renderOpText(d *isdl.Description, e *emitted) string {
-	op := e.dop.Op
-	var sb strings.Builder
-	count := 0
-	for _, f := range d.Fields {
-		if _, ok := f.ByName[op.Name]; ok {
-			count++
-		}
-	}
-	if count > 1 {
-		sb.WriteString(op.Field.Name)
-		sb.WriteByte('.')
-	}
-	sb.WriteString(op.Name)
-	renderSyn(&sb, op.Syntax, e.dop.Args, e.syms, true)
-	return sb.String()
-}
-
-func renderSyn(sb *strings.Builder, syn []isdl.SynElem, args []decode.Arg, syms map[int]string, leading bool) {
-	first := leading
-	for _, el := range syn {
-		switch {
-		case el.Lit == ",":
-			sb.WriteString(", ")
-			first = false
-		case el.Lit != "":
-			if first {
-				sb.WriteByte(' ')
-				first = false
-			}
-			sb.WriteString(el.Lit)
-		default:
-			if first {
-				sb.WriteByte(' ')
-				first = false
-			}
-			if sym, ok := syms[el.Param]; ok {
-				sb.WriteString(sym)
-				continue
-			}
-			renderSchedArg(sb, &args[el.Param])
-		}
-	}
-}
-
-func renderSchedArg(sb *strings.Builder, a *decode.Arg) {
-	if a.Param.Token != nil {
-		if name, ok := a.Param.Token.NameFor(a.Value); ok {
-			sb.WriteString(name)
-		} else {
-			sb.WriteString(a.Value.String())
-		}
-		return
-	}
-	renderSyn(sb, a.Option.Syntax, a.Sub, nil, false)
 }

@@ -32,11 +32,14 @@ func (w *cw) out() { w.indent-- }
 
 // scope is one parameter binding level: an operation's parameters, or one
 // option's parameters when compiling inside a non-terminal. path uniquely
-// names the level for method memoization.
+// names the level for method memoization. A read-set scope also fixes the
+// option of every non-terminal (assign), so a non-terminal's value
+// compiles inline as the chosen option's.
 type scope struct {
-	og   *opGen
-	locs []paramLoc
-	path string
+	og     *opGen
+	locs   []paramLoc
+	path   string
+	assign map[*paramLoc]int
 }
 
 func (sc *scope) find(p *isdl.Param) *paramLoc {
@@ -55,6 +58,16 @@ func (sc *scope) sub(pl *paramLoc, oi int) *scope {
 		path: sc.path + "_" + ident(pl.p.Name) + "_o" + fmt.Sprint(oi),
 	}
 }
+
+// chosen returns a read-set scope's option for pl and the scope of that
+// option's parameters.
+func (sc *scope) chosen(pl *paramLoc) (*isdl.Option, *scope) {
+	os := pl.opts[sc.assign[pl]]
+	return os.opt, &scope{og: sc.og, locs: os.params, assign: sc.assign}
+}
+
+// Option implements isdl.ReadScope for a read-set scope.
+func (sc *scope) Option(i int) (*isdl.Option, isdl.ReadScope) { return sc.chosen(&sc.locs[i]) }
 
 func ident(s string) string {
 	var b strings.Builder
@@ -115,6 +128,10 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 			}
 			if pl.p.Token != nil {
 				return fmt.Sprintf("a[%d]", pl.slot), nil
+			}
+			if sc.assign != nil {
+				opt, sub := sc.chosen(pl)
+				return g.expr(opt.Value, sub)
 			}
 			name, err := g.valueMethod(sc, pl)
 			if err != nil {
@@ -193,8 +210,7 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 	return "", g.unsupported("expression form %T", e)
 }
 
-// binOp compiles a non-short-circuit binary operator (shared with the
-// read-set static evaluator, which routes through the same evalBinary).
+// binOp compiles a non-short-circuit binary operator.
 func (g *gen) binOp(op, x, y string, xw, w int) (string, error) {
 	switch op {
 	case "+":

@@ -437,7 +437,7 @@ func (sim *Simulator) fetch(pc int) (*instInfo, error) {
 			count:   counter,
 		}
 		addOptionCosts(&oi, oi.env)
-		oi.reads = readSet(sim, dop)
+		oi.reads = readSet(dop.Op, oi.env)
 		if len(dop.Op.Action) > 0 {
 			ii.actionOps = append(ii.actionOps, len(ii.ops))
 		}
