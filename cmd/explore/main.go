@@ -62,11 +62,12 @@
 //     trace context in X-Repro-Trace), and the daemon's queue-wait and
 //     pipeline-stage spans come back merged into this run's trace, so
 //     -trace-out shows the client → queue → stages → store timeline.
-//   - -dash :PORT serves the live dashboard (GET /dash) plus /dash/data,
-//     /metrics and /debug/flight while the exploration runs.
-//   - -pprof :PORT serves net/http/pprof for continuous profiling.
-//   - SIGQUIT dumps the flight recorder (last N completed spans) to
-//     stderr without stopping the run.
+//   - -dash :PORT serves the debug surface while the exploration runs:
+//     the live dashboard (GET /dash) plus /dash/data, /metrics and
+//     /debug/flight — the handler cmd/served mounts — and
+//     net/http/pprof under /debug/pprof/.
+//   - SIGQUIT dumps the flight recorder (the last 256 completed spans)
+//     to stderr without stopping the run.
 package main
 
 import (
@@ -76,12 +77,9 @@ import (
 	"io"
 	"log"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux; exposed only with -pprof
+	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux; exposed only with -dash
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro"
 	"repro/internal/atomicfile"
@@ -120,10 +118,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file here (chrome://tracing, Perfetto)")
 	quietObs := flag.Bool("no-summary", false, "suppress the metrics summary table on stderr")
 	remote := flag.String("remote", "", "evaluate on a cmd/served daemon (http://HOST) instead of locally; see docs/SERVICE.md")
-	dashAddr := flag.String("dash", "", "serve the live dashboard on this address (e.g. :8355) while running")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address while running")
-	sampleEvery := flag.Duration("sample-every", time.Second, "dashboard sampling interval (with -dash)")
-	flightCap := flag.Int("flight", 256, "flight-recorder capacity (last N completed spans)")
+	dashAddr := flag.String("dash", "", "serve the live dashboard, metrics, flight dump and pprof on this address (e.g. :8355) while running")
 	flag.Parse()
 	if *machine == "" || *kernelFile == "" {
 		fmt.Fprintln(os.Stderr, "usage: explore -m <machine> -k <kernel.k> [-strategy hill|beam|pareto] [-beam w] [-max-area a -max-power p -frontier-out f.json] [-restarts n] [-seed s] [-iters n] [-o best.isdl]")
@@ -162,24 +157,19 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	flight := obs.NewFlightRecorder(*flightCap)
-	reg.AttachFlight(flight)
-	dumpFlightOnQuit(flight)
-	var sampler *obs.Sampler
+	obs.DumpFlightOnQuit(reg, "explore")
 	if *dashAddr != "" {
-		sampler = obs.NewSampler(reg, *sampleEvery, 0)
+		sampler := obs.NewSampler(reg)
 		sampler.Start()
 		defer sampler.Stop()
-		go serveDebug(*dashAddr, reg, sampler, flight)
-		fmt.Fprintf(os.Stderr, "explore: dashboard on http://localhost%s/dash\n", normalizeAddr(*dashAddr))
-	}
-	if *pprofAddr != "" {
+		mux := obs.Handler(reg, sampler)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, http.DefaultServeMux); err != nil {
-				log.Println("explore: pprof server:", err)
+			if err := http.ListenAndServe(*dashAddr, mux); err != nil {
+				log.Println("explore: dashboard server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "explore: pprof on http://localhost%s/debug/pprof/\n", normalizeAddr(*pprofAddr))
+		fmt.Fprintf(os.Stderr, "explore: dashboard on http://localhost%s/dash\n", normalizeAddr(*dashAddr))
 	}
 
 	if *remote != "" {
@@ -354,44 +344,6 @@ func runRemote(daemon, machineArg, baseSrc, kernel string, reg *obs.Registry, me
 			ev.RuntimeUs, ev.AreaCells, ev.PowerMW, ev.EnergyUJ)
 	}
 	writeObsOutputs(reg, metricsOut, traceOut, quiet)
-}
-
-// serveDebug hosts the live dashboard endpoints during a run.
-func serveDebug(addr string, reg *obs.Registry, sampler *obs.Sampler, flight *obs.FlightRecorder) {
-	mux := http.NewServeMux()
-	mux.Handle("GET /dash", obs.DashHandler(sampler))
-	mux.Handle("GET /dash/data", obs.DashHandler(sampler))
-	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		flight.WriteJSON(w)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WriteProm(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteMetricsJSON(w)
-	})
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		log.Println("explore: dashboard server:", err)
-	}
-}
-
-// dumpFlightOnQuit prints the flight recorder to stderr on SIGQUIT
-// without interrupting the run.
-func dumpFlightOnQuit(flight *obs.FlightRecorder) {
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			fmt.Fprintln(os.Stderr, "explore: flight recorder dump (SIGQUIT):")
-			if err := flight.WriteJSON(os.Stderr); err != nil {
-				log.Println("explore: flight dump:", err)
-			}
-		}
-	}()
 }
 
 // normalizeAddr makes a bare ":port" printable as localhost:port.

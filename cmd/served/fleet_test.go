@@ -103,12 +103,12 @@ func TestSubmitWithoutTraceStillWorks(t *testing.T) {
 	s.start()
 	defer s.closeAndWait()
 
-	code, st := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code, st := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
 	}
 	final := waitDone(t, ts.URL, st.ID)
-	if final.Status != statusDone {
+	if final.Status != service.StatusDone {
 		t.Fatalf("job = %+v, want done", final)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
@@ -116,7 +116,7 @@ func TestSubmitWithoutTraceStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out statusJSON
+	var out service.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMetricsPromEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, 1, 4)
 	s.start()
 	defer s.closeAndWait()
-	code, _ := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code, _ := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -177,7 +177,7 @@ func TestDashAndFlightEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, 1, 4)
 	s.start()
 	defer s.closeAndWait()
-	code, st := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code, st := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -222,7 +222,7 @@ func TestDashAndFlightEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /debug/flight: %v", err)
 	}
-	if flight.Total == 0 || len(flight.Spans) == 0 {
-		t.Errorf("flight recorder empty after a completed job: %+v", flight)
+	if flight.Capacity != 256 || flight.Total == 0 || len(flight.Spans) == 0 {
+		t.Errorf("flight dump after a completed job: %+v, want capacity 256 and spans", flight)
 	}
 }

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	served [-addr :8344] [-store dir:PATH|mem] [-jobs n] [-queue n]
-//	       [-sim-backend interp|aot] [-sample-every 1s]
-//	       [-flight 256] [-pprof]
+//	       [-sim-backend interp|aot] [-drain-timeout 1m] [-pprof]
 //
 // Endpoints (docs/SERVICE.md is the full contract):
 //
@@ -21,15 +20,18 @@
 //	                             plus the job's daemon-side spans for
 //	                             cross-process trace merging
 //	     /v1/blobs/{ns}/{key}    the shared artifact store (GET/PUT/HEAD)
-//	GET  /healthz, /metrics      liveness and the obs registry as JSON;
-//	                             ?format=prom for Prometheus text
-//	                             exposition, ?format=text for the summary
+//	GET  /healthz                liveness
+//	GET  /metrics                the obs registry as JSON; ?format=prom
+//	                             for Prometheus text exposition,
+//	                             ?format=text for the summary table
 //	GET  /dash, /dash/data       live dashboard (single-file HTML) and
 //	                             its sampled time-series JSON
-//	GET  /debug/flight           the last N completed spans (flight
-//	                             recorder); also dumped to stderr on
-//	                             SIGQUIT
+//	GET  /debug/flight           the last 256 completed spans (the flight
+//	                             dump); also written to stderr on SIGQUIT
 //	     /debug/pprof/           continuous profiling, only with -pprof
+//
+// /metrics, /dash, /dash/data and /debug/flight are obs.Handler, the
+// debug surface `explore -dash` serves too.
 //
 // On SIGINT/SIGTERM the daemon drains: new submits are rejected with a
 // retryable 503, in-flight evaluations run to completion (their
@@ -63,9 +65,6 @@ func main() {
 	queueCap := flag.Int("queue", 64, "pending-job bound; submits beyond it get a retryable 503")
 	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp (default) or aot")
 	drainWait := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for open HTTP connections")
-	sampleEvery := flag.Duration("sample-every", time.Second, "dashboard sampling interval")
-	sampleWindow := flag.Int("sample-window", 360, "samples kept for the dashboard")
-	flightCap := flag.Int("flight", 256, "flight-recorder capacity (last N completed spans)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
@@ -79,9 +78,6 @@ func main() {
 		workers:    *workers,
 		queueCap:   *queueCap,
 		simBackend: *simBackend,
-		sampleEvry: *sampleEvery,
-		sampleWin:  *sampleWindow,
-		flightCap:  *flightCap,
 		pprof:      *pprofOn,
 	})
 	if err != nil {
@@ -102,18 +98,7 @@ func main() {
 			log.Println("served: shutdown:", err)
 		}
 	}()
-	// SIGQUIT dumps the flight recorder — the last N completed spans —
-	// to stderr without stopping the daemon.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			fmt.Fprintln(os.Stderr, "served: flight recorder dump (SIGQUIT):")
-			if err := srv.flight.WriteJSON(os.Stderr); err != nil {
-				log.Println("served: flight dump:", err)
-			}
-		}
-	}()
+	obs.DumpFlightOnQuit(reg, "served")
 
 	log.Printf("served: listening on %s, store %s, %d workers, queue %d", *addr, *storeSpec, *workers, *queueCap)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -3,8 +3,9 @@ package main
 // The exploration service: a bounded job queue running core.Pipeline
 // evaluations against the shared artifact store, behind three JSON
 // endpoints (submit/status/result), the blob tree remote explorers
-// mount as their -store, and health/metrics probes. docs/SERVICE.md is
-// the contract; server_test.go pins the queue and drain semantics.
+// mount as their -store, a health probe and the obs debug surface.
+// docs/SERVICE.md is the contract and internal/service holds its wire
+// types; server_test.go pins the queue and drain semantics.
 
 import (
 	"encoding/json"
@@ -21,43 +22,20 @@ import (
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/service"
 	"repro/internal/xsim"
-)
-
-// jobRequest is one evaluation submission: a description (builtin
-// machine name or raw ISDL source, exactly one) plus the kernel to
-// compile, assemble, simulate and synthesize it against.
-type jobRequest struct {
-	Machine  string `json:"machine,omitempty"` // zoo machine name (machines.ZooNames)
-	ISDL     string `json:"isdl,omitempty"`    // raw description source
-	Kernel   string `json:"kernel"`
-	Workload string `json:"workload,omitempty"` // label in reports; default "kernel"
-}
-
-// jobStatus is a job's lifecycle state. "retry" is terminal but
-// retryable: the job was rejected before running (queue drained at
-// shutdown) and an identical resubmission is safe and cheap — whatever
-// partial work happened is in the shared store.
-type jobStatus string
-
-const (
-	statusQueued  jobStatus = "queued"
-	statusRunning jobStatus = "running"
-	statusDone    jobStatus = "done"
-	statusFailed  jobStatus = "failed"
-	statusRetry   jobStatus = "retry"
 )
 
 // job is one queued or completed evaluation.
 type job struct {
 	id    string
-	req   jobRequest
+	req   service.JobRequest
 	src   string           // resolved ISDL source
 	trace obs.TraceContext // client's trace context, if the submit carried one
 	wait  *obs.Span        // queue-wait span, started at submit, ended when run begins
 
 	mu        sync.Mutex
-	status    jobStatus
+	status    service.Status
 	errMsg    string
 	eval      *core.Evaluation
 	cached    bool
@@ -65,34 +43,19 @@ type job struct {
 	submitted time.Time
 }
 
-func (j *job) set(st jobStatus, errMsg string) {
+func (j *job) set(st service.Status, errMsg string) {
 	j.mu.Lock()
 	j.status, j.errMsg = st, errMsg
 	j.mu.Unlock()
 }
 
-// statusJSON is the wire form of a job's state (status and result
-// endpoints, and submit rejections, which carry no id).
-type statusJSON struct {
-	ID        string           `json:"id,omitempty"`
-	Status    jobStatus        `json:"status"`
-	Error     string           `json:"error,omitempty"`
-	Cached    bool             `json:"cached,omitempty"`
-	Retryable bool             `json:"retryable,omitempty"`
-	Eval      *core.Evaluation `json:"evaluation,omitempty"`
-	// TraceID is the daemon registry's trace identity and Spans the
-	// job's daemon-side span subtrees (queue wait, the job, its pipeline
-	// stages) in wire form — returned with the result so the client can
-	// merge them under its own submit span (obs.ImportSpans).
-	TraceID string         `json:"trace_id,omitempty"`
-	Spans   []obs.WireSpan `json:"spans,omitempty"`
-}
-
-func (j *job) statusJSON(withEval bool) statusJSON {
+// wire returns the job's state document, with the evaluation when
+// withEval is set.
+func (j *job) wire(withEval bool) service.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := statusJSON{ID: j.id, Status: j.status, Error: j.errMsg,
-		Cached: j.cached, Retryable: j.status == statusRetry}
+	out := service.JobStatus{ID: j.id, Status: j.status, Error: j.errMsg,
+		Cached: j.cached, Retryable: j.status == service.StatusRetry}
 	if withEval {
 		out.Eval = j.eval
 	}
@@ -107,16 +70,13 @@ const (
 	laneQueue = 1
 )
 
-// serverConfig sizes a server's fleet-telemetry knobs alongside the
-// queue; zero values mean "sensible default" (and "off" for pprof).
+// serverConfig sizes a server's queue and picks its simulator backend
+// and whether it exposes profiling.
 type serverConfig struct {
 	workers    int
 	queueCap   int
-	simBackend string        // "" = evaluator default
-	sampleEvry time.Duration // dashboard sampling interval; <= 0 = 1s
-	sampleWin  int           // samples kept for the dashboard; <= 0 = 360
-	flightCap  int           // flight-recorder span ring; <= 0 = 256
-	pprof      bool          // mount net/http/pprof under /debug/pprof/
+	simBackend string // "" = evaluator default
+	pprof      bool   // mount net/http/pprof under /debug/pprof/
 }
 
 // server owns the queue, the workers, the shared store and the pipeline.
@@ -126,7 +86,6 @@ type server struct {
 	cache   *core.StageCache
 	pipe    *core.Pipeline
 	sampler *obs.Sampler
-	flight  *obs.FlightRecorder
 
 	// evalFn runs one job's evaluation under the given parent span;
 	// tests stub it. The bool is the served-from-cache verdict.
@@ -160,20 +119,18 @@ func newServer(st blob.Store, reg *obs.Registry, cfg serverConfig) (*server, err
 	cache := core.NewStageCache()
 	cache.Bind(reg)
 	cache.SetStore(st)
-	flight := obs.NewFlightRecorder(cfg.flightCap)
-	reg.AttachFlight(flight)
 	reg.SetLaneName(laneJobs, "jobs")
 	reg.SetLaneName(laneQueue, "queue")
+	sampler := obs.NewSampler(reg)
 	s := &server{
 		reg:     reg,
 		store:   st,
 		cache:   cache,
 		pipe:    &core.Pipeline{Evaluator: ev, Cache: cache, Obs: reg},
-		sampler: obs.NewSampler(reg, cfg.sampleEvry, cfg.sampleWin),
-		flight:  flight,
+		sampler: sampler,
 		workers: cfg.workers,
 		queue:   make(chan *job, cfg.queueCap),
-		mux:     http.NewServeMux(),
+		mux:     obs.Handler(reg, sampler), // the debug surface; job, blob and health routes join it
 	}
 	s.evalFn = s.evaluate
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -181,10 +138,6 @@ func newServer(st blob.Store, reg *obs.Registry, cfg serverConfig) (*server, err
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	s.mux.Handle("/v1/blobs/", blob.HandlerObs(st, reg))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.Handle("GET /dash", obs.DashHandler(s.sampler))
-	s.mux.Handle("GET /dash/data", obs.DashHandler(s.sampler))
-	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	if cfg.pprof {
 		// The net/http/pprof import registers on DefaultServeMux;
 		// exposing it is opt-in.
@@ -242,7 +195,7 @@ func (s *server) worker() {
 			// stretch the shutdown by a whole evaluation.
 			j.wait.SetArg("outcome", "drained")
 			j.wait.End()
-			j.set(statusRetry, "server draining; resubmit")
+			j.set(service.StatusRetry, "server draining; resubmit")
 			s.reg.Counter("served.jobs.retried").Inc()
 			continue
 		}
@@ -267,18 +220,18 @@ func (s *server) run(j *job) {
 	j.mu.Unlock()
 	s.reg.Histogram("served.job.wait.ns").Observe(time.Since(j.submitted))
 	s.reg.Gauge("served.jobs.running").Add(1)
-	j.set(statusRunning, "")
+	j.set(service.StatusRunning, "")
 	start := time.Now()
 	eval, cached, err := s.evalFn(j, sp)
 	s.reg.Histogram("served.job.run.ns").Observe(time.Since(start))
 	s.reg.Gauge("served.jobs.running").Add(-1)
 	if err != nil {
-		j.set(statusFailed, err.Error())
+		j.set(service.StatusFailed, err.Error())
 		s.reg.Counter("served.jobs.failed").Inc()
 		sp.SetArg("err", err.Error())
 	} else {
 		j.mu.Lock()
-		j.status, j.eval, j.cached = statusDone, eval, cached
+		j.status, j.eval, j.cached = service.StatusDone, eval, cached
 		j.mu.Unlock()
 		s.reg.Counter("served.jobs.done").Inc()
 		if cached {
@@ -315,26 +268,26 @@ func (s *server) evaluate(j *job, sp *obs.Span) (*core.Evaluation, bool, error) 
 const maxRequestBytes = 1 << 20
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
+	var req service.JobRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, statusJSON{Status: statusFailed, Error: err.Error()})
+		writeJSON(w, http.StatusRequestEntityTooLarge, service.JobStatus{Status: service.StatusFailed, Error: err.Error()})
 		return
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, statusJSON{Status: statusFailed, Error: "bad request: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, service.JobStatus{Status: service.StatusFailed, Error: "bad request: " + err.Error()})
 		return
 	}
 	src, err := resolveSource(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, statusJSON{Status: statusFailed, Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, service.JobStatus{Status: service.StatusFailed, Error: err.Error()})
 		return
 	}
 	j := &job{
 		id:        fmt.Sprintf("j%d", s.nextID.Add(1)),
 		req:       req,
 		src:       src,
-		status:    statusQueued,
+		status:    service.StatusQueued,
 		submitted: time.Now(),
 	}
 	j.trace, _ = obs.ExtractTrace(r.Header)
@@ -354,7 +307,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.jobs.Delete(j.id)
 		s.reg.Counter("served.jobs.rejected").Inc()
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, statusJSON{Status: statusRetry, Retryable: true, Error: "server draining; resubmit"})
+		writeJSON(w, http.StatusServiceUnavailable, service.JobStatus{Status: service.StatusRetry, Retryable: true, Error: "server draining; resubmit"})
 		return
 	}
 	select {
@@ -362,19 +315,19 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.qmu.RUnlock()
 		s.reg.Counter("served.jobs.submitted").Inc()
 		s.reg.Gauge("served.queue.depth").Set(int64(len(s.queue)))
-		writeJSON(w, http.StatusAccepted, statusJSON{ID: j.id, Status: statusQueued})
+		writeJSON(w, http.StatusAccepted, service.JobStatus{ID: j.id, Status: service.StatusQueued})
 	default:
 		s.qmu.RUnlock()
 		s.jobs.Delete(j.id)
 		s.reg.Counter("served.jobs.rejected").Inc()
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, statusJSON{Status: statusRetry, Retryable: true, Error: "job queue full; resubmit"})
+		writeJSON(w, http.StatusServiceUnavailable, service.JobStatus{Status: service.StatusRetry, Retryable: true, Error: "job queue full; resubmit"})
 	}
 }
 
 // resolveSource turns a request into ISDL text: exactly one of machine
 // (builtin name) or isdl (raw source), plus a non-empty kernel.
-func resolveSource(req jobRequest) (string, error) {
+func resolveSource(req service.JobRequest) (string, error) {
 	if req.Kernel == "" {
 		return "", errors.New("kernel is required")
 	}
@@ -396,7 +349,7 @@ func resolveSource(req jobRequest) (string, error) {
 func (s *server) job(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	v, ok := s.jobs.Load(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, statusJSON{Status: statusFailed, Error: "unknown job " + r.PathValue("id")})
+		writeJSON(w, http.StatusNotFound, service.JobStatus{Status: service.StatusFailed, Error: "unknown job " + r.PathValue("id")})
 		return nil, false
 	}
 	return v.(*job), true
@@ -407,7 +360,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, j.statusJSON(false))
+	writeJSON(w, http.StatusOK, j.wire(false))
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -415,9 +368,9 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out := j.statusJSON(true)
+	out := j.wire(true)
 	switch out.Status {
-	case statusDone:
+	case service.StatusDone:
 		j.mu.Lock()
 		roots := append([]uint64(nil), j.roots...)
 		j.mu.Unlock()
@@ -426,7 +379,7 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 			out.Spans = spans
 		}
 		writeJSON(w, http.StatusOK, out)
-	case statusRetry:
+	case service.StatusRetry:
 		out.Eval = nil
 		writeJSON(w, http.StatusServiceUnavailable, out)
 	default:
@@ -444,37 +397,6 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.reg.WriteMetricsJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.reg.WriteProm(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := s.reg.WriteText(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (json, prom or text)", format), http.StatusBadRequest)
-	}
-}
-
-// handleFlight dumps the flight recorder: the last N completed spans,
-// oldest first, as JSON wire spans with wall-clock timestamps.
-func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.flight.WriteJSON(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 const testKernel = "var x, y;\nx = 2;\ny = x + 3;\n"
@@ -35,7 +36,7 @@ func newTestServer(t *testing.T, workers, queueCap int) (*server, *httptest.Serv
 	return s, ts
 }
 
-func postJob(t *testing.T, url string, req jobRequest) (int, statusJSON) {
+func postJob(t *testing.T, url string, req service.JobRequest) (int, service.JobStatus) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -43,21 +44,21 @@ func postJob(t *testing.T, url string, req jobRequest) (int, statusJSON) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out statusJSON
+	var out service.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("submit response: %v", err)
 	}
 	return resp.StatusCode, out
 }
 
-func getStatus(t *testing.T, url, id string) statusJSON {
+func getStatus(t *testing.T, url, id string) service.JobStatus {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out statusJSON
+	var out service.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -65,19 +66,19 @@ func getStatus(t *testing.T, url, id string) statusJSON {
 }
 
 // waitDone polls a job to a terminal state.
-func waitDone(t *testing.T, url, id string) statusJSON {
+func waitDone(t *testing.T, url, id string) service.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		st := getStatus(t, url, id)
 		switch st.Status {
-		case statusDone, statusFailed, statusRetry:
+		case service.StatusDone, service.StatusFailed, service.StatusRetry:
 			return st
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
-	return statusJSON{}
+	return service.JobStatus{}
 }
 
 // TestSubmitStatusResult runs the whole lifecycle against the real
@@ -89,12 +90,12 @@ func TestSubmitStatusResult(t *testing.T) {
 	s.start()
 	defer s.closeAndWait()
 
-	code, sub := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code, sub := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	if code != http.StatusAccepted || sub.ID == "" {
 		t.Fatalf("submit = %d %+v, want 202 with id", code, sub)
 	}
 	st := waitDone(t, ts.URL, sub.ID)
-	if st.Status != statusDone {
+	if st.Status != service.StatusDone {
 		t.Fatalf("job ended %q (%s), want done", st.Status, st.Error)
 	}
 	if st.Cached {
@@ -106,7 +107,7 @@ func TestSubmitStatusResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var res statusJSON
+	var res service.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +119,9 @@ func TestSubmitStatusResult(t *testing.T) {
 	}
 
 	// Identical resubmission: the combine artifact answers from the store.
-	_, sub2 := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	_, sub2 := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	st2 := waitDone(t, ts.URL, sub2.ID)
-	if st2.Status != statusDone {
+	if st2.Status != service.StatusDone {
 		t.Fatalf("second job ended %q (%s)", st2.Status, st2.Error)
 	}
 	if !st2.Cached {
@@ -130,7 +131,7 @@ func TestSubmitStatusResult(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, 1, 1)
-	cases := []jobRequest{
+	cases := []service.JobRequest{
 		{},                                       // nothing
 		{Machine: "toy"},                         // no kernel
 		{Kernel: testKernel},                     // no description
@@ -175,10 +176,10 @@ func TestQueueFullRejected(t *testing.T) {
 	s.start()
 	defer func() { close(release); s.closeAndWait() }()
 
-	code1, _ := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code1, _ := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	started.Wait() // worker holds job 1
-	code2, _ := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
-	code3, rej := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code2, _ := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
+	code3, rej := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	if code1 != http.StatusAccepted || code2 != http.StatusAccepted {
 		t.Fatalf("first two submits = %d, %d, want 202", code1, code2)
 	}
@@ -200,12 +201,12 @@ func TestGracefulDrain(t *testing.T) {
 	s.evalFn = fn
 	s.start()
 
-	_, inflight := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	_, inflight := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	started.Wait() // worker is inside job 1
-	_, queued := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	_, queued := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 
 	s.beginDrain()
-	code, rej := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	code, rej := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	if code != http.StatusServiceUnavailable || !rej.Retryable {
 		t.Fatalf("submit while draining = %d %+v, want retryable 503", code, rej)
 	}
@@ -218,11 +219,11 @@ func TestGracefulDrain(t *testing.T) {
 	close(release) // let the in-flight job finish
 	s.closeAndWait()
 
-	if st := getStatus(t, ts.URL, inflight.ID); st.Status != statusDone {
+	if st := getStatus(t, ts.URL, inflight.ID); st.Status != service.StatusDone {
 		t.Errorf("in-flight job drained to %q, want done", st.Status)
 	}
 	st := getStatus(t, ts.URL, queued.ID)
-	if st.Status != statusRetry || !st.Retryable {
+	if st.Status != service.StatusRetry || !st.Retryable {
 		t.Errorf("queued job drained to %+v, want retryable retry", st)
 	}
 	// Its result endpoint must also say retry, not serve an evaluation.
@@ -260,7 +261,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	s.evalFn = func(*job, *obs.Span) (*core.Evaluation, bool, error) { return &core.Evaluation{}, false, nil }
 	s.start()
 	defer s.closeAndWait()
-	_, sub := postJob(t, ts.URL, jobRequest{Machine: "toy", Kernel: testKernel})
+	_, sub := postJob(t, ts.URL, service.JobRequest{Machine: "toy", Kernel: testKernel})
 	waitDone(t, ts.URL, sub.ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -285,7 +286,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestOversizeSubmitRejected guards the request body bound.
 func TestOversizeSubmitRejected(t *testing.T) {
 	_, ts := newTestServer(t, 1, 1)
-	huge := jobRequest{ISDL: strings.Repeat("x", maxRequestBytes+1), Kernel: testKernel}
+	huge := service.JobRequest{ISDL: strings.Repeat("x", maxRequestBytes+1), Kernel: testKernel}
 	body, _ := json.Marshal(huge)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -1,6 +1,8 @@
 package explore_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -10,10 +12,10 @@ import (
 )
 
 // TestExploreFleetTelemetryBitIdentical (runs under -race in CI): a
-// background metrics sampler and an attached flight recorder observe the
-// exploration, they must not steer it — the result stays bit-identical
-// to a plain instrumented run, the sampler window carries exploration
-// gauges, and the flight ring holds the trailing spans.
+// background metrics sampler observes the exploration and must not steer
+// it — the result stays bit-identical to a plain instrumented run, the
+// sampler window carries exploration gauges, and the flight dump holds
+// the registry's trailing spans.
 func TestExploreFleetTelemetryBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
@@ -21,11 +23,22 @@ func TestExploreFleetTelemetryBitIdentical(t *testing.T) {
 	plain, _ := runConfig(t, 8, false)
 
 	reg := obs.NewRegistry()
-	flight := obs.NewFlightRecorder(64)
-	reg.AttachFlight(flight)
-	sampler := obs.NewSampler(reg, time.Millisecond, 128)
-	sampler.Start()
-	defer sampler.Stop()
+	sampler := obs.NewSampler(reg)
+	// Sample every millisecond while the exploration runs; the
+	// sampler's own ticker fires only once a second.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				sampler.SampleNow()
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
 
 	res, err := explore.New(machines.SPAMSource, sumKernel,
 		explore.WithMaxIters(3),
@@ -35,7 +48,7 @@ func TestExploreFleetTelemetryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "sampled+flight", plain, res)
+	sameResult(t, "sampled", plain, res)
 
 	sampler.SampleNow()
 	samples := sampler.Samples()
@@ -53,18 +66,31 @@ func TestExploreFleetTelemetryBitIdentical(t *testing.T) {
 		t.Error("dash data empty after an instrumented exploration")
 	}
 
-	if flight.Total() == 0 || len(flight.Spans()) == 0 {
-		t.Error("flight recorder saw no spans during exploration")
+	var buf bytes.Buffer
+	if err := reg.WriteFlight(&buf); err != nil {
+		t.Fatal(err)
 	}
-	// Every span in the ring is a real span the registry also recorded
-	// (ring order may interleave with the registry under concurrency).
-	known := map[uint64]bool{}
-	for _, sp := range reg.Spans() {
-		known[sp.ID] = true
+	var flight struct {
+		Capacity int            `json:"capacity"`
+		Total    int            `json:"total"`
+		Spans    []obs.WireSpan `json:"spans"`
 	}
-	for _, sp := range flight.Spans() {
-		if !known[sp.ID] {
-			t.Errorf("flight ring span %d (%s) unknown to the registry", sp.ID, sp.Name)
+	if err := json.Unmarshal(buf.Bytes(), &flight); err != nil {
+		t.Fatal(err)
+	}
+	// The dump is a view of the registry's own spans: it counts all of
+	// them and shows the last 256 to finish, each one the registry knows.
+	spans := reg.Spans()
+	if flight.Total != len(spans) || len(flight.Spans) != min(len(spans), flight.Capacity) {
+		t.Errorf("flight dump total %d with %d spans, registry holds %d", flight.Total, len(flight.Spans), len(spans))
+	}
+	known := map[uint64]string{}
+	for _, sp := range spans {
+		known[sp.ID] = sp.Name
+	}
+	for _, sp := range flight.Spans {
+		if name, ok := known[sp.ID]; !ok || name != sp.Name {
+			t.Errorf("flight span %d (%s) unknown to the registry", sp.ID, sp.Name)
 		}
 	}
 }

@@ -108,9 +108,6 @@ func WithLog(fn func(Event)) Option { return func(c *Config) { c.Log = fn } }
 // WithObs sets the metrics/span registry.
 func WithObs(r *obs.Registry) Option { return func(c *Config) { c.Obs = r } }
 
-// WithStrategy sets the search strategy explicitly.
-func WithStrategy(s Strategy) Option { return func(c *Config) { c.Strategy = s } }
-
 // WithBeam selects beam search with the given frontier width.
 func WithBeam(width int) Option { return func(c *Config) { c.Strategy = Beam{Width: width} } }
 
@@ -122,7 +119,7 @@ func WithPareto(width int, cons Constraints) Option {
 }
 
 // WithRestarts adds n seeded random restarts around whichever strategy is
-// configured (order relative to WithBeam/WithStrategy does not matter):
+// configured (order relative to WithBeam/WithPareto does not matter):
 // restart 0 runs from the unperturbed base, restarts 1..n from bases
 // perturbed by seeded random mutations, and the Result reports each
 // restart's best plus the global winner.

@@ -21,17 +21,8 @@ func Disabled() bool {
 	if os.Getenv("REPRO_GENSIM_DISABLE") != "" {
 		return true
 	}
-	_, err := goTool()
+	_, err := exec.LookPath("go")
 	return err != nil
-}
-
-// goTool resolves the Go toolchain binary: REPRO_GENSIM_GO overrides, else
-// $PATH.
-func goTool() (string, error) {
-	if g := os.Getenv("REPRO_GENSIM_GO"); g != "" {
-		return g, nil
-	}
-	return exec.LookPath("go")
 }
 
 // CacheDir is where built simulator binaries live, keyed by fingerprint:
@@ -97,7 +88,7 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if os.Getenv("REPRO_GENSIM_DISABLE") != "" {
 		return nil, ErrUnavailable
 	}
-	gobin, err := goTool()
+	gobin, err := exec.LookPath("go")
 	if err != nil {
 		return nil, ErrUnavailable
 	}

@@ -9,8 +9,6 @@ package obs
 // inline JavaScript, so it works from a daemon on an air-gapped box.
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"strings"
 )
@@ -111,23 +109,6 @@ func (s *Sampler) DashData() DashDoc {
 		doc.Series = append(doc.Series, DashSeries{Name: name, Points: bySeries[name]})
 	}
 	return doc
-}
-
-// DashHandler serves the dashboard: the HTML page at its mount path and
-// the JSON series document at <mount>/data. Mount it at both /dash and
-// /dash/data (the page fetches the absolute path /dash/data). Works —
-// as an empty dashboard — with a nil sampler.
-func DashHandler(s *Sampler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/data") {
-			doc := s.DashData()
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(&doc)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write([]byte(dashHTML))
-	})
 }
 
 // dashHTML is the whole dashboard. Single series per panel, so no

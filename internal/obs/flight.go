@@ -1,128 +1,66 @@
 package obs
 
-// FlightRecorder is the postmortem ring: a bounded buffer of the last N
-// completed spans, cheap enough to leave attached to a production
-// registry forever. When a daemon wedges, the ring answers "what were
-// the last things that finished, and when?" without a full trace export
-// — cmd/served and cmd/explore dump it on SIGQUIT and serve it at
-// /debug/flight.
+// The flight dump is the postmortem view of a registry: the last
+// flightSize spans it recorded, in completion order. When a daemon
+// wedges, it answers "what were the last things that finished, and
+// when?" without a full trace export. Handler serves it at
+// /debug/flight, and DumpFlightOnQuit writes it to stderr on SIGQUIT.
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"sync"
-	"time"
+	"log"
+	"os"
+	"os/signal"
+	"syscall"
 )
 
-// FlightRecorder records the most recent completed spans into a fixed
-// ring. All methods on a nil recorder are no-ops, so the uninstrumented
-// path stays free.
-type FlightRecorder struct {
-	mu    sync.Mutex
-	ring  []SpanRecord
-	next  int
-	full  bool
-	total uint64
-	epoch time.Time
-}
+// flightSize is how many of the most recently recorded spans the flight
+// dump shows.
+const flightSize = 256
 
-// NewFlightRecorder returns a recorder keeping the last capacity spans
-// (<= 0 means 256). Attach it with Registry.AttachFlight.
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &FlightRecorder{ring: make([]SpanRecord, capacity)}
-}
-
-// AttachFlight wires f to receive every span the registry records from
-// now on. One recorder per registry; attaching replaces any previous
-// one. Nil registry or recorder is a no-op.
-func (r *Registry) AttachFlight(f *FlightRecorder) {
-	if r == nil || f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.epoch = r.epoch
-	f.mu.Unlock()
-	r.mu.Lock()
-	r.flight = f
-	r.mu.Unlock()
-}
-
-// Record stores one finished span, evicting the oldest when full.
-func (f *FlightRecorder) Record(rec SpanRecord) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.ring[f.next] = rec
-	f.next++
-	if f.next == len(f.ring) {
-		f.next, f.full = 0, true
-	}
-	f.total++
-	f.mu.Unlock()
-}
-
-// Spans returns the recorded spans, oldest first.
-func (f *FlightRecorder) Spans() []SpanRecord {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.full {
-		return append([]SpanRecord(nil), f.ring[:f.next]...)
-	}
-	out := make([]SpanRecord, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	return append(out, f.ring[:f.next]...)
-}
-
-// Total returns how many spans have ever been recorded (not just the
-// ones still in the ring).
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
-}
-
-// flightDoc is the WriteJSON shape.
+// flightDoc is the WriteFlight shape.
 type flightDoc struct {
 	Capacity int        `json:"capacity"`
 	Total    uint64     `json:"total"`
 	Spans    []WireSpan `json:"spans"`
 }
 
-// WriteJSON dumps the ring as one JSON document of WireSpans (absolute
-// wall-clock starts when the recorder is attached to a registry; epoch
-// offsets read as small absolute times otherwise). Oldest span first. A
-// nil recorder writes nothing and reports no error.
-func (f *FlightRecorder) WriteJSON(w io.Writer) error {
-	if f == nil {
+// WriteFlight writes the flight dump as one indented JSON document:
+// capacity (256), total (every span recorded so far) and the last 256
+// spans, oldest first, as WireSpans with wall-clock starts. A nil
+// registry writes nothing and reports no error.
+func (r *Registry) WriteFlight(w io.Writer) error {
+	if r == nil {
 		return nil
 	}
-	f.mu.Lock()
-	epoch := f.epoch
-	f.mu.Unlock()
-	spans := f.Spans()
-	doc := flightDoc{Capacity: cap(f.ring), Total: f.Total(), Spans: make([]WireSpan, 0, len(spans))}
-	for _, s := range spans {
-		doc.Spans = append(doc.Spans, WireSpan{
-			Name:        s.Name,
-			ID:          s.ID,
-			Parent:      s.Parent,
-			Lane:        s.Lane,
-			StartUnixNs: epoch.Add(s.Start).UnixNano(),
-			DurNs:       s.Dur.Nanoseconds(),
-			Args:        s.Args,
-		})
+	r.mu.Lock()
+	total := len(r.spans)
+	tail := append([]SpanRecord(nil), r.spans[max(0, total-flightSize):]...)
+	r.mu.Unlock()
+	doc := flightDoc{Capacity: flightSize, Total: uint64(total), Spans: make([]WireSpan, len(tail))}
+	for i, s := range tail {
+		doc.Spans[i] = r.wire(s)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&doc)
+}
+
+// DumpFlightOnQuit writes reg's flight dump to stderr, headed by
+// "<prog>: flight recorder dump (SIGQUIT):", each time the process
+// receives SIGQUIT, without stopping it. The listener lives as long as
+// the process: call it once, from main.
+func DumpFlightOnQuit(reg *Registry, prog string) {
+	quit := make(chan os.Signal, 1)
+	signal.Notify(quit, syscall.SIGQUIT)
+	go func() {
+		for range quit {
+			fmt.Fprintf(os.Stderr, "%s: flight recorder dump (SIGQUIT):\n", prog)
+			if err := reg.WriteFlight(os.Stderr); err != nil {
+				log.Printf("%s: flight dump: %v", prog, err)
+			}
+		}
+	}()
 }

@@ -8,78 +8,76 @@ import (
 	"time"
 )
 
-func TestFlightRecorderNilSafety(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(SpanRecord{Name: "x"}) // must not panic
-	if f.Spans() != nil {
-		t.Error("nil recorder Spans() != nil")
+// flightOf decodes r's flight dump.
+func flightOf(t *testing.T, r *Registry) flightDoc {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteFlight(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if f.Total() != 0 {
-		t.Error("nil recorder Total() != 0")
+	var doc flightDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("WriteFlight output is not valid JSON: %v\n%s", err, buf.Bytes())
 	}
-	if err := f.WriteJSON(&bytes.Buffer{}); err != nil {
-		t.Errorf("nil recorder WriteJSON: %v", err)
-	}
-	var r *Registry
-	r.AttachFlight(NewFlightRecorder(4)) // nil registry: no-op
-	NewRegistry().AttachFlight(nil)      // nil recorder: no-op
+	return doc
 }
 
+func TestFlightRecorderNilSafety(t *testing.T) {
+	var r *Registry
+	var buf bytes.Buffer
+	if err := r.WriteFlight(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("nil registry WriteFlight = %v, wrote %q; want nothing", err, buf.String())
+	}
+}
+
+// TestFlightRecorderRing: the dump holds the last 256 of 300 recorded
+// spans, oldest first, with wall-clock starts, and counts all 300.
 func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(3)
-	for i := 1; i <= 5; i++ {
-		f.Record(SpanRecord{Name: fmt.Sprintf("s%d", i), ID: uint64(i)})
+	r := NewRegistry()
+	for i := 1; i <= 300; i++ {
+		r.StartSpan(fmt.Sprintf("s%d", i)).End()
 	}
-	if f.Total() != 5 {
-		t.Errorf("Total = %d, want 5", f.Total())
+	doc := flightOf(t, r)
+	if doc.Capacity != 256 || doc.Total != 300 || len(doc.Spans) != 256 {
+		t.Fatalf("capacity %d, total %d, %d spans; want 256, 300, 256", doc.Capacity, doc.Total, len(doc.Spans))
 	}
-	spans := f.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(spans))
-	}
-	for i, want := range []string{"s3", "s4", "s5"} {
-		if spans[i].Name != want {
-			t.Errorf("spans[%d] = %s, want %s (oldest first)", i, spans[i].Name, want)
+	for i, sp := range doc.Spans {
+		if want := fmt.Sprintf("s%d", 45+i); sp.Name != want {
+			t.Fatalf("spans[%d] = %s, want %s (the last 256, oldest first)", i, sp.Name, want)
+		}
+		if start := time.Unix(0, sp.StartUnixNs); time.Since(start) > time.Minute {
+			t.Fatalf("spans[%d] starts at %v, not recent wall clock", i, start)
 		}
 	}
 }
 
+// TestFlightRecorderViaRegistry: the dump lists spans in the order they
+// finished, not the order they started, imported spans included.
 func TestFlightRecorderViaRegistry(t *testing.T) {
 	r := NewRegistry()
-	f := NewFlightRecorder(8)
-	r.AttachFlight(f)
-	sp := r.StartSpan("work")
-	sp.End()
-	if got := f.Spans(); len(got) != 1 || got[0].Name != "work" {
-		t.Fatalf("flight ring after one span = %+v", got)
+	outer := r.StartSpan("outer")
+	outer.Child("inner").End()
+	outer.End()
+	r.ImportSpans([]WireSpan{{Name: "remote", ID: 1, StartUnixNs: time.Now().UnixNano()}}, outer, 10, nil)
+	doc := flightOf(t, r)
+	var names []string
+	for _, sp := range doc.Spans {
+		names = append(names, sp.Name)
 	}
-	var buf bytes.Buffer
-	if err := f.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Capacity int        `json:"capacity"`
-		Total    uint64     `json:"total"`
-		Spans    []WireSpan `json:"spans"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("WriteJSON output is not valid JSON: %v", err)
-	}
-	if doc.Capacity != 8 || doc.Total != 1 || len(doc.Spans) != 1 {
-		t.Errorf("doc = %+v", doc)
-	}
-	// Attached to a registry, starts are absolute wall clock.
-	if start := time.Unix(0, doc.Spans[0].StartUnixNs); time.Since(start) > time.Minute {
-		t.Errorf("flight span start %v is not recent wall clock", start)
+	if got := fmt.Sprint(names); got != "[inner outer remote]" || doc.Total != 3 {
+		t.Errorf("flight spans %s (total %d), want [inner outer remote] (total 3)", got, doc.Total)
 	}
 }
 
+// TestFlightRecorderDefaultCapacity: an empty registry still reports
+// the fixed capacity and an empty span list, not null.
 func TestFlightRecorderDefaultCapacity(t *testing.T) {
-	f := NewFlightRecorder(0)
-	for i := 0; i < 300; i++ {
-		f.Record(SpanRecord{ID: uint64(i)})
+	var buf bytes.Buffer
+	if err := NewRegistry().WriteFlight(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(f.Spans()); got != 256 {
-		t.Errorf("default capacity = %d, want 256", got)
+	want := "{\n  \"capacity\": 256,\n  \"total\": 0,\n  \"spans\": []\n}\n"
+	if buf.String() != want {
+		t.Errorf("empty flight dump = %q, want %q", buf.String(), want)
 	}
 }

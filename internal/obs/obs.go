@@ -224,8 +224,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	lanes    map[int]string
-	spans    []SpanRecord
-	flight   *FlightRecorder
+	spans    []SpanRecord // in completion order
 	epoch    time.Time
 	traceID  uint64
 	spanID   atomic.Uint64
@@ -259,14 +258,11 @@ func (r *Registry) TraceID() uint64 {
 	return r.traceID
 }
 
-// record stores one finished span and feeds the attached flight
-// recorder, if any.
+// record stores one finished span.
 func (r *Registry) record(rec SpanRecord) {
 	r.mu.Lock()
 	r.spans = append(r.spans, rec)
-	f := r.flight
 	r.mu.Unlock()
-	f.Record(rec)
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -175,40 +173,5 @@ func TestCheckExpositionRejects(t *testing.T) {
 		"h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 1.5\nh_count 2\n"
 	if err := CheckExposition([]byte(good)); err != nil {
 		t.Errorf("CheckExposition rejected valid exposition: %v", err)
-	}
-}
-
-func TestDashHandler(t *testing.T) {
-	r := NewRegistry()
-	s := NewSampler(r, time.Hour, 4)
-	r.Gauge("served.queue.depth").Set(1)
-	s.SampleNow()
-	h := DashHandler(s)
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dash", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "<!doctype html>") {
-		t.Errorf("GET /dash: code %d, body %.60q", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "prefers-color-scheme: dark") {
-		t.Error("dashboard HTML has no dark-mode palette")
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dash/data", nil))
-	var doc DashDoc
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("GET /dash/data is not JSON: %v", err)
-	}
-	if len(doc.Series) == 0 {
-		t.Error("dash data has no series")
-	}
-
-	// Nil sampler: both endpoints still answer.
-	h = DashHandler(nil)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dash/data", nil))
-	if rec.Code != http.StatusOK {
-		t.Errorf("nil-sampler /dash/data code = %d", rec.Code)
 	}
 }

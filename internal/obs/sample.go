@@ -19,12 +19,19 @@ type Sample struct {
 	Hists    map[string]HistogramSnapshot
 }
 
+// Sampling is fixed: one snapshot a second, the last 360 kept (six
+// minutes).
+const (
+	sampleEvery  = time.Second
+	sampleWindow = 360
+)
+
 // Sampler periodically snapshots a registry into a bounded ring. Create
 // with NewSampler, then Start; Stop waits for the sampling goroutine to
 // exit. All methods on a nil sampler are no-ops.
 type Sampler struct {
 	reg   *Registry
-	every time.Duration
+	every time.Duration // sampleEvery; tests shorten it
 
 	mu   sync.Mutex
 	ring []Sample
@@ -37,23 +44,16 @@ type Sampler struct {
 	done      chan struct{}
 }
 
-// NewSampler returns a sampler taking one snapshot per interval
-// (<= 0 means 1s) keeping the most recent window samples (<= 0 means
-// 360 — two hours at the default interval). Nil registry yields nil.
-func NewSampler(reg *Registry, every time.Duration, window int) *Sampler {
+// NewSampler returns a sampler taking one snapshot a second and keeping
+// the last 360. Nil registry yields nil.
+func NewSampler(reg *Registry) *Sampler {
 	if reg == nil {
 		return nil
 	}
-	if every <= 0 {
-		every = time.Second
-	}
-	if window <= 0 {
-		window = 360
-	}
 	return &Sampler{
 		reg:   reg,
-		every: every,
-		ring:  make([]Sample, window),
+		every: sampleEvery,
+		ring:  make([]Sample, sampleWindow),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}

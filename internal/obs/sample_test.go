@@ -19,38 +19,42 @@ func TestSamplerNilSafety(t *testing.T) {
 	if doc := s.DashData(); len(doc.Series) != 0 {
 		t.Errorf("nil sampler DashData has %d series", len(doc.Series))
 	}
-	if NewSampler(nil, time.Second, 10) != nil {
+	if NewSampler(nil) != nil {
 		t.Error("NewSampler(nil registry) != nil")
 	}
 }
 
 func TestSamplerWindowWrap(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, time.Hour, 3) // ticker never fires; drive by hand
-	for i := 1; i <= 5; i++ {
+	s := NewSampler(r) // never started; drive by hand
+	for i := 1; i <= 365; i++ {
 		r.Counter("c").Inc()
 		s.SampleNow()
 	}
 	samples := s.Samples()
-	if len(samples) != 3 {
-		t.Fatalf("window holds %d, want 3", len(samples))
+	if len(samples) != 360 {
+		t.Fatalf("window holds %d, want 360", len(samples))
 	}
-	for i, want := range []uint64{3, 4, 5} {
-		if got := samples[i].Counters["c"]; got != want {
-			t.Errorf("samples[%d].c = %d, want %d (oldest first)", i, got, want)
+	for i, smp := range samples {
+		if got, want := smp.Counters["c"], uint64(6+i); got != want {
+			t.Fatalf("samples[%d].c = %d, want %d (the last 360, oldest first)", i, got, want)
 		}
+	}
+	if got := s.Interval(); got != time.Second {
+		t.Errorf("interval = %v, want 1s", got)
 	}
 }
 
 func TestSamplerStopWithoutStart(t *testing.T) {
-	s := NewSampler(NewRegistry(), time.Hour, 3)
+	s := NewSampler(NewRegistry())
 	s.Stop() // must not hang or panic
 	s.Stop() // idempotent
 }
 
 func TestSamplerStartStop(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, time.Millisecond, 16)
+	s := NewSampler(r)
+	s.every = time.Millisecond // the fixed second would slow the test
 	s.Start()
 	deadline := time.After(2 * time.Second)
 	for len(s.Samples()) == 0 {
@@ -70,7 +74,7 @@ func TestSamplerStartStop(t *testing.T) {
 
 func TestDashDataSeries(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, time.Hour, 8)
+	s := NewSampler(r)
 	r.Gauge("explore.best.score.milli").Set(1234)
 	r.Gauge("served.queue.depth").Set(7)
 	r.Counter("cache.compile.hits").Add(3)
@@ -104,7 +108,7 @@ func TestDashDataSeries(t *testing.T) {
 
 func TestDashDataZeroDenominator(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, time.Hour, 4)
+	s := NewSampler(r)
 	r.Counter("cache.compile.hits") // exists, zero: no division by zero
 	s.SampleNow()
 	for _, series := range s.DashData().Series {

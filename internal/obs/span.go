@@ -91,8 +91,7 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
-// End finishes the span and records it in the registry (and the
-// registry's flight recorder, when one is attached).
+// End finishes the span and records it in the registry.
 func (s *Span) End() {
 	if s == nil {
 		return

@@ -147,17 +147,23 @@ func (r *Registry) ExportSubtrees(roots ...uint64) []WireSpan {
 		if !walk(s.ID, 0) {
 			continue
 		}
-		out = append(out, WireSpan{
-			Name:        s.Name,
-			ID:          s.ID,
-			Parent:      s.Parent,
-			Lane:        s.Lane,
-			StartUnixNs: r.epoch.Add(s.Start).UnixNano(),
-			DurNs:       s.Dur.Nanoseconds(),
-			Args:        s.Args,
-		})
+		out = append(out, r.wire(s))
 	}
 	return out
+}
+
+// wire returns s in cross-process form, its start made absolute wall
+// clock.
+func (r *Registry) wire(s SpanRecord) WireSpan {
+	return WireSpan{
+		Name:        s.Name,
+		ID:          s.ID,
+		Parent:      s.Parent,
+		Lane:        s.Lane,
+		StartUnixNs: r.epoch.Add(s.Start).UnixNano(),
+		DurNs:       s.Dur.Nanoseconds(),
+		Args:        s.Args,
+	}
 }
 
 // ImportSpans merges spans exported by another process's registry into

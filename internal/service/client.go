@@ -3,7 +3,7 @@
 // carry its obs.TraceContext to the daemon and merge the daemon-side
 // spans back, so one Chrome trace shows the whole client → queue →
 // pipeline-stage → store timeline. docs/SERVICE.md is the wire
-// contract; the JSON shapes here mirror cmd/served's statusJSON.
+// contract; cmd/served encodes and decodes the types defined here.
 package service
 
 import (
@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -23,25 +22,44 @@ import (
 )
 
 // JobRequest is one evaluation submission: a builtin machine name or
-// raw ISDL source (exactly one), plus the kernel.
+// raw ISDL source (exactly one), plus the kernel to compile, assemble,
+// simulate and synthesize it against.
 type JobRequest struct {
-	Machine  string `json:"machine,omitempty"`
-	ISDL     string `json:"isdl,omitempty"`
+	Machine  string `json:"machine,omitempty"` // zoo machine name (machines.ZooNames)
+	ISDL     string `json:"isdl,omitempty"`    // raw description source
 	Kernel   string `json:"kernel"`
-	Workload string `json:"workload,omitempty"`
+	Workload string `json:"workload,omitempty"` // label in reports; default "kernel"
 }
 
-// JobStatus is the daemon's job-state document. Spans and TraceID ride
-// along with a done result when the daemon recorded spans for the job.
+// Status is a job's lifecycle state. StatusRetry is terminal but
+// retryable: the job was rejected before running (queue drained at
+// shutdown) and an identical resubmission is safe and cheap — whatever
+// partial work happened is in the shared store.
+type Status string
+
+const (
+	StatusQueued  Status = "queued"
+	StatusRunning Status = "running"
+	StatusDone    Status = "done"
+	StatusFailed  Status = "failed"
+	StatusRetry   Status = "retry"
+)
+
+// JobStatus is the daemon's job-state document: the status and result
+// endpoints' answer, and a submit rejection's (which carries no ID).
 type JobStatus struct {
 	ID        string           `json:"id,omitempty"`
-	Status    string           `json:"status"`
+	Status    Status           `json:"status"`
 	Error     string           `json:"error,omitempty"`
 	Cached    bool             `json:"cached,omitempty"`
 	Retryable bool             `json:"retryable,omitempty"`
 	Eval      *core.Evaluation `json:"evaluation,omitempty"`
-	TraceID   string           `json:"trace_id,omitempty"`
-	Spans     []obs.WireSpan   `json:"spans,omitempty"`
+	// TraceID is the daemon registry's trace identity and Spans the
+	// job's daemon-side span subtrees (queue wait, the job, its pipeline
+	// stages) in wire form. They ride along with a done result so the
+	// client can merge them under its own submit span (obs.ImportSpans).
+	TraceID string         `json:"trace_id,omitempty"`
+	Spans   []obs.WireSpan `json:"spans,omitempty"`
 }
 
 // ErrRetryable marks a submission the daemon rejected retryably (queue
@@ -61,9 +79,6 @@ const RemoteLaneBase = 10
 type Client struct {
 	base string
 	hc   *http.Client
-
-	mu    sync.Mutex
-	trace obs.TraceContext
 }
 
 // NewClient returns a client for the daemon at base
@@ -73,17 +88,6 @@ func NewClient(base string) *Client {
 		base: strings.TrimSuffix(base, "/"),
 		hc:   &http.Client{Timeout: 5 * time.Minute},
 	}
-}
-
-// Base returns the daemon address the client was built with.
-func (c *Client) Base() string { return c.base }
-
-// SetTrace makes every subsequent request carry tc in the X-Repro-Trace
-// header. An invalid context clears it.
-func (c *Client) SetTrace(tc obs.TraceContext) {
-	c.mu.Lock()
-	c.trace = tc
-	c.mu.Unlock()
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body []byte, tc obs.TraceContext) (int, []byte, error) {
@@ -98,11 +102,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, tc ob
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if !tc.Valid() {
-		c.mu.Lock()
-		tc = c.trace
-		c.mu.Unlock()
-	}
 	tc.Inject(req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -116,9 +115,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, tc ob
 	return resp.StatusCode, data, nil
 }
 
-// Submit enqueues an evaluation. On a retryable rejection the returned
-// error wraps ErrRetryable and the status carries the daemon's message;
-// tc overrides the client-wide trace context when valid.
+// Submit enqueues an evaluation, carrying tc to the daemon when it is
+// valid. On a retryable rejection the returned error wraps ErrRetryable
+// and the status carries the daemon's message.
 func (c *Client) Submit(ctx context.Context, req JobRequest, tc obs.TraceContext) (JobStatus, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -173,7 +172,7 @@ func (c *Client) Result(ctx context.Context, id string) (JobStatus, error) {
 	switch {
 	case code == http.StatusOK:
 		return st, nil
-	case st.Status == "queued" || st.Status == "running":
+	case st.Status == StatusQueued || st.Status == StatusRunning:
 		return st, fmt.Errorf("%w: %s is %s", ErrNotDone, id, st.Status)
 	case st.Retryable:
 		return st, fmt.Errorf("%w: %s", ErrRetryable, st.Error)

@@ -20,7 +20,7 @@ import (
 // The differential fuzz gauntlet: each trial generates a random compilable
 // machine (randmachine ForCompiler, optionally timing-perturbed), compiles
 // a registry kernel for it, and runs the program through every layer of the
-// generated-tool pipeline — the golden kernel interpreter, the three xsim
+// generated-tool pipeline — the golden kernel interpreter, the two xsim
 // backends, and the synthesized Verilog model — demanding bit-identical
 // architectural results. Any disagreement is a Divergence carrying the
 // trial's seed, and RunTrial(seed) reproduces the whole trial from that
@@ -37,24 +37,21 @@ type GauntletOptions struct {
 	Seed int64
 	// NoCosim skips the synthesized-Verilog leg (the slowest one).
 	NoCosim bool
-	// MaxCycles bounds the Verilog model per trial (default 200000 — the
-	// hardware model retires one instruction per tick, so this is an
-	// instruction bound; the seeded kernels need at most a few thousand).
-	MaxCycles uint64
-	// MaxPerturb bounds the random timing/depth perturbations applied to
-	// each generated machine (default 2; negative disables).
-	MaxPerturb int
 }
+
+const (
+	// cosimMaxCycles bounds the Verilog model per trial. The hardware
+	// model retires one instruction per tick, so this is an instruction
+	// bound; the seeded kernels need at most a few thousand.
+	cosimMaxCycles = 200_000
+	// maxPerturb bounds the random timing/depth perturbations applied to
+	// each generated machine.
+	maxPerturb = 2
+)
 
 func (o *GauntletOptions) defaults() {
 	if o.N <= 0 {
 		o.N = 10
-	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 200_000
-	}
-	if o.MaxPerturb == 0 {
-		o.MaxPerturb = 2
 	}
 }
 
@@ -145,14 +142,12 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 	tr.Kernel = names[rnd.Intn(len(names))]
 
 	src := m.Source
-	if o.MaxPerturb > 0 {
-		if n := rnd.Intn(o.MaxPerturb + 1); n > 0 {
-			var err error
-			src, tr.Perturbations, err = randmachine.Perturb(rnd, src, n)
-			if err != nil {
-				tr.Err = fmt.Sprintf("perturb: %v", err)
-				return tr
-			}
+	if n := rnd.Intn(maxPerturb + 1); n > 0 {
+		var err error
+		src, tr.Perturbations, err = randmachine.Perturb(rnd, src, n)
+		if err != nil {
+			tr.Err = fmt.Sprintf("perturb: %v", err)
+			return tr
 		}
 	}
 	d, err := isdl.Parse(src)
@@ -227,7 +222,7 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 	// Hardware leg: synthesize, then run the event-driven Verilog model to
 	// halt and demand the same final architectural state.
 	if !o.NoCosim {
-		if err := cosimLeg(d, prog, want, o.MaxCycles); err != nil {
+		if err := cosimLeg(d, prog, want); err != nil {
 			leg := "cosim"
 			if strings.HasPrefix(err.Error(), "synthesize:") {
 				leg = "synth"
@@ -322,7 +317,7 @@ func diffSnapshots(a, b map[string][]bitvec.Value) string {
 // instruction, and each harness observes the halt a different number of
 // cycles after it issues. Lockstep makes both models execute exactly the
 // same instruction sequence, so every storage — PC included — must match.
-func cosimLeg(d *isdl.Description, prog *asm.Program, want map[string][]bitvec.Value, maxCycles uint64) error {
+func cosimLeg(d *isdl.Description, prog *asm.Program, want map[string][]bitvec.Value) error {
 	r, err := hgen.Synthesize(d, tech.LSI10K(), hgen.DefaultOptions())
 	if err != nil {
 		return fmt.Errorf("synthesize: %w", err)
@@ -350,8 +345,8 @@ func cosimLeg(d *isdl.Description, prog *asm.Program, want map[string][]bitvec.V
 		var steps uint64
 		err := l.Sim(func() error {
 			for !ils.Halted() {
-				if steps >= maxCycles {
-					return fmt.Errorf("hardware model did not halt within %d cycles", maxCycles)
+				if steps >= cosimMaxCycles {
+					return fmt.Errorf("hardware model did not halt within %d cycles", cosimMaxCycles)
 				}
 				if err := ils.Step(); err != nil {
 					return fmt.Errorf("lockstep reference faulted: %w", err)

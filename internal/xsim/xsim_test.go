@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	_ "repro/internal/gensim" // links the aot backend
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/state"
@@ -230,6 +231,48 @@ func TestCycleAccounting(t *testing.T) {
 			}
 			if got := sim.Stats().DataStalls; got != c.dataStalls {
 				t.Errorf("data stalls = %d, want %d", got, c.dataStalls)
+			}
+		})
+	}
+}
+
+// TestDataStallIgnoresCostStall pins the interlock rule both backends
+// run: a consumer at issue distance d waits Latency−d cycles, whatever
+// the producer's Cost Stall says (only HGEN's pipeline inference and
+// traceprof's cycle weights read Stall). With mul's Stall = 0 the
+// dependent add still waits the two bubbles of "mul use next" above.
+func TestDataStallIgnoresCostStall(t *testing.T) {
+	d := machines.Toy()
+	mul := d.FieldByName("EX").ByName["mul"]
+	if mul.Costs.Stall != 2 || mul.Timing.Latency != 3 {
+		t.Fatalf("toy mul: %+v %+v, want Stall 2 and Latency 3", mul.Costs, mul.Timing)
+	}
+	mul.Costs.Stall = 0
+	p, err := asm.Assemble(d, "mv R1, #4\n mul R2, R1, #3\n add R3, R2, #1\n halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range xsim.Backends() {
+		t.Run(string(b), func(t *testing.T) {
+			eng, info, err := xsim.NewEngine(d, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if info.Used != b {
+				t.Skipf("%s backend unavailable: %s", b, info.FallbackReason)
+			}
+			if err := eng.Load(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(1000); err != nil || !eng.Halted() {
+				t.Fatalf("run: err %v, halted %v", err, eng.Halted())
+			}
+			if got := eng.Cycle(); got != 6 {
+				t.Errorf("cycles = %d, want 6", got)
+			}
+			if got := eng.Stats().DataStalls; got != 2 {
+				t.Errorf("data stalls = %d, want 2", got)
 			}
 		})
 	}
