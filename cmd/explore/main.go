@@ -10,7 +10,6 @@
 //	        [-max-runtime us] [-max-area cells] [-max-power mw]
 //	        [-frontier-out frontier.json|frontier.csv] [-frontier-cap n]
 //	        [-restarts n] [-seed s] [-iters 8] [-workers n]
-//	        [-sim-backend interp|aot]
 //	        [-no-cache]
 //	        [-store dir:PATH|http://HOST] [-o best.isdl]
 //
@@ -42,10 +41,9 @@
 // -store attaches a shared artifact store (docs/PIPELINE.md,
 // docs/SERVICE.md): dir:PATH is a directory any number of concurrent
 // processes may share, http://HOST is a cmd/served daemon. Whole
-// evaluations, synthesis figures and aot simulator binaries are read from
-// and written through to the store, so two explorers — in one run after
-// another, or on different machines — never evaluate the same
-// architecture twice.
+// evaluations and synthesis figures are read from and written through to
+// the store, so two explorers — in one run after another, or on different
+// machines — never evaluate the same architecture twice.
 //
 // The run is instrumented end to end (docs/OBSERVABILITY.md): -trace-out
 // writes a Chrome trace_event file (open in chrome://tracing or
@@ -86,11 +84,9 @@ import (
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/gensim"
 	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/xsim"
 )
 
 func main() {
@@ -107,7 +103,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "perturbation seed for -restarts (fixed seed = byte-identical run)")
 	iters := flag.Int("iters", 8, "maximum improvement iterations (per restart)")
 	workers := flag.Int("workers", 0, "concurrent candidate evaluations per iteration (0 = NumCPU)")
-	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp (default) or aot (docs/GENSIM.md)")
 	noCache := flag.Bool("no-cache", false, "disable evaluation memoization across iterations")
 	storeSpec := flag.String("store", "", "shared artifact store: dir:PATH or http://HOST (cmd/served); see docs/SERVICE.md")
 	out := flag.String("o", "", "write the winning ISDL description here")
@@ -191,16 +186,10 @@ func main() {
 				hc.SetTrace(obs.TraceContext{TraceID: reg.TraceID()})
 			}
 			cache.SetStore(st)
-			gensim.SetStore(st) // share built aot simulator binaries too
 			fmt.Printf("sharing artifacts via %s\n", *storeSpec)
 		}
 	} else if *storeSpec != "" {
 		fatal(fmt.Errorf("-store requires caching; drop -no-cache"))
-	}
-
-	sb, err := xsim.ParseBackend(*simBackend)
-	if err != nil {
-		fatal(err)
 	}
 
 	opts := []explore.Option{
@@ -209,11 +198,6 @@ func main() {
 		explore.WithWorkers(*workers),
 		explore.WithLog(func(ev explore.Event) { fmt.Println(ev.Line) }),
 		explore.WithObs(reg),
-	}
-	if *simBackend != "" {
-		ev := core.NewEvaluator()
-		ev.SimBackend = sb
-		opts = append(opts, explore.WithEvaluator(ev))
 	}
 	switch *strategy {
 	case "hill":

@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/experiments"
-	_ "repro/internal/gensim" // registers the aot backend
 	"repro/internal/suite"
 	"repro/internal/xsim"
 )

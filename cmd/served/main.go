@@ -6,7 +6,7 @@
 // Usage:
 //
 //	served [-addr :8344] [-store dir:PATH|mem] [-jobs n] [-queue n]
-//	       [-sim-backend interp|aot] [-drain-timeout 1m] [-pprof]
+//	       [-drain-timeout 1m] [-pprof]
 //
 // Endpoints (docs/SERVICE.md is the full contract):
 //
@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/blob"
-	"repro/internal/gensim"
 	"repro/internal/obs"
 )
 
@@ -63,7 +62,6 @@ func main() {
 	storeSpec := flag.String("store", "dir:served-store", "artifact store: dir:PATH, mem, or http://HOST (chain to another daemon)")
 	workers := flag.Int("jobs", runtime.NumCPU(), "concurrent evaluation workers")
 	queueCap := flag.Int("queue", 64, "pending-job bound; submits beyond it get a retryable 503")
-	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp (default) or aot")
 	drainWait := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for open HTTP connections")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.Parse()
@@ -72,13 +70,11 @@ func main() {
 	if err != nil {
 		log.Fatalln("served:", err)
 	}
-	gensim.SetStore(st) // aot simulator binaries share the store too
 	reg := obs.NewRegistry()
 	srv, err := newServer(st, reg, serverConfig{
-		workers:    *workers,
-		queueCap:   *queueCap,
-		simBackend: *simBackend,
-		pprof:      *pprofOn,
+		workers:  *workers,
+		queueCap: *queueCap,
+		pprof:    *pprofOn,
 	})
 	if err != nil {
 		log.Fatalln("served:", err)

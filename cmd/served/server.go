@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/xsim"
 )
 
 // job is one queued or completed evaluation.
@@ -70,13 +69,12 @@ const (
 	laneQueue = 1
 )
 
-// serverConfig sizes a server's queue and picks its simulator backend
-// and whether it exposes profiling.
+// serverConfig sizes a server's queue and says whether it exposes
+// profiling.
 type serverConfig struct {
-	workers    int
-	queueCap   int
-	simBackend string // "" = evaluator default
-	pprof      bool   // mount net/http/pprof under /debug/pprof/
+	workers  int
+	queueCap int
+	pprof    bool // mount net/http/pprof under /debug/pprof/
 }
 
 // server owns the queue, the workers, the shared store and the pipeline.
@@ -108,14 +106,6 @@ func newServer(st blob.Store, reg *obs.Registry, cfg serverConfig) (*server, err
 	if cfg.workers <= 0 || cfg.queueCap <= 0 {
 		return nil, fmt.Errorf("served: workers (%d) and queue capacity (%d) must be positive", cfg.workers, cfg.queueCap)
 	}
-	ev := core.NewEvaluator()
-	if cfg.simBackend != "" {
-		sb, err := xsim.ParseBackend(cfg.simBackend)
-		if err != nil {
-			return nil, err
-		}
-		ev.SimBackend = sb
-	}
 	cache := core.NewStageCache()
 	cache.Bind(reg)
 	cache.SetStore(st)
@@ -126,7 +116,7 @@ func newServer(st blob.Store, reg *obs.Registry, cfg serverConfig) (*server, err
 		reg:     reg,
 		store:   st,
 		cache:   cache,
-		pipe:    &core.Pipeline{Evaluator: ev, Cache: cache, Obs: reg},
+		pipe:    &core.Pipeline{Cache: cache, Obs: reg},
 		sampler: sampler,
 		workers: cfg.workers,
 		queue:   make(chan *job, cfg.queueCap),

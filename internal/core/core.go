@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/asm"
-	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/tech"
 	"repro/internal/xsim"
@@ -66,65 +65,35 @@ func (e *Evaluation) Summary() string {
 	return sb.String()
 }
 
-// Evaluator configures the methodology.
-type Evaluator struct {
-	// Lib is the implementation technology; defaults to tech.LSI10K().
-	Lib *tech.Library
-	// Synthesis options; Verilog emission is off by default here because
-	// the exploration loop only needs the cost model (the hardware model
-	// is still fully generatable via internal/hgen).
-	Synthesis hgen.Options
-	// MaxInstructions bounds a single simulation (0 = one hundred million,
-	// a backstop against non-halting candidates).
-	MaxInstructions int64
-	// SimBackend selects the simulator execution strategy (interp or
-	// aot); empty is the interp default. The aot backend generates and
-	// natively compiles a specialized simulator per description
-	// (internal/gensim) and falls back to interp when the toolchain is
-	// unavailable or the description is unsupported, so setting it never
-	// makes an evaluation fail.
-	SimBackend xsim.Backend
-}
+// The one evaluation configuration, so every stage-cache key is a function
+// of its inputs alone: candidates run on the interpreter for at most
+// maxInstructions (a backstop against non-halting candidates) and are
+// synthesized into the LSI 10K library under the paper's options. lib is
+// only read.
+var lib = tech.LSI10K()
 
-// NewEvaluator returns an evaluator with the paper's defaults.
-func NewEvaluator() *Evaluator {
-	opts := hgen.DefaultOptions()
-	opts.EmitVerilog = false
-	return &Evaluator{Lib: tech.LSI10K(), Synthesis: opts}
-}
+const maxInstructions = 100_000_000
 
-// Evaluate runs the full methodology for one candidate and workload.
-func (ev *Evaluator) Evaluate(d *isdl.Description, prog *asm.Program, workload string) (*Evaluation, error) {
-	stats, err := runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, nil)
+// Evaluate runs the full methodology for one candidate and workload: the
+// program on the interpreter, the description through HGEN under the
+// paper's synthesis options and technology library.
+func Evaluate(d *isdl.Description, prog *asm.Program, workload string) (*Evaluation, error) {
+	stats, err := runSimulation(d, prog, maxInstructions, workload, nil)
 	if err != nil {
 		return nil, err
 	}
-	synth, err := ev.synthesize(d, nil)
+	synth, err := synthesize(d, nil)
 	if err != nil {
 		return nil, err
 	}
-	return combineArtifacts(d.Name, workload, stats, synth, ev.Lib), nil
-}
-
-// EvaluateSource is the convenience entry point over raw text: the ISDL
-// description and the assembly workload.
-func (ev *Evaluator) EvaluateSource(isdlText, asmText, workload string) (*Evaluation, error) {
-	d, err := isdl.Parse(isdlText)
-	if err != nil {
-		return nil, &ParseError{Err: err}
-	}
-	prog, err := asm.Assemble(d, asmText)
-	if err != nil {
-		return nil, fmt.Errorf("core: assemble: %w", err)
-	}
-	return ev.Evaluate(d, prog, workload)
+	return combineArtifacts(d.Name, workload, stats, synth), nil
 }
 
 // combineArtifacts folds a finished simulation's statistics and the
 // synthesis figures into the evaluation figures: pure arithmetic, so it
 // works for synthesis figures served from a blob store just as for live
 // runs.
-func combineArtifacts(machine, workload string, stats xsim.Stats, ha SynthArtifact, lib *tech.Library) *Evaluation {
+func combineArtifacts(machine, workload string, stats xsim.Stats, ha SynthArtifact) *Evaluation {
 	e := &Evaluation{
 		Machine:      machine,
 		Workload:     workload,

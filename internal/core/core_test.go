@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/xsim"
 )
@@ -94,14 +96,24 @@ func TestVecAddOnSPAM2(t *testing.T) {
 	}
 }
 
-func TestEvaluate(t *testing.T) {
-	const taps, nout = 8, 16
-	samples, coefs := machines.FIRTestVectors(taps, nout)
-	ev := core.NewEvaluator()
-	e, err := ev.EvaluateSource(machines.SPAMSource, machines.FIRSPAM(taps, nout, samples, coefs), "fir")
+// evaluate assembles asmText for d and runs the methodology on it.
+func evaluate(t *testing.T, d *isdl.Description, asmText, workload string) *core.Evaluation {
+	t.Helper()
+	p, err := asm.Assemble(d, asmText)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := core.Evaluate(d, p, workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestEvaluate(t *testing.T) {
+	const taps, nout = 8, 16
+	samples, coefs := machines.FIRTestVectors(taps, nout)
+	e := evaluate(t, machines.SPAM(), machines.FIRSPAM(taps, nout, samples, coefs), "fir")
 	if e.Cycles == 0 || e.CycleNs <= 0 || e.AreaCells <= 0 {
 		t.Fatalf("degenerate evaluation: %+v", e)
 	}
@@ -123,19 +135,11 @@ func TestEvaluate(t *testing.T) {
 // comparable workload in fewer cycles — the area/performance trade the
 // exploration loop navigates.
 func TestEvaluationShape(t *testing.T) {
-	ev := core.NewEvaluator()
-
 	const n = 32
 	a, b := machines.VecTestVectors(n)
-	e2, err := ev.EvaluateSource(machines.SPAM2Source, machines.VecAddSPAM2(n, a, b), "vecadd")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e2 := evaluate(t, machines.SPAM2(), machines.VecAddSPAM2(n, a, b), "vecadd")
 	x, y := machines.VecTestVectors(n)
-	eSpam, err := ev.EvaluateSource(machines.SPAMSource, machines.DotSPAM(n, x, y), "dot")
-	if err != nil {
-		t.Fatal(err)
-	}
+	eSpam := evaluate(t, machines.SPAM(), machines.DotSPAM(n, x, y), "dot")
 	if !(eSpam.AreaCells > e2.AreaCells) {
 		t.Errorf("SPAM area %.0f should exceed SPAM2 %.0f", eSpam.AreaCells, e2.AreaCells)
 	}
@@ -144,16 +148,20 @@ func TestEvaluationShape(t *testing.T) {
 	}
 }
 
+// TestEvaluateErrors: a text that is no description fails as a
+// *core.ParseError, and a workload that faults fails its evaluation.
+// (The non-halting case is TestRunSimulationLimit.)
 func TestEvaluateErrors(t *testing.T) {
-	ev := core.NewEvaluator()
-	if _, err := ev.EvaluateSource("garbage", "", "w"); err == nil {
-		t.Error("bad ISDL should fail")
+	var perr *core.ParseError
+	if _, err := (&core.Pipeline{}).EvaluateKernel("garbage", "", "w"); !errors.As(err, &perr) {
+		t.Errorf("bad ISDL: err = %v, want a *core.ParseError", err)
 	}
-	if _, err := ev.EvaluateSource(machines.SPAM2Source, "frob R1", "w"); err == nil {
-		t.Error("bad assembly should fail")
+	d := machines.Toy()
+	p, err := asm.Assemble(d, ".word 0xe00000")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ev.MaxInstructions = 10
-	if _, err := ev.EvaluateSource(machines.SPAM2Source, "loop: jmp loop", "w"); err == nil || !strings.Contains(err.Error(), "halt") {
-		t.Errorf("non-halting workload: err = %v", err)
+	if _, err := core.Evaluate(d, p, "w"); err == nil {
+		t.Error("faulting workload should fail")
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/compiler"
-	_ "repro/internal/gensim" // registers the aot backend with xsim
 	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/obs"
@@ -46,11 +45,8 @@ func (e *ParseError) Unwrap() error { return e.Err }
 
 // Pipeline runs the staged methodology with memoization.
 type Pipeline struct {
-	// Evaluator configures the methodology; nil uses NewEvaluator().
-	Evaluator *Evaluator
 	// Cache memoizes whole evaluations and synthesis figures and counts
-	// every stage's runs; nil runs every stage every time. The cache is
-	// only valid for one Evaluator configuration.
+	// every stage's runs; nil runs every stage every time.
 	Cache *StageCache
 	// Obs receives per-stage latency histograms (stage.<name>.ns),
 	// in-flight gauges (pipeline.<name>.inflight), one span per executed
@@ -79,10 +75,6 @@ func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string) (*Evaluation
 // passes its per-candidate span). A nil parent starts stage spans at the
 // root; with a nil Obs registry it behaves exactly like EvaluateKernel.
 func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
-	ev := p.Evaluator
-	if ev == nil {
-		ev = NewEvaluator()
-	}
 	c := p.Cache
 
 	// Parse + canonicalize. Never memoized: the artifact would be a mutable
@@ -104,14 +96,14 @@ func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent
 	canonical := isdl.Format(d)
 
 	return memo(c, StageCombine, StageKey(StageCombine, canonical, kernel, workload), func() (*Evaluation, error) {
-		return p.runStages(ev, d, canonical, kernel, workload, parent)
+		return p.runStages(d, canonical, kernel, workload, parent)
 	})
 }
 
 // runStages is the post-parse pipeline. Compile, assemble and simulate
 // are not memoized: the evaluation key already answers every repeat that
 // could reach them.
-func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
+func (p *Pipeline) runStages(d *isdl.Description, canonical, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
 	asmText, err := stageRun(p, parent, StageCompile, func() (string, error) {
 		return compiler.Compile(d, kernel)
 	})
@@ -125,7 +117,7 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 		return nil, err
 	}
 	stats, err := stageRun(p, parent, StageSimulate, func() (xsim.Stats, error) {
-		return runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, p.Obs)
+		return runSimulation(d, prog, maxInstructions, workload, p.Obs)
 	})
 	if err != nil {
 		return nil, err
@@ -135,7 +127,7 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 	// the synthesis figures.
 	synthArt, err := memo(p.Cache, StageSynthesize, StageKey(StageSynthesize, canonical), func() (SynthArtifact, error) {
 		return stageRun(p, parent, StageSynthesize, func() (SynthArtifact, error) {
-			return ev.synthesize(d, p.Obs)
+			return synthesize(d, p.Obs)
 		})
 	})
 	if err != nil {
@@ -148,50 +140,42 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, canonical, kern
 	if p.Obs != nil {
 		start = time.Now()
 	}
-	e := combineArtifacts(d.Name, workload, stats, synthArt, ev.Lib)
+	e := combineArtifacts(d.Name, workload, stats, synthArt)
 	if p.Obs != nil {
 		p.Obs.Histogram("stage.combine.ns").Observe(time.Since(start))
 	}
 	return e, nil
 }
 
-// runSimulation executes a program on a fresh engine of the requested
-// backend and returns its statistics snapshot; the engine's own perf
-// counters are published into the registry (they are per-run deltas here,
-// so repeated publishes sum to the total simulated work).
-func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload string, backend xsim.Backend, r *obs.Registry) (xsim.Stats, error) {
-	eng, info, err := xsim.NewEngine(d, backend)
-	if err != nil {
-		return xsim.Stats{}, fmt.Errorf("core: simulator backend: %w", err)
-	}
-	defer eng.Close()
-	if r != nil && info.FallbackReason != "" {
-		r.Counter("sim.backend.fallback").Inc()
-	}
-	if err := eng.Load(prog); err != nil {
+// runSimulation executes a program on a fresh interpreter, at most limit
+// instructions, and returns its statistics snapshot; the simulator's own
+// perf counters are published into the registry (they are per-run deltas
+// here, so repeated publishes sum to the total simulated work).
+func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload string, r *obs.Registry) (xsim.Stats, error) {
+	sim := xsim.New(d)
+	if err := sim.Load(prog); err != nil {
 		return xsim.Stats{}, fmt.Errorf("core: load: %w", err)
 	}
-	if limit <= 0 {
-		limit = 100_000_000
-	}
-	err = eng.Run(limit)
+	err := sim.Run(limit)
 	if r != nil {
-		eng.Perf().Publish(r)
+		sim.Perf().Publish(r)
 	}
 	if err != nil {
 		return xsim.Stats{}, fmt.Errorf("core: simulate: %w", err)
 	}
-	if !eng.Halted() {
+	if !sim.Halted() {
 		return xsim.Stats{}, fmt.Errorf("core: workload %s did not halt within %d instructions", workload, limit)
 	}
-	return eng.Stats(), nil
+	return sim.Stats(), nil
 }
 
 // synthesize builds the hardware model and returns its cost figures; the
 // model itself is dropped here. With a registry, the synthesis phase
 // timings and the exhausted constraint-search count are published.
-func (ev *Evaluator) synthesize(d *isdl.Description, r *obs.Registry) (SynthArtifact, error) {
-	hw, err := hgen.Synthesize(d, ev.Lib, ev.Synthesis)
+func synthesize(d *isdl.Description, r *obs.Registry) (SynthArtifact, error) {
+	opts := hgen.DefaultOptions()
+	opts.EmitVerilog = false // exploration needs only the cost model
+	hw, err := hgen.Synthesize(d, lib, opts)
 	if err != nil {
 		return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
 	}

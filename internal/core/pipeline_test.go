@@ -5,10 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/obs"
-	"repro/internal/xsim"
 )
 
 const pipeKernelA = "var x, y;\nx = 2;\ny = x + 3;\n"
@@ -164,45 +164,6 @@ func TestPipelineInstrumentation(t *testing.T) {
 	}
 }
 
-// TestPipelineAOTDowngradeCounted: when the aot simulator cannot be built,
-// xsim.NewEngine runs the evaluation on interp instead. Every simulate run
-// counts that downgrade once in sim.backend.fallback, and the whole
-// evaluation equals interp's own.
-func TestPipelineAOTDowngradeCounted(t *testing.T) {
-	t.Setenv("REPRO_GENSIM_DISABLE", "1")
-	src := toyCanonical(t)
-	reg := obs.NewRegistry()
-	ev := NewEvaluator()
-	ev.SimBackend = xsim.BackendAOT
-	cache := NewStageCache()
-	pipe := &Pipeline{Evaluator: ev, Cache: cache, Obs: reg}
-
-	var aot *Evaluation
-	for _, k := range []string{pipeKernelA, pipeKernelB, pipeKernelA} {
-		e, err := pipe.EvaluateKernel(src, k, "kernel")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aot == nil {
-			aot = e
-		}
-	}
-	misses := cache.PerStage()[StageSimulate].Misses
-	if got := reg.Counters()["sim.backend.fallback"]; misses != 2 || got != misses {
-		t.Errorf("sim.backend.fallback = %d over %d simulate misses, want 2 and 2", got, misses)
-	}
-
-	iev := NewEvaluator()
-	iev.SimBackend = xsim.BackendInterp
-	interp, err := (&Pipeline{Evaluator: iev}).EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(aot, interp) {
-		t.Errorf("downgraded evaluation differs from interp:\n%+v\n%+v", aot, interp)
-	}
-}
-
 func mustParse(t *testing.T, src string) *isdl.Description {
 	t.Helper()
 	d, err := isdl.Parse(src)
@@ -213,7 +174,7 @@ func mustParse(t *testing.T, src string) *isdl.Description {
 }
 
 // TestPipelineNilCache: the pipeline works without memoization and produces
-// the same figures as the cached path.
+// the same evaluation as the cached path.
 func TestPipelineNilCache(t *testing.T) {
 	src := toyCanonical(t)
 	cached, err := (&Pipeline{Cache: NewStageCache()}).EvaluateKernel(src, pipeKernelA, "kernel")
@@ -224,8 +185,8 @@ func TestPipelineNilCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Cycles != cached.Cycles || plain.RuntimeUs != cached.RuntimeUs || plain.PowerMW != cached.PowerMW {
-		t.Errorf("uncached evaluation differs: %+v vs %+v", plain, cached)
+	if !reflect.DeepEqual(plain, cached) {
+		t.Errorf("uncached evaluation differs:\n%+v\n%+v", plain, cached)
 	}
 }
 
@@ -267,5 +228,18 @@ func TestPipelineKeysWorkloadLabel(t *testing.T) {
 	}
 	if ps := cache.PerStage(); ps[StageCombine] != (StageStats{Hits: 1, Misses: 2}) {
 		t.Errorf("combine stage %+v, want 1 hit / 2 misses", ps[StageCombine])
+	}
+}
+
+// TestRunSimulationLimit: a workload that does not halt within the
+// instruction bound fails its evaluation and says so.
+func TestRunSimulationLimit(t *testing.T) {
+	d := machines.SPAM2()
+	p, err := asm.Assemble(d, "loop: jmp loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSimulation(d, p, 10, "w", nil); err == nil || !strings.Contains(err.Error(), "halt") {
+		t.Errorf("non-halting workload: err = %v", err)
 	}
 }

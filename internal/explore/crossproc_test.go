@@ -28,7 +28,7 @@ type crossProcOut struct {
 	Report      string               `json:"report"`
 	FinalSource string               `json:"final_source"`
 	Stages      map[string][2]uint64 `json:"stages"` // name -> [hits, misses]
-	StoreHits   uint64               `json:"store_hits"`
+	StoreServed uint64               `json:"store_served"`
 }
 
 const crossProcMarker = "CROSSPROC_JSON:"
@@ -77,7 +77,7 @@ func TestCrossProcessStoreSharing(t *testing.T) {
 	if b.Stages["combine"][0] == 0 {
 		t.Error("process B's combine stage served no hits; store sharing did not happen")
 	}
-	if b.StoreHits == 0 {
+	if b.StoreServed == 0 {
 		t.Error("process B reports zero store-tier hits")
 	}
 }
@@ -111,7 +111,7 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 	for s, hm := range cache.PerStage() {
 		out.Stages[core.Stage(s).String()] = [2]uint64{hm.Hits, hm.Misses}
 	}
-	out.StoreHits, _, _ = cache.StoreStats()
+	out.StoreServed, _, _ = cache.StoreStats()
 	payload, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)

@@ -42,8 +42,6 @@ type Config struct {
 	Kernel string
 	// Weights fold an evaluation into the scalar objective.
 	Weights Weights
-	// Evaluator runs the methodology; nil uses core.NewEvaluator().
-	Evaluator *core.Evaluator
 	// MaxIters bounds each strategy's improvement loop (default 16).
 	MaxIters int
 	// Workers bounds concurrent candidate evaluations (default NumCPU).
@@ -86,9 +84,6 @@ func New(base, kernel string, opts ...Option) *Config {
 // WithWeights sets the objective weights (default DefaultWeights).
 func WithWeights(w Weights) Option { return func(c *Config) { c.Weights = w } }
 
-// WithEvaluator sets the methodology evaluator (default core.NewEvaluator).
-func WithEvaluator(ev *core.Evaluator) Option { return func(c *Config) { c.Evaluator = ev } }
-
 // WithMaxIters bounds each strategy's improvement loop (default 16).
 func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 
@@ -98,8 +93,7 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // WithoutCache disables evaluation memoization.
 func WithoutCache() Option { return func(c *Config) { c.NoCache = true } }
 
-// WithCache shares an evaluation cache across runs (see Config.Cache and
-// docs/EXPLORE.md for the validity rules).
+// WithCache shares an evaluation cache across runs (see Config.Cache).
 func WithCache(cache *core.StageCache) Option { return func(c *Config) { c.Cache = cache } }
 
 // WithLog sets the structured event sink.
@@ -168,10 +162,6 @@ type engine struct {
 }
 
 func newEngine(c *Config) *engine {
-	ev := c.Evaluator
-	if ev == nil {
-		ev = core.NewEvaluator()
-	}
 	maxIters := c.MaxIters
 	if maxIters <= 0 {
 		maxIters = 16
@@ -187,15 +177,13 @@ func newEngine(c *Config) *engine {
 	if stages != nil {
 		stages.Bind(c.Obs) // no-op when Obs is nil or already bound
 	}
-	cfg := *c
-	cfg.Evaluator = ev
-	pipe := &core.Pipeline{Evaluator: ev, Cache: stages, Obs: c.Obs}
+	pipe := &core.Pipeline{Cache: stages, Obs: c.Obs}
 	c.Obs.SetLaneName(0, "explore")
 	for w := 0; w < workers; w++ {
 		c.Obs.SetLaneName(1+w, fmt.Sprintf("worker %d", w))
 	}
 	return &engine{
-		cfg:      &cfg,
+		cfg:      c,
 		pipe:     pipe,
 		stages:   stages,
 		workers:  workers,

@@ -5,12 +5,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/atomicfile"
-	"repro/internal/blob"
 	"repro/internal/isdl"
 )
 
@@ -37,38 +34,6 @@ func CacheDir() string {
 	return filepath.Join(os.TempDir(), "repro-gensim")
 }
 
-// The shared build store. When a blob.Store is attached (SetStore — the
-// CLIs wire their -store flag here), built simulator binaries are
-// published under a namespace keyed by generator version and platform,
-// so one machine's native build serves every other machine of the same
-// platform sharing the store: the local fingerprint-keyed cache dir
-// stays the first tier, the store becomes the second — exactly the
-// StageCache arrangement (internal/core/blobstore.go).
-var (
-	storeMu sync.Mutex
-	store   blob.Store
-)
-
-// SetStore attaches (or, with nil, detaches) the shared artifact store
-// consulted and populated by Build.
-func SetStore(s blob.Store) {
-	storeMu.Lock()
-	store = s
-	storeMu.Unlock()
-}
-
-func getStore() blob.Store {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	return store
-}
-
-// storeNS is the binary namespace: binaries are platform- and
-// generator-version-specific, the fingerprint key covers the rest.
-func storeNS() string {
-	return fmt.Sprintf("gensim.bin.g%d.%s-%s", GeneratorVersion, runtime.GOOS, runtime.GOARCH)
-}
-
 // BuildResult describes one generate+build: where the binary landed and
 // whether the cache already had it.
 type BuildResult struct {
@@ -76,9 +41,6 @@ type BuildResult struct {
 	Bin         string // built simulator binary
 	Fingerprint string
 	CacheHit    bool
-	// StoreHit reports the binary was fetched from the shared blob store
-	// rather than built locally (CacheHit is also set: no build ran).
-	StoreHit bool
 }
 
 // Build generates, compiles and caches the specialized simulator for d.
@@ -111,16 +73,6 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if err := writeModule(dir, src); err != nil {
 		return nil, err
 	}
-	// Second tier: a binary another process (possibly on another machine
-	// of the same platform) already built and published. Store trouble
-	// degrades to a local build, never a failure.
-	if st := getStore(); st != nil {
-		if data, err := st.Get(storeNS(), blob.KeyOf(fp)); err == nil {
-			if err := atomicfile.WriteFile(bin, data, 0o755); err == nil {
-				return &BuildResult{Dir: dir, Bin: bin, Fingerprint: fp, CacheHit: true, StoreHit: true}, nil
-			}
-		}
-	}
 	// Build in a scratch dir and rename into place so concurrent builders
 	// of the same description race benignly.
 	tmp, err := os.MkdirTemp(dir, "build-*")
@@ -140,13 +92,6 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 		// identical (same fingerprint), so losing is fine.
 		if _, statErr := os.Stat(bin); statErr != nil {
 			return nil, fmt.Errorf("gensim: install binary: %w", err)
-		}
-	}
-	// Publish for the next machine; best-effort, the local cache already
-	// has the binary.
-	if st := getStore(); st != nil {
-		if data, err := os.ReadFile(bin); err == nil {
-			st.Put(storeNS(), blob.KeyOf(fp), data)
 		}
 	}
 	return &BuildResult{

@@ -20,17 +20,22 @@ import (
 	"repro/internal/xsim"
 )
 
-// TestMain points the build cache at a shared scratch dir so test runs
-// don't pollute the user cache but still reuse binaries across tests.
+// TestMain points the build cache at a scratch dir so test runs
+// don't pollute the user cache but still reuse binaries across tests, and
+// removes it afterwards (os.Exit skips deferred calls).
 func TestMain(m *testing.M) {
+	dir := ""
 	if os.Getenv("REPRO_GENSIM_CACHE") == "" {
-		dir, err := os.MkdirTemp("", "gensim-test-cache-*")
-		if err == nil {
+		if d, err := os.MkdirTemp("", "gensim-test-cache-*"); err == nil {
+			dir = d
 			os.Setenv("REPRO_GENSIM_CACHE", dir)
-			defer os.RemoveAll(dir)
 		}
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if dir != "" {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
 }
 
 func mustAOT(t *testing.T, d *isdl.Description) *gensim.Engine {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	_ "repro/internal/gensim" // registers the aot backend Options.Backend selects
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/xsim"

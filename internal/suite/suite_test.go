@@ -3,26 +3,31 @@ package suite_test
 import (
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
-	_ "repro/internal/gensim" // register the aot backend
 	"repro/internal/machines"
 	"repro/internal/suite"
 	"repro/internal/xsim"
 )
 
-// TestMain points the aot build cache at a shared scratch dir so test runs
-// don't pollute the user cache but still reuse binaries across tests.
+// TestMain points the aot build cache at a scratch dir so test runs
+// don't pollute the user cache but still reuse binaries across tests, and
+// removes it afterwards (os.Exit skips deferred calls).
 func TestMain(m *testing.M) {
+	dir := ""
 	if os.Getenv("REPRO_GENSIM_CACHE") == "" {
-		dir, err := os.MkdirTemp("", "suite-test-cache-*")
-		if err == nil {
+		if d, err := os.MkdirTemp("", "suite-test-cache-*"); err == nil {
+			dir = d
 			os.Setenv("REPRO_GENSIM_CACHE", dir)
-			defer os.RemoveAll(dir)
 		}
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if dir != "" {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
 }
 
 func TestRegistry(t *testing.T) {
@@ -126,11 +131,17 @@ func TestReferencePinned(t *testing.T) {
 // TestSuiteAcrossBackends runs every registered workload on every zoo
 // machine under every xsim backend, demanding either a clean
 // Unsupported classification or a reference-verified run. This is the
-// per-kernel regression matrix of the suite registry.
+// per-kernel regression matrix of the suite registry. Where a toolchain
+// can build the aot simulators, every run must use the backend it asked
+// for. This file does not import gensim, so if suite stopped registering
+// aot the aot column would silently become a second interp column; this
+// check fails instead.
 func TestSuiteAcrossBackends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload × machine × backend matrix is not -short")
 	}
+	_, err := exec.LookPath("go")
+	exact := err == nil && os.Getenv("REPRO_GENSIM_DISABLE") == ""
 	verified := 0
 	for _, backend := range xsim.Backends() {
 		for _, w := range suite.All(suite.Filter{}) {
@@ -149,6 +160,9 @@ func TestSuiteAcrossBackends(t *testing.T) {
 				}
 				if res.Out == nil || len(res.Out) != len(res.Ref) {
 					t.Errorf("%s on %s (%s): malformed result", w.Name, m, backend)
+				}
+				if exact && res.BackendUsed != backend {
+					t.Errorf("%s on %s: ran on %s, want %s (%s)", w.Name, m, res.BackendUsed, backend, res.FallbackReason)
 				}
 				verified++
 			}

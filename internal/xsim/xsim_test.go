@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"maps"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -16,6 +17,24 @@ import (
 	"repro/internal/state"
 	"repro/internal/xsim"
 )
+
+// TestMain points the aot build cache at a scratch dir so test runs
+// don't pollute the user cache but still reuse binaries across tests, and
+// removes it afterwards (os.Exit skips deferred calls).
+func TestMain(m *testing.M) {
+	dir := ""
+	if os.Getenv("REPRO_GENSIM_CACHE") == "" {
+		if d, err := os.MkdirTemp("", "xsim-test-cache-*"); err == nil {
+			dir = d
+			os.Setenv("REPRO_GENSIM_CACHE", dir)
+		}
+	}
+	code := m.Run()
+	if dir != "" {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
+}
 
 // runToy assembles src for the toy machine, runs it to completion and
 // returns the simulator.

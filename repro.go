@@ -125,7 +125,7 @@ func Compile(d *Description, kernel string) (string, error) { return compiler.Co
 
 // Evaluate runs the paper's methodology for one candidate and workload.
 func Evaluate(d *Description, p *Program, workload string) (*Evaluation, error) {
-	return core.NewEvaluator().Evaluate(d, p, workload)
+	return core.Evaluate(d, p, workload)
 }
 
 // Machines returns the bundled ISDL descriptions by name — the machine zoo:
