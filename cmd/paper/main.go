@@ -10,8 +10,8 @@
 //
 // An unknown -table or -ablation value is a usage error (exit status 2).
 //
-// The suite registry (ROADMAP item 4) adds the workload-gauntlet modes,
-// which skip the tables above:
+// The suite registry adds the workload-gauntlet modes, which skip the
+// tables above:
 //
 //	paper -suite                      run every registered workload on every
 //	                                  zoo machine with reference checking

@@ -80,7 +80,6 @@ type serverConfig struct {
 // server owns the queue, the workers, the shared store and the pipeline.
 type server struct {
 	reg     *obs.Registry
-	store   blob.Store
 	cache   *core.StageCache
 	pipe    *core.Pipeline
 	sampler *obs.Sampler
@@ -114,7 +113,6 @@ func newServer(st blob.Store, reg *obs.Registry, cfg serverConfig) (*server, err
 	sampler := obs.NewSampler(reg)
 	s := &server{
 		reg:     reg,
-		store:   st,
 		cache:   cache,
 		pipe:    &core.Pipeline{Cache: cache, Obs: reg},
 		sampler: sampler,

@@ -1,10 +1,9 @@
-// Package blob is the shared content-addressed artifact substrate
-// (ROADMAP item 2): a Store holds immutable blobs under a SHA-256 key
-// inside a flat namespace (one namespace per pipeline stage or artifact
-// family), so any artifact produced by one process — a compiled kernel,
-// a simulation measurement, a synthesized cost model, a built aot
-// simulator binary — is available to every other process, on this
-// machine or another. Three implementations ship:
+// Package blob is the shared content-addressed artifact substrate: a
+// Store holds immutable blobs under a SHA-256 key inside a flat namespace
+// (one namespace per pipeline stage or artifact family), so any artifact
+// produced by one process — a whole evaluation, a synthesized cost model
+// — is available to every other process, on this machine or another.
+// Three implementations ship:
 //
 //   - Mem: in-process map, the single-process behavior the StageCache
 //     always had.
@@ -16,10 +15,9 @@
 //     it), so explorers on different machines share every artifact.
 //
 // Keys are produced by the callers (internal/core stage keys hash the
-// exact inputs a stage reads; internal/gensim keys by description
-// fingerprint), so the store itself is a dumb, durable map: a blob's
-// bytes are fully determined by its key, writes of the same key are
-// idempotent, and entries never expire.
+// exact inputs a stage reads), so the store itself is a dumb, durable
+// map: a blob's bytes are fully determined by its key, writes of the same
+// key are idempotent, and entries never expire.
 package blob
 
 import (

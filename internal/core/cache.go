@@ -98,11 +98,9 @@ type StageStats struct {
 }
 
 // StageCache is a thread-safe memo table for pipeline stage artifacts,
-// plus the hit/miss counters of every stage. A cache is only valid for
-// one evaluator configuration (technology library, synthesis options,
-// instruction limit) — the keys do not cover it — so use a fresh cache
-// per configuration. Entries never expire otherwise: a stage's inputs
-// fully determine its deterministic result.
+// plus the hit/miss counters of every stage. Entries never expire: the
+// evaluation configuration is fixed (core.go), so a stage's inputs fully
+// determine its deterministic result.
 //
 // Hit and miss counts live in obs.Counter instruments: standalone ones by
 // default, or — after Bind — counters owned by an obs.Registry, so cache

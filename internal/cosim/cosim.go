@@ -40,11 +40,9 @@ type Pool struct {
 	// runs jobs inline on the calling goroutine.
 	Workers int
 	// Obs, when non-nil, receives cosim.* counters, per-job setup/sim
-	// latency histograms, and one span per job on the owning worker's lane.
+	// latency histograms, and one span per job on the owning worker's lane
+	// (worker w on lane 1+w; lane 0 belongs to the caller).
 	Obs *obs.Registry
-	// Lane0 is the first obs trace lane used for workers (default 1; lane 0
-	// conventionally belongs to the caller).
-	Lane0 int
 	// Now is the clock used for the setup/sim/wall timing windows; nil
 	// means time.Now. Tests inject a fake clock to pin the windows down
 	// exactly.
@@ -201,22 +199,18 @@ func (p *Pool) Run(name string, n int, job func(i int, l *Lane) error) (Stats, e
 		workers = 1
 	}
 	now := p.clock()
-	lane0 := p.Lane0
-	if lane0 <= 0 {
-		lane0 = 1
-	}
 	lanes := make([]*Lane, workers)
 	for w := range lanes {
 		lanes[w] = &Lane{
 			Worker:  w,
-			lane:    lane0 + w,
+			lane:    1 + w,
 			now:     now,
 			cCycles: p.Obs.Counter(fmt.Sprintf("cosim.worker%d.cycles", w)),
 			cEvents: p.Obs.Counter(fmt.Sprintf("cosim.worker%d.events", w)),
 			hSetup:  p.Obs.Histogram("cosim.job.setup.ns"),
 			hSim:    p.Obs.Histogram("cosim.job.sim.ns"),
 		}
-		p.Obs.SetLaneName(lane0+w, fmt.Sprintf("cosim worker %d", w))
+		p.Obs.SetLaneName(1+w, fmt.Sprintf("cosim worker %d", w))
 	}
 
 	root := p.Obs.StartSpan(name)
@@ -279,17 +273,14 @@ func (p *Pool) Run(name string, n int, job func(i int, l *Lane) error) (Stats, e
 
 // Workload is the standard co-simulation job shape: elaborate a fresh Sim
 // over a shared (read-only) Module, initialize memories, then tick the
-// clock until a halt net goes nonzero. Elaboration and Init are timed as
-// setup; only the Tick loop is timed as simulation.
+// clock net "clk" until the net "halted" (HGEN's names for both) goes
+// nonzero. Elaboration and Init are timed as setup; only the Tick loop is
+// timed as simulation.
 type Workload struct {
 	// Mod is the parsed module; it may be shared by concurrent jobs.
 	Mod *verilog.Module
 	// Init loads program and data memories (timed as setup). May be nil.
 	Init func(hw *verilog.Sim) error
-	// Clock is the clock net (default "clk").
-	Clock string
-	// Halt is the net that ends the run when nonzero (default "halted").
-	Halt string
 	// MaxCycles bounds the run (0 = until halt).
 	MaxCycles uint64
 	// Stop, when non-nil, is polled each cycle and ends the run early —
@@ -303,14 +294,6 @@ type Workload struct {
 // are real event-driven work, while the *time* they took stays in the
 // setup window.
 func (w Workload) Run(l *Lane) (*verilog.Sim, error) {
-	clock := w.Clock
-	if clock == "" {
-		clock = "clk"
-	}
-	halt := w.Halt
-	if halt == "" {
-		halt = "halted"
-	}
 	var hw *verilog.Sim
 	err := l.Setup(func() error {
 		var err error
@@ -329,11 +312,11 @@ func (w Workload) Run(l *Lane) (*verilog.Sim, error) {
 	var cycles uint64
 	err = l.Sim(func() error {
 		for {
-			if err := hw.Tick(clock); err != nil {
+			if err := hw.Tick("clk"); err != nil {
 				return err
 			}
 			cycles++
-			hv, err := hw.Get(halt)
+			hv, err := hw.Get("halted")
 			if err != nil {
 				return err
 			}
@@ -360,8 +343,9 @@ func (w Workload) Run(l *Lane) (*verilog.Sim, error) {
 // initialized data — into a generated hardware model's memories (the
 // "s_"-prefixed storage nets HGEN emits). It is the usual Workload.Init.
 func LoadProgram(hw *verilog.Sim, p *asm.Program) error {
+	im := "s_" + p.Desc.InstructionMemory().Name
 	for i, w := range p.Words {
-		if err := hw.SetMem("s_IMEM", p.Base+i, w); err != nil {
+		if err := hw.SetMem(im, p.Base+i, w); err != nil {
 			return err
 		}
 	}

@@ -3,13 +3,19 @@ package cosim_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/asm"
 	"repro/internal/bitvec"
 	"repro/internal/cosim"
+	"repro/internal/hgen"
+	"repro/internal/isdl"
+	"repro/internal/machines"
 	"repro/internal/obs"
+	"repro/internal/tech"
 	"repro/internal/verilog"
 )
 
@@ -260,5 +266,48 @@ func TestPoolObsInstrumentation(t *testing.T) {
 	}
 	if jobs != n {
 		t.Errorf("job spans = %d, want %d", jobs, n)
+	}
+}
+
+// TestLoadProgramInstructionMemoryName: LoadProgram writes the image into
+// the net HGEN names after the description's instruction memory, so toy
+// with its IMEM renamed to ROM still loads and runs to halt.
+func TestLoadProgramInstructionMemoryName(t *testing.T) {
+	d, err := isdl.Parse(strings.Replace(machines.ToySource, "IMEM", "ROM", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asm.Assemble(d, "mv R1, #5\n mv R2, #3\n add R3, R1, R2\n halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := hgen.Synthesize(d, tech.LSI10K(), hgen.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := verilog.Parse(r.VerilogText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var halted, r3 bitvec.Value
+	pool := &cosim.Pool{Workers: 1}
+	if _, err := pool.Run("test.rom", 1, func(_ int, l *cosim.Lane) error {
+		wl := cosim.Workload{Mod: mod, MaxCycles: 100, Init: func(hw *verilog.Sim) error {
+			return cosim.LoadProgram(hw, p)
+		}}
+		hw, err := wl.Run(l)
+		if err != nil {
+			return err
+		}
+		if halted, err = hw.Get("halted"); err != nil {
+			return err
+		}
+		r3, err = hw.GetMem("s_RF", 3)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if halted.IsZero() || r3.Uint64() != 8 {
+		t.Fatalf("halted = %s, RF[3] = %s; want halted with RF[3] = 8", halted, r3)
 	}
 }

@@ -22,10 +22,6 @@ import (
 type SuiteOptions struct {
 	// Backend selects the xsim backend (empty: interp).
 	Backend xsim.Backend
-	// Machines restricts the machine list (default: the whole zoo).
-	Machines []string
-	// Limit bounds instructions per run (0: suite.DefaultLimit).
-	Limit int64
 }
 
 // SuiteRow is one (workload, machine) cell of the suite report.
@@ -66,10 +62,7 @@ type SuiteReport struct {
 // timeout, a reference mismatch — aborts with an error, because a suite
 // that silently drops failing measurements is worse than none.
 func RunSuite(f suite.Filter, o SuiteOptions) (*SuiteReport, error) {
-	ms := o.Machines
-	if len(ms) == 0 {
-		ms = machines.ZooNames()
-	}
+	ms := machines.ZooNames()
 	ws := suite.All(f)
 	backend, err := xsim.ParseBackend(string(o.Backend))
 	if err != nil {
@@ -81,7 +74,7 @@ func RunSuite(f suite.Filter, o SuiteOptions) (*SuiteReport, error) {
 			if w.Machine != "" && w.Machine != m {
 				continue // asm workload pinned elsewhere
 			}
-			res, err := suite.Run(w, m, suite.Options{Backend: backend, Limit: o.Limit})
+			res, err := suite.Run(w, m, suite.Options{Backend: backend})
 			if err != nil {
 				var u *suite.Unsupported
 				if errors.As(err, &u) {

@@ -11,17 +11,6 @@ import (
 	"repro/internal/isdl"
 )
 
-// Disabled reports whether the aot backend is switched off by environment:
-// REPRO_GENSIM_DISABLE set (CI fallback smoke tests use this) or no Go
-// toolchain on PATH.
-func Disabled() bool {
-	if os.Getenv("REPRO_GENSIM_DISABLE") != "" {
-		return true
-	}
-	_, err := exec.LookPath("go")
-	return err != nil
-}
-
 // CacheDir is where built simulator binaries live, keyed by fingerprint:
 // REPRO_GENSIM_CACHE, else the user cache dir, else the system temp dir.
 func CacheDir() string {

@@ -32,11 +32,11 @@ import (
 
 // GeneratorVersion tags the emitted code shape; it is part of the build
 // fingerprint, so bumping it invalidates every cached binary.
-const GeneratorVersion = 2
+const GeneratorVersion = 3
 
 // ProtoVersion is the stdin/stdout protocol version; the handshake rejects
 // a mismatched child binary.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // ErrUnavailable reports that the aot backend cannot run on this host: the
 // Go toolchain is missing or REPRO_GENSIM_DISABLE is set. Callers fall back

@@ -256,8 +256,10 @@ func TestAOTDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestAOTRunContinuation checks the replay-based Run(limit) continuation:
-// stepping in chunks lands on the same state as one long run.
+// TestAOTRunContinuation checks Run(limit) continuation: stepping in chunks
+// lands on the same state as one long run, and Snapshot and Stats match the
+// interpreter before any Load, right after Load, after every chunk and
+// after loading the program again.
 func TestAOTRunContinuation(t *testing.T) {
 	d := machines.Toy()
 	src := `
@@ -274,13 +276,20 @@ done:
 		t.Fatal(err)
 	}
 	aot := mustAOT(t, d)
+	ref := xsim.New(d)
+	same := func(when string) {
+		t.Helper()
+		compareStats(t, "interp "+when, ref.Stats(), aot.Stats())
+		compareSnapshots(t, "interp "+when, ref.Snapshot(), aot.Snapshot())
+	}
+	same("before Load")
 	if err := aot.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	ref := xsim.New(d)
 	if err := ref.Load(p); err != nil {
 		t.Fatal(err)
 	}
+	same("after Load")
 	for !aot.Halted() {
 		if err := aot.Run(3); err != nil {
 			t.Fatal(err)
@@ -291,11 +300,41 @@ done:
 		if aot.Cycle() != ref.Cycle() {
 			t.Fatalf("cycle diverged mid-run: aot=%d ref=%d", aot.Cycle(), ref.Cycle())
 		}
+		same(fmt.Sprintf("at cycle %d", ref.Cycle()))
 	}
 	if !ref.Halted() {
 		t.Fatal("reference did not halt in lockstep")
 	}
-	compareStats(t, "interp", ref.Stats(), aot.Stats())
+	if err := aot.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	same("after a second Load")
+}
+
+// TestLoadErrorParity: both engines reject the same malformed programs
+// with the same text. The aot child is the only validator on its side.
+func TestLoadErrorParity(t *testing.T) {
+	d := machines.Toy()
+	word := bitvec.New(d.InstructionMemory().Width)
+	byte8 := bitvec.New(8)
+	for name, p := range map[string]*asm.Program{
+		"image beyond IMEM": {Desc: d, Base: 255, Words: []bitvec.Value{word, word}},
+		"data beyond DMEM": {Desc: d, Words: []bitvec.Value{word},
+			Data: []asm.DataInit{{Storage: "DMEM", Base: 250, Values: make([]bitvec.Value, 8)}}},
+		"unknown storage": {Desc: d, Words: []bitvec.Value{word},
+			Data: []asm.DataInit{{Storage: "DMX", Values: []bitvec.Value{byte8}}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			interpErr := xsim.New(d).Load(p)
+			aotErr := mustAOT(t, d).Load(p)
+			if interpErr == nil || aotErr == nil || interpErr.Error() != aotErr.Error() {
+				t.Fatalf("Load errors differ:\naot:    %v\ninterp: %v", aotErr, interpErr)
+			}
+		})
+	}
 }
 
 // TestAOTStatsSnapshot: an aot Stats snapshot owns its map and slice, so

@@ -26,17 +26,15 @@ type wireData struct {
 	Values  []string `json:"values"`
 }
 
+// wireReq is one command to the child: load (Base, Words, Data, Entry),
+// run (Limit), state or quit.
 type wireReq struct {
 	Op    string     `json:"op"`
-	Base  int        `json:"base"`
-	Words []string   `json:"words"`
+	Base  int        `json:"base,omitempty"`
+	Words []string   `json:"words,omitempty"`
 	Data  []wireData `json:"data,omitempty"`
-	Entry int        `json:"entry"`
-	Limit int64      `json:"limit"`
-	Stall bool       `json:"stall"`
-	// WantState asks the child for the full final state dump (expensive:
-	// one hex string per storage element); only Snapshot sets it.
-	WantState bool `json:"state,omitempty"`
+	Entry int        `json:"entry,omitempty"`
+	Limit int64      `json:"limit,omitempty"`
 }
 
 type wireState struct {
@@ -45,7 +43,6 @@ type wireState struct {
 }
 
 type wireResp struct {
-	OK           bool              `json:"ok"`
 	Err          string            `json:"err,omitempty"`
 	Fault        string            `json:"fault,omitempty"`
 	Halted       bool              `json:"halted"`
@@ -108,9 +105,9 @@ func newRunner(bin, fp string) (*runner, error) {
 	return r, nil
 }
 
-// run executes one request/response round trip. Serialized: the child
+// call executes one request/response round trip. Serialized: the child
 // handles one request at a time.
-func (r *runner) run(req *wireReq) (*wireResp, error) {
+func (r *runner) call(req *wireReq) (*wireResp, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.dead {

@@ -4,10 +4,10 @@ import "repro/internal/isdl"
 
 // RISCV5Source is a pipelined RISC-V-flavoured 32-bit load/store machine —
 // the "machine zoo" member that stresses the §3.3.3 latency/usage model
-// beyond SPAM's DSP shape (ROADMAP item 4; PAPERS.md: "Towards Accurate
-// Performance Modeling of RISC-V Designs"). The description models a classic
-// 5-stage pipeline (IF ID EX MEM WB) with full forwarding through the
-// Timing annotations:
+// beyond SPAM's DSP shape (PAPERS.md: "Towards Accurate Performance
+// Modeling of RISC-V Designs"). The description models a classic 5-stage
+// pipeline (IF ID EX MEM WB) with full forwarding through the Timing
+// annotations:
 //
 //   - ALU results forward EX→EX: Latency 1, no stall.
 //   - Loads produce in MEM: Latency 2, so a dependent consumer in the next

@@ -281,7 +281,10 @@ func (s *State) LoadProgram(base int, words []bitvec.Value) error {
 // LoadData writes words into a data memory starting at base, without firing
 // monitors.
 func (s *State) LoadData(name string, base int, words []bitvec.Value) error {
-	e := s.elem(name)
+	e, ok := s.elems[name]
+	if !ok {
+		return fmt.Errorf("state: unknown storage %s", name)
+	}
 	if base < 0 || base+len(words) > len(e.data) {
 		return fmt.Errorf("state: %d words at %d exceed %s depth %d", len(words), base, name, len(e.data))
 	}

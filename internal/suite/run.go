@@ -15,8 +15,6 @@ import (
 type Options struct {
 	// Backend selects the xsim backend (empty: interp).
 	Backend xsim.Backend
-	// Limit bounds executed instructions (0: DefaultLimit).
-	Limit int64
 }
 
 // DefaultLimit is the per-run instruction bound: generous for every seeded
@@ -78,10 +76,6 @@ func RunOn(w *Workload, d *isdl.Description, machine string, o Options) (*Result
 		return nil, err
 	}
 
-	limit := o.Limit
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
 	eng, info, err := xsim.NewEngine(d, o.Backend)
 	if err != nil {
 		return nil, err
@@ -91,7 +85,7 @@ func RunOn(w *Workload, d *isdl.Description, machine string, o Options) (*Result
 		return nil, fmt.Errorf("suite: %s on %s: load: %w", w.Name, machine, err)
 	}
 	start := time.Now()
-	if err := eng.Run(limit); err != nil {
+	if err := eng.Run(DefaultLimit); err != nil {
 		return nil, fmt.Errorf("suite: %s on %s: run: %w", w.Name, machine, err)
 	}
 	elapsed := time.Since(start)
@@ -99,7 +93,7 @@ func RunOn(w *Workload, d *isdl.Description, machine string, o Options) (*Result
 		return nil, fmt.Errorf("suite: %s on %s: faulted: %w", w.Name, machine, err)
 	}
 	if !eng.Halted() {
-		return nil, fmt.Errorf("suite: %s on %s: did not halt within %d instructions", w.Name, machine, limit)
+		return nil, fmt.Errorf("suite: %s on %s: did not halt within %d instructions", w.Name, machine, int64(DefaultLimit))
 	}
 
 	got, err := extractRegion(eng, d, out)

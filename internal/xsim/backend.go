@@ -70,8 +70,6 @@ type Engine interface {
 	Perf() PerfReport
 	// Snapshot captures every storage element (for co-simulation checks).
 	Snapshot() map[string][]bitvec.Value
-	// Description returns the machine description the engine simulates.
-	Description() *isdl.Description
 	// Close releases backend resources (subprocesses for aot); the engine
 	// is unusable afterwards.
 	Close() error
