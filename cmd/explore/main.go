@@ -32,6 +32,12 @@
 // random perturbations of the base (deterministic for a fixed -seed) and
 // reports each restart's best plus the global winner.
 //
+// A flag a run would ignore or reinterpret is rejected before any
+// evaluation, with exit status 2: a count out of range, -beam without
+// -strategy beam, a pareto flag without -strategy pareto, -seed without
+// -restarts, -store with -no-cache, and beside -remote any flag but -m,
+// -k, -trace-out, -metrics-out, -no-summary and -dash.
+//
 // Neighbour candidates within an iteration are evaluated concurrently
 // (-workers, default NumCPU), and whole evaluations and synthesis figures
 // are memoized across iterations and restarts (see docs/PIPELINE.md); for
@@ -119,24 +125,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: explore -m <machine> -k <kernel.k> [-strategy hill|beam|pareto] [-beam w] [-max-area a -max-power p -frontier-out f.json] [-restarts n] [-seed s] [-iters n] [-o best.isdl]")
 		os.Exit(2)
 	}
-	// Reject a meaningless objective before any evaluation runs: NaN,
-	// negative or all-zero weights would otherwise silently score every
-	// candidate into an accept test that never fires.
 	weights := explore.Weights{Runtime: *wRun, Area: *wArea, Power: *wPow}
-	if err := weights.Validate(); err != nil {
-		fatal(err)
-	}
 	constraints := explore.Constraints{MaxRuntimeUs: *maxRuntime, MaxArea: *maxArea, MaxPowerMW: *maxPower}
-	if err := constraints.Validate(); err != nil {
-		fatal(err)
-	}
-	if *strategy != "pareto" {
-		if constraints.Active() {
-			fatal(fmt.Errorf("-max-runtime/-max-area/-max-power require -strategy pareto"))
-		}
-		if *frontierOut != "" {
-			fatal(fmt.Errorf("-frontier-out requires -strategy pareto"))
-		}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, runFlags{strategy: *strategy, iters: *iters, beam: *beamWidth,
+		frontierCap: *frontierCap, restarts: *restarts, workers: *workers, noCache: *noCache,
+		weights: weights, constraints: constraints}); err != nil {
+		fmt.Fprintln(os.Stderr, "explore:", err)
+		os.Exit(2)
 	}
 	frontierWriter, err := frontierWriterFor(*frontierOut)
 	if err != nil {
@@ -174,10 +171,9 @@ func main() {
 
 	var cache *core.StageCache
 	if !*noCache {
-		cache = core.NewStageCache()
+		var st blob.Store
 		if *storeSpec != "" {
-			st, err := blob.Open(*storeSpec)
-			if err != nil {
+			if st, err = blob.Open(*storeSpec); err != nil {
 				fatal(err)
 			}
 			// A tracing run tells the remote store who is asking, so a
@@ -185,11 +181,9 @@ func main() {
 			if hc, ok := st.(*blob.HTTP); ok && *traceOut != "" {
 				hc.SetTrace(obs.TraceContext{TraceID: reg.TraceID()})
 			}
-			cache.SetStore(st)
 			fmt.Printf("sharing artifacts via %s\n", *storeSpec)
 		}
-	} else if *storeSpec != "" {
-		fatal(fmt.Errorf("-store requires caching; drop -no-cache"))
+		cache = core.NewStageCache(reg, st)
 	}
 
 	opts := []explore.Option{
@@ -206,8 +200,6 @@ func main() {
 		opts = append(opts, explore.WithBeam(*beamWidth))
 	case "pareto":
 		opts = append(opts, explore.WithPareto(*frontierCap, constraints))
-	default:
-		fatal(fmt.Errorf("unknown -strategy %q (want hill, beam or pareto)", *strategy))
 	}
 	if *restarts > 0 {
 		opts = append(opts, explore.WithRestarts(*restarts, *seed))

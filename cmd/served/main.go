@@ -19,7 +19,7 @@
 //	GET  /v1/jobs/{id}/result    the Evaluation once status is done,
 //	                             plus the job's daemon-side spans for
 //	                             cross-process trace merging
-//	     /v1/blobs/{ns}/{key}    the shared artifact store (GET/PUT/HEAD)
+//	     /v1/blobs/{ns}/{key}    the shared artifact store (GET/PUT)
 //	GET  /healthz                liveness
 //	GET  /metrics                the obs registry as JSON; ?format=prom
 //	                             for Prometheus text exposition,

@@ -80,7 +80,6 @@ type serverConfig struct {
 // server owns the queue, the workers, the shared store and the pipeline.
 type server struct {
 	reg     *obs.Registry
-	cache   *core.StageCache
 	pipe    *core.Pipeline
 	sampler *obs.Sampler
 
@@ -105,16 +104,12 @@ func newServer(st blob.Store, reg *obs.Registry, cfg serverConfig) (*server, err
 	if cfg.workers <= 0 || cfg.queueCap <= 0 {
 		return nil, fmt.Errorf("served: workers (%d) and queue capacity (%d) must be positive", cfg.workers, cfg.queueCap)
 	}
-	cache := core.NewStageCache()
-	cache.Bind(reg)
-	cache.SetStore(st)
 	reg.SetLaneName(laneJobs, "jobs")
 	reg.SetLaneName(laneQueue, "queue")
 	sampler := obs.NewSampler(reg)
 	s := &server{
 		reg:     reg,
-		cache:   cache,
-		pipe:    &core.Pipeline{Cache: cache, Obs: reg},
+		pipe:    &core.Pipeline{Cache: core.NewStageCache(reg, st), Obs: reg},
 		sampler: sampler,
 		workers: cfg.workers,
 		queue:   make(chan *job, cfg.queueCap),
@@ -229,26 +224,15 @@ func (s *server) run(j *job) {
 	sp.End()
 }
 
-// evaluate runs the staged pipeline for one job. The cached verdict
-// compares per-stage miss counts around the evaluation: zero new misses
-// outside Parse means every artifact was served from cache or store.
-// (Exact with one worker; best-effort under concurrent jobs, whose
-// misses can bleed into each other's windows.)
+// evaluate runs the staged pipeline for one job. The cached verdict is
+// the pipeline's own: the whole evaluation came from the cache or the
+// store, so no stage after Parse ran for this job.
 func (s *server) evaluate(j *job, sp *obs.Span) (*core.Evaluation, bool, error) {
 	workload := j.req.Workload
 	if workload == "" {
 		workload = "kernel"
 	}
-	before := s.cache.PerStage()
-	eval, err := s.pipe.EvaluateKernelTraced(j.src, j.req.Kernel, workload, sp)
-	after := s.cache.PerStage()
-	cached := true
-	for st := core.Stage(0); st < core.NumStages; st++ {
-		if st != core.StageParse && after[st].Misses != before[st].Misses {
-			cached = false
-		}
-	}
-	return eval, cached, err
+	return s.pipe.EvaluateKernel(j.src, j.req.Kernel, workload, sp)
 }
 
 // maxRequestBytes bounds one submission body (descriptions and kernels

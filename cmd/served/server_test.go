@@ -9,6 +9,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -126,6 +127,35 @@ func TestSubmitStatusResult(t *testing.T) {
 	}
 	if !st2.Cached {
 		t.Error("identical second submit was not served from cache")
+	}
+}
+
+// TestCachedVerdictUnderConcurrentJobs: with two workers, a warm job
+// that runs beside an uncached one still reports cached, and the
+// uncached one does not. A verdict drawn from the cache's global miss
+// counters around each job would see the neighbour's misses.
+func TestCachedVerdictUnderConcurrentJobs(t *testing.T) {
+	s, ts := newTestServer(t, 2, 8)
+	s.start()
+	defer s.closeAndWait()
+
+	warm := service.JobRequest{Machine: "spam", Kernel: testKernel}
+	_, sub := postJob(t, ts.URL, warm)
+	if st := waitDone(t, ts.URL, sub.ID); st.Status != service.StatusDone || st.Cached {
+		t.Fatalf("warming job = %+v, want done and uncached", st)
+	}
+	for i := 0; i < 20; i++ {
+		cold := service.JobRequest{Machine: "spam", Kernel: fmt.Sprintf("var x, y;\nx = %d;\ny = x + 3;\n", 100+i)}
+		// The cold job goes first, so its misses land while the warm
+		// job runs.
+		_, c := postJob(t, ts.URL, cold)
+		_, w := postJob(t, ts.URL, warm)
+		if st := waitDone(t, ts.URL, w.ID); st.Status != service.StatusDone || !st.Cached {
+			t.Errorf("round %d: warm job = %+v, want done and cached", i, st)
+		}
+		if st := waitDone(t, ts.URL, c.ID); st.Status != service.StatusDone || st.Cached {
+			t.Errorf("round %d: cold job = %+v, want done and uncached", i, st)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 //   - Dir: one file per blob under a root directory, written atomically
 //     (temp+fsync+rename via internal/atomicfile) so concurrent
 //     processes sharing the directory never observe a partial blob.
-//   - HTTP: a thin remote client speaking GET/PUT/HEAD against the
+//   - HTTP: a thin remote client speaking GET/PUT against the
 //     /v1/blobs/{ns}/{key} tree that Handler serves (cmd/served mounts
 //     it), so explorers on different machines share every artifact.
 //
@@ -79,8 +79,6 @@ type Store interface {
 	// Put stores the blob under ns/key, durably for Dir (atomic write)
 	// and remote stores.
 	Put(ns string, key Key, data []byte) error
-	// Has reports whether ns/key holds a blob, without fetching it.
-	Has(ns string, key Key) (bool, error)
 }
 
 // checkNS validates a namespace: non-empty, and restricted to a charset

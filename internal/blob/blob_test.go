@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -38,9 +39,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			if _, err := s.Get("compile.v2", k); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Get on empty store = %v, want ErrNotFound", err)
 			}
-			if ok, err := s.Has("compile.v2", k); err != nil || ok {
-				t.Fatalf("Has on empty store = %v, %v", ok, err)
-			}
 			want := []byte(`{"compile":"add R1, R2, R3"}`)
 			if err := s.Put("compile.v2", k, want); err != nil {
 				t.Fatal(err)
@@ -48,9 +46,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			got, err := s.Get("compile.v2", k)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("Get = %q, %v; want %q", got, err, want)
-			}
-			if ok, err := s.Has("compile.v2", k); err != nil || !ok {
-				t.Fatalf("Has after Put = %v, %v; want true", ok, err)
 			}
 			// Same key, different namespace: separate entry.
 			if _, err := s.Get("simulate.v2", k); !errors.Is(err, ErrNotFound) {
@@ -61,6 +56,28 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Fatalf("re-Put: %v", err)
 			}
 		})
+	}
+}
+
+// TestHandlerMethods: the blob tree answers GET and PUT only; HEAD and
+// every other method get 405.
+func TestHandlerMethods(t *testing.T) {
+	srv := httptest.NewServer(Handler(NewMem()))
+	t.Cleanup(srv.Close)
+	url := srv.URL + blobsPrefix + "compile.v2/" + KeyOf("methods").String()
+	for _, method := range []string{http.MethodHead, http.MethodDelete, http.MethodPost} {
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s = %d, want 405", method, resp.StatusCode)
+		}
 	}
 }
 

@@ -30,9 +30,6 @@ func NewDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Dir) Root() string { return s.root }
-
 // path maps ns/key to the blob's file path.
 func (s *Dir) path(ns string, key Key) string {
 	hex := key.String()
@@ -67,19 +64,4 @@ func (s *Dir) Put(ns string, key Key, data []byte) error {
 		return fmt.Errorf("blob: dir put: %w", err)
 	}
 	return nil
-}
-
-// Has implements Store.
-func (s *Dir) Has(ns string, key Key) (bool, error) {
-	if err := checkNS(ns); err != nil {
-		return false, err
-	}
-	_, err := os.Stat(s.path(ns, key))
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("blob: dir has: %w", err)
-	}
-	return true, nil
 }

@@ -18,11 +18,11 @@ import (
 const blobsPrefix = "/v1/blobs/"
 
 // maxBlobBytes bounds one blob on the wire (and in a Handler-backed
-// server's memory). Stage artifacts are a few KB of JSON; aot simulator
-// binaries are a few MB; 64 MiB is comfortably past both.
+// server's memory). Stage artifacts are a few KB of JSON, so 64 MiB is
+// far past any blob the pipeline writes.
 const maxBlobBytes = 64 << 20
 
-// HTTP is the remote Store client: GET/PUT/HEAD against
+// HTTP is the remote Store client: GET/PUT against
 // base + /v1/blobs/{ns}/{key}.
 type HTTP struct {
 	base   string
@@ -124,35 +124,11 @@ func (s *HTTP) Put(ns string, key Key, data []byte) error {
 	return nil
 }
 
-// Has implements Store.
-func (s *HTTP) Has(ns string, key Key) (bool, error) {
-	if err := checkNS(ns); err != nil {
-		return false, err
-	}
-	req, err := s.newRequest(http.MethodHead, s.url(ns, key), nil)
-	if err != nil {
-		return false, fmt.Errorf("blob: http has: %w", err)
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("blob: http has: %w", err)
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	default:
-		return false, fmt.Errorf("blob: http has %s/%s: %s", ns, key, resp.Status)
-	}
-}
-
 // Handler serves a Store over the /v1/blobs/{ns}/{key} tree the HTTP
-// client speaks: GET returns the blob (404 when absent), HEAD probes it,
-// PUT stores the body (idempotently; 204 on success). Mount it at the
-// server root — it routes by full path, so it composes with other
-// handlers on the same mux.
+// client speaks: GET returns the blob (404 when absent), PUT stores the
+// body (idempotently; 204 on success), and any other method answers 405.
+// Mount it at the server root — it routes by full path, so it composes
+// with other handlers on the same mux.
 func Handler(s Store) http.Handler { return HandlerObs(s, nil) }
 
 // HandlerObs is Handler with server-side observability: every request
@@ -216,17 +192,6 @@ func blobMux(s Store) http.Handler {
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(data)
-		case http.MethodHead:
-			ok, err := s.Has(ns, key)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if !ok {
-				w.WriteHeader(http.StatusNotFound)
-				return
-			}
-			w.WriteHeader(http.StatusOK)
 		case http.MethodPut:
 			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
 			if err != nil {

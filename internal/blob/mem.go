@@ -47,17 +47,6 @@ func (s *Mem) Put(ns string, key Key, data []byte) error {
 	return nil
 }
 
-// Has implements Store.
-func (s *Mem) Has(ns string, key Key) (bool, error) {
-	if err := checkNS(ns); err != nil {
-		return false, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.m[ns][key]
-	return ok, nil
-}
-
 // Len returns the total number of blobs across namespaces (tests).
 func (s *Mem) Len() int {
 	s.mu.RLock()

@@ -1,6 +1,6 @@
 package core
 
-// The StageCache's shared substrate. A BlobStore (internal/blob) turns
+// The StageCache's shared substrate. A blob.Store (internal/blob) turns
 // the per-process memo table into a cross-process, cross-machine cache:
 // synthesis figures and whole evaluations are written through to the
 // store on Put, and a memory miss consults the store before declaring a
@@ -15,15 +15,6 @@ import (
 
 	"repro/internal/blob"
 )
-
-// BlobStore is the pluggable artifact substrate behind a StageCache:
-// Get/Put/Has by SHA-256 key inside a stage namespace. Three
-// implementations ship in internal/blob — in-memory (blob.Mem, the old
-// single-process behavior), local-directory CAS (blob.Dir, safe for
-// concurrent processes via atomic temp+fsync+rename writes) and an HTTP
-// remote client (blob.HTTP, served by cmd/served) — selected by
-// blob.Open("mem" | "dir:PATH" | "http://HOST").
-type BlobStore = blob.Store
 
 // persistVersion guards the blob format: it is part of every stage's
 // namespace, so a store populated by an older toolchain is invisible to
@@ -87,66 +78,47 @@ func decodeStageBlob(s Stage, data []byte) (stageEntry, error) {
 	return stageEntry{}, fmt.Errorf("core: %s blob carries no %s artifact", s, s)
 }
 
-// SetStore attaches the shared artifact store. Set it before evaluation
-// starts; entries already memoized are not backfilled. A nil store
-// detaches (memory-only, the default).
-func (c *StageCache) SetStore(bs BlobStore) {
-	c.mu.Lock()
-	c.store = bs
-	c.mu.Unlock()
-}
-
-// storeGet consults the attached store after a memory miss. A store hit
-// is decoded, installed in the memory tier and counted as a stage hit;
-// store trouble (network, decode) degrades to a miss — the stage
-// recomputes, evaluation never fails on the store's account.
-func (c *StageCache) storeGet(bs BlobStore, s Stage, k CacheKey) (stageEntry, bool) {
-	data, err := bs.Get(storeNS(s), blob.Key(k))
-	if err != nil {
-		c.mu.Lock()
-		if errors.Is(err, blob.ErrNotFound) {
-			c.storeMisses.Inc()
-		} else {
-			c.storeErrs.Inc()
-		}
-		c.mu.Unlock()
+// storeGet consults the store after a memory miss. A store hit is
+// decoded and installed in the memory tier; store trouble (network,
+// decode) degrades to a miss — the stage recomputes, evaluation never
+// fails on the store's account.
+func (c *StageCache) storeGet(s Stage, k CacheKey) (stageEntry, bool) {
+	data, err := c.store.Get(storeNS(s), blob.Key(k))
+	if errors.Is(err, blob.ErrNotFound) {
+		c.storeMisses.Inc()
 		return stageEntry{}, false
 	}
-	e, err := decodeStageBlob(s, data)
+	var e stageEntry
+	if err == nil {
+		e, err = decodeStageBlob(s, data)
+	}
 	if err != nil {
-		c.mu.Lock()
 		c.storeErrs.Inc()
-		c.mu.Unlock()
 		return stageEntry{}, false
 	}
 	c.mu.Lock()
 	c.tables[s][k] = e
-	c.hits[s].Inc()
-	c.storeHits.Inc()
 	c.mu.Unlock()
+	c.storeHits.Inc()
 	return e, true
 }
 
 // storePut writes one completed entry through to the store. Entries that
-// do not serialize (nil values) and store errors are silently skipped —
-// the memory tier already has the artifact.
-func (c *StageCache) storePut(bs BlobStore, s Stage, k CacheKey, e stageEntry) {
+// do not serialize (nil values) and store errors are skipped — the
+// memory tier already has the artifact; errors are counted.
+func (c *StageCache) storePut(s Stage, k CacheKey, e stageEntry) {
 	data, ok := encodeStageBlob(e)
 	if !ok {
 		return
 	}
-	if err := bs.Put(storeNS(s), blob.Key(k), data); err != nil {
-		c.mu.Lock()
+	if err := c.store.Put(storeNS(s), blob.Key(k), data); err != nil {
 		c.storeErrs.Inc()
-		c.mu.Unlock()
 	}
 }
 
-// StoreStats returns the store-tier traffic: hits served from the
-// attached BlobStore, store lookups that found nothing, and store or
-// decode errors that degraded to recomputation.
+// StoreStats returns the store-tier traffic: hits served from the store,
+// store lookups that found nothing, and store or decode errors that
+// degraded to recomputation.
 func (c *StageCache) StoreStats() (hits, misses, errors uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.storeHits.Value(), c.storeMisses.Value(), c.storeErrs.Value()
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/blob"
 	"repro/internal/obs"
 )
 
@@ -102,137 +103,90 @@ type StageStats struct {
 // evaluation configuration is fixed (core.go), so a stage's inputs fully
 // determine its deterministic result.
 //
-// Hit and miss counts live in obs.Counter instruments: standalone ones by
-// default, or — after Bind — counters owned by an obs.Registry, so cache
-// traffic appears in exported metrics under cache.<stage>.hits/.misses.
-//
 // Cached artifacts are shared across callers (and goroutines) and must be
 // treated as immutable.
 //
-// The memory tables are the first tier. With SetStore, a BlobStore
-// (internal/blob — shared directory or remote HTTP) becomes the second:
+// The memory tables are the first tier. An optional blob.Store
+// (internal/blob — shared directory or remote HTTP) is the second:
 // synthesis figures and whole evaluations are written through on Put and
 // consulted on a memory miss, so processes sharing a store share them
 // (see blobstore.go and docs/PIPELINE.md).
 type StageCache struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards tables
 	tables [NumStages]map[CacheKey]stageEntry
-	hits   [NumStages]*obs.Counter
-	misses [NumStages]*obs.Counter
-	bound  *obs.Registry // registry the counters live in, nil if standalone
-	store  BlobStore     // second tier, nil for memory-only
-	// Store-tier traffic, in registry counters after Bind
-	// (cache.store.hits/.misses/.errors).
+	store  blob.Store // second tier, nil for memory-only
+
+	hits, misses                      [NumStages]*obs.Counter
 	storeHits, storeMisses, storeErrs *obs.Counter
 }
 
-// NewStageCache returns an empty cache.
-func NewStageCache() *StageCache {
-	c := &StageCache{}
-	for i := range c.tables {
-		c.tables[i] = map[CacheKey]stageEntry{}
-		c.hits[i] = obs.NewCounter()
-		c.misses[i] = obs.NewCounter()
+// NewStageCache returns an empty cache over an optional second-tier
+// store (nil keeps it memory-only). Its counters are reg's
+// cache.<stage>.hits/.misses and cache.store.hits/.misses/.errors, so
+// cache traffic appears in the registry's exports from the first lookup;
+// with a nil reg they are standalone counters.
+func NewStageCache(reg *obs.Registry, store blob.Store) *StageCache {
+	counter := func(name string) *obs.Counter {
+		if reg == nil {
+			return obs.NewCounter()
+		}
+		return reg.Counter("cache." + name)
 	}
-	c.storeHits = obs.NewCounter()
-	c.storeMisses = obs.NewCounter()
-	c.storeErrs = obs.NewCounter()
-	return c
-}
-
-// Bind re-homes the cache's hit/miss counters into a registry, under
-// cache.<stage>.hits and cache.<stage>.misses. Counts accumulated so far
-// carry over, and every future Get/countRun lands in the registry's
-// counters, so cache traffic shows up in its exports. Binding the same
-// registry again is a no-op (so repeated exploration runs over a shared
-// cache never double-count); binding a different registry migrates the
-// current counts there.
-func (c *StageCache) Bind(r *obs.Registry) {
-	if r == nil {
-		return
+	c := &StageCache{
+		store:       store,
+		storeHits:   counter("store.hits"),
+		storeMisses: counter("store.misses"),
+		storeErrs:   counter("store.errors"),
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bound == r {
-		return
-	}
-	c.bound = r
 	for s := Stage(0); s < NumStages; s++ {
-		h := r.Counter("cache." + s.String() + ".hits")
-		h.Add(c.hits[s].Value())
-		c.hits[s] = h
-		m := r.Counter("cache." + s.String() + ".misses")
-		m.Add(c.misses[s].Value())
-		c.misses[s] = m
+		c.tables[s] = map[CacheKey]stageEntry{}
+		c.hits[s] = counter(s.String() + ".hits")
+		c.misses[s] = counter(s.String() + ".misses")
 	}
-	for _, ct := range []struct {
-		name string
-		c    **obs.Counter
-	}{
-		{"cache.store.hits", &c.storeHits},
-		{"cache.store.misses", &c.storeMisses},
-		{"cache.store.errors", &c.storeErrs},
-	} {
-		n := r.Counter(ct.name)
-		n.Add((*ct.c).Value())
-		*ct.c = n
-	}
+	return c
 }
 
 // Get looks up a stage's key, counting a hit or a miss. On a hit it
 // returns the memoized artifact or error. A memory miss consults the
-// attached BlobStore (if any) for the memoized stages before
-// counting the miss; a store hit installs the entry in memory and counts
-// as a hit, so StageStats reflect work avoided, wherever the artifact
-// came from.
+// store (if any) for the memoized stages before counting the miss; a
+// store hit installs the entry in memory and counts as a hit, so
+// StageStats reflect work avoided, wherever the artifact came from.
 func (c *StageCache) Get(s Stage, k CacheKey) (val any, err error, ok bool) {
 	c.mu.Lock()
-	if e, ok := c.tables[s][k]; ok {
-		c.hits[s].Inc()
-		c.mu.Unlock()
-		return e.val, e.err, true
-	}
-	bs := c.store
+	e, ok := c.tables[s][k]
 	c.mu.Unlock()
-	if bs != nil && memoized[s] {
-		if e, ok := c.storeGet(bs, s, k); ok {
-			return e.val, e.err, true
-		}
+	if !ok && c.store != nil && memoized[s] {
+		e, ok = c.storeGet(s, k)
 	}
-	c.mu.Lock()
-	c.misses[s].Inc()
-	c.mu.Unlock()
-	return nil, nil, false
+	if !ok {
+		c.misses[s].Inc()
+		return nil, nil, false
+	}
+	c.hits[s].Inc()
+	return e.val, e.err, true
 }
 
 // Put stores a completed stage artifact (or its deterministic failure)
-// under a key, writing memoized stages through to the attached
-// BlobStore. Concurrent Puts for the same key are benign: every stage is
-// a pure function of the key, so every writer stores the same result.
+// under a key, writing memoized stages through to the store. Concurrent
+// Puts for the same key are benign: every stage is a pure function of the
+// key, so every writer stores the same result.
 func (c *StageCache) Put(s Stage, k CacheKey, val any, err error) {
 	e := stageEntry{val: val, err: err}
 	c.mu.Lock()
 	c.tables[s][k] = e
-	bs := c.store
 	c.mu.Unlock()
-	if bs != nil && memoized[s] {
-		c.storePut(bs, s, k, e)
+	if c.store != nil && memoized[s] {
+		c.storePut(s, k, e)
 	}
 }
 
 // countRun records a run of an unmemoized stage as a miss, so per-stage
 // metrics cover the full pipeline.
-func (c *StageCache) countRun(s Stage) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.misses[s].Inc()
-}
+func (c *StageCache) countRun(s Stage) { c.misses[s].Inc() }
 
 // PerStage returns the hit and miss counts of every stage, indexed by
 // Stage.
 func (c *StageCache) PerStage() [NumStages]StageStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out [NumStages]StageStats
 	for s := range out {
 		out[s] = StageStats{Hits: c.hits[s].Value(), Misses: c.misses[s].Value()}
@@ -249,11 +203,4 @@ func (c *StageCache) StatsLine() string {
 		parts = append(parts, fmt.Sprintf("%s %d/%d", s, ps[s].Hits, ps[s].Misses))
 	}
 	return strings.Join(parts, " ")
-}
-
-// StageLen returns the number of memoized artifacts of one stage.
-func (c *StageCache) StageLen(s Stage) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tables[s])
 }

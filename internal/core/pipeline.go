@@ -52,29 +52,26 @@ type Pipeline struct {
 	// in-flight gauges (pipeline.<name>.inflight), one span per executed
 	// stage, simulator perf counters and synthesis phase timings. Nil
 	// disables instrumentation entirely (no clock reads on the hot path).
-	// Obs does not bind the Cache's hit/miss counters — call
-	// Cache.Bind(Obs) for that.
+	// The Cache counts its hits and misses into the registry it was
+	// built with (NewStageCache).
 	Obs *obs.Registry
 }
 
 // EvaluateKernel runs the full pipeline for one candidate ISDL source and
 // one kernel-language workload: parse, compile the kernel, assemble,
-// simulate, synthesize, and combine. With a cache, the whole evaluation
-// is memoized under (canonical ISDL, kernel, workload label) and the
-// synthesis figures under the canonical ISDL alone. Parse errors are
-// returned unmemoized, as a *ParseError (an unparsable text has no
-// canonical form to key by); all later deterministic failures are
+// simulate, synthesize, and combine. Executed stages become children of
+// parent in the exported trace (the explorer passes its per-candidate
+// span, served its job span); a nil parent starts them at the root.
+//
+// With a cache, the whole evaluation is memoized under (canonical ISDL,
+// kernel, workload label) and the synthesis figures under the canonical
+// ISDL alone, and cached reports that the cache answered the evaluation
+// key, from memory or from the store, so no stage after Parse ran. Parse
+// errors are returned unmemoized, as a *ParseError (an unparsable text
+// has no canonical form to key by); all later deterministic failures are
 // memoized under the evaluation key, so an infeasible candidate is
 // rejected once per cache lifetime.
-func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string) (*Evaluation, error) {
-	return p.EvaluateKernelTraced(isdlSrc, kernel, workload, nil)
-}
-
-// EvaluateKernelTraced is EvaluateKernel with span linkage: executed
-// stages become children of parent in the exported trace (the explorer
-// passes its per-candidate span). A nil parent starts stage spans at the
-// root; with a nil Obs registry it behaves exactly like EvaluateKernel.
-func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
+func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string, parent *obs.Span) (ev *Evaluation, cached bool, err error) {
 	c := p.Cache
 
 	// Parse + canonicalize. Never memoized: the artifact would be a mutable
@@ -91,7 +88,7 @@ func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent
 		p.Obs.Histogram("stage.parse.ns").Observe(time.Since(start))
 	}
 	if err != nil {
-		return nil, &ParseError{Err: err}
+		return nil, false, &ParseError{Err: err}
 	}
 	canonical := isdl.Format(d)
 
@@ -125,7 +122,7 @@ func (p *Pipeline) runStages(d *isdl.Description, canonical, kernel, workload st
 
 	// Synthesize: independent of the workload, so a kernel change reuses
 	// the synthesis figures.
-	synthArt, err := memo(p.Cache, StageSynthesize, StageKey(StageSynthesize, canonical), func() (SynthArtifact, error) {
+	synthArt, _, err := memo(p.Cache, StageSynthesize, StageKey(StageSynthesize, canonical), func() (SynthArtifact, error) {
 		return stageRun(p, parent, StageSynthesize, func() (SynthArtifact, error) {
 			return synthesize(d, p.Obs)
 		})
@@ -135,7 +132,7 @@ func (p *Pipeline) runStages(d *isdl.Description, canonical, kernel, workload st
 	}
 
 	// Combine: pure arithmetic over the two artifacts; memoized as the
-	// whole evaluation by EvaluateKernelTraced.
+	// whole evaluation by EvaluateKernel.
 	var start time.Time
 	if p.Obs != nil {
 		start = time.Now()
@@ -189,19 +186,20 @@ func synthesize(d *isdl.Description, r *obs.Registry) (SynthArtifact, error) {
 }
 
 // memo answers a memoized stage from the cache, or runs it and stores
-// its artifact (or deterministic error) under the key. With a nil cache it
-// just runs the stage.
-func memo[T any](c *StageCache, s Stage, k CacheKey, run func() (T, error)) (T, error) {
+// its artifact (or deterministic error) under the key. The bool reports
+// that the cache answered. With a nil cache it just runs the stage.
+func memo[T any](c *StageCache, s Stage, k CacheKey, run func() (T, error)) (T, bool, error) {
 	if c == nil {
-		return run()
+		t, err := run()
+		return t, false, err
 	}
 	if v, err, ok := c.Get(s, k); ok {
 		t, _ := v.(T)
-		return t, err
+		return t, true, err
 	}
 	t, err := run()
 	c.Put(s, k, t, err)
-	return t, err
+	return t, false, err
 }
 
 // stageRun runs one stage, instrumented with a latency histogram, an

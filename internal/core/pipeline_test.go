@@ -41,12 +41,15 @@ func wantStage(t *testing.T, d [NumStages]StageStats, s Stage, hits, misses uint
 // redoing the workload-dependent stages.
 func TestPipelineStageKeyComposition(t *testing.T) {
 	src := toyCanonical(t)
-	cache := NewStageCache()
+	cache := NewStageCache(nil, nil)
 	pipe := &Pipeline{Cache: cache}
 
-	base, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel")
+	base, cached, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cached {
+		t.Error("cold evaluation reported cached")
 	}
 	cold := cache.PerStage()
 	for s := StageCompile; s < NumStages; s++ {
@@ -61,12 +64,12 @@ func TestPipelineStageKeyComposition(t *testing.T) {
 	if isdl.Format(mustParse(t, reformatted)) != src {
 		t.Fatal("reformatted source is not formatting-only")
 	}
-	again, err := pipe.EvaluateKernel(reformatted, pipeKernelA, "kernel")
+	again, cached, err := pipe.EvaluateKernel(reformatted, pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != base {
-		t.Error("formatting-only change did not return the memoized evaluation")
+	if again != base || !cached {
+		t.Errorf("formatting-only change: memoized evaluation returned %v, cached %v; want both", again == base, cached)
 	}
 	d := statsDelta(cold, cache.PerStage())
 	wantStage(t, d, StageCombine, 1, 0)
@@ -77,9 +80,12 @@ func TestPipelineStageKeyComposition(t *testing.T) {
 	// Kernel-only change: Synthesize depends only on the description, so
 	// its artifact is reused; the workload-dependent stages re-run.
 	snap := cache.PerStage()
-	kb, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel")
+	kb, cached, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cached {
+		t.Error("kernel-only change reported cached; only synthesis was reused")
 	}
 	d = statsDelta(snap, cache.PerStage())
 	wantStage(t, d, StageSynthesize, 1, 0)
@@ -95,13 +101,13 @@ func TestPipelineStageKeyComposition(t *testing.T) {
 // TestPipelineInstrumentation: with a registry configured, every executed
 // stage leaves a latency histogram, a balanced in-flight gauge and a span;
 // simulator perf counters and synthesis phase timings are published; and
-// Bind re-homes the cache counters so hits/misses appear in the metrics.
+// a cache built over the registry counts its hits and misses there.
 func TestPipelineInstrumentation(t *testing.T) {
 	src := toyCanonical(t)
 	reg := obs.NewRegistry()
-	cache := NewStageCache()
+	cache := NewStageCache(reg, nil)
 	pipe := &Pipeline{Cache: cache, Obs: reg}
-	if _, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel"); err != nil {
+	if _, _, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +138,7 @@ func TestPipelineInstrumentation(t *testing.T) {
 
 	// Span linkage: a parent span makes stage spans its children.
 	parent := reg.StartSpan("candidate")
-	if _, err := pipe.EvaluateKernelTraced(src, pipeKernelB, "kernel", parent); err != nil {
+	if _, _, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel", parent); err != nil {
 		t.Fatal(err)
 	}
 	parent.End()
@@ -147,20 +153,17 @@ func TestPipelineInstrumentation(t *testing.T) {
 		t.Errorf("got %d child spans, want 3", linked)
 	}
 
-	// Bind carries accumulated counts into the registry.
-	cache.Bind(reg)
+	// The cache's counters are the registry's.
 	counters = reg.Counters()
 	ps := cache.PerStage()
-	if counters["cache.synthesize.hits"] != ps[StageSynthesize].Hits || ps[StageSynthesize].Hits == 0 {
-		t.Errorf("bound hit counter = %d, want %d", counters["cache.synthesize.hits"], ps[StageSynthesize].Hits)
+	for s := Stage(0); s < NumStages; s++ {
+		if counters["cache."+s.String()+".hits"] != ps[s].Hits || counters["cache."+s.String()+".misses"] != ps[s].Misses {
+			t.Errorf("stage %s: registry %d/%d, cache %+v", s,
+				counters["cache."+s.String()+".hits"], counters["cache."+s.String()+".misses"], ps[s])
+		}
 	}
-	// Post-bind traffic lands in the registry counters too.
-	if _, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel"); err != nil {
-		t.Fatal(err)
-	}
-	after := reg.Counters()
-	if after["cache.combine.hits"] != counters["cache.combine.hits"]+1 {
-		t.Errorf("post-bind combine hits = %d, want %d", after["cache.combine.hits"], counters["cache.combine.hits"]+1)
+	if ps[StageSynthesize].Hits != 1 || ps[StageCombine].Misses != 2 {
+		t.Errorf("synthesize %+v, combine %+v; want 1 synthesize hit and 2 combine misses", ps[StageSynthesize], ps[StageCombine])
 	}
 }
 
@@ -177,13 +180,16 @@ func mustParse(t *testing.T, src string) *isdl.Description {
 // the same evaluation as the cached path.
 func TestPipelineNilCache(t *testing.T) {
 	src := toyCanonical(t)
-	cached, err := (&Pipeline{Cache: NewStageCache()}).EvaluateKernel(src, pipeKernelA, "kernel")
+	cached, _, err := (&Pipeline{Cache: NewStageCache(nil, nil)}).EvaluateKernel(src, pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := (&Pipeline{}).EvaluateKernel(src, pipeKernelA, "kernel")
+	plain, hit, err := (&Pipeline{}).EvaluateKernel(src, pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hit {
+		t.Error("uncached pipeline reported a cache hit")
 	}
 	if !reflect.DeepEqual(plain, cached) {
 		t.Errorf("uncached evaluation differs:\n%+v\n%+v", plain, cached)
@@ -194,16 +200,16 @@ func TestPipelineNilCache(t *testing.T) {
 // the second attempt answers from the final stage.
 func TestPipelineMemoizesFailures(t *testing.T) {
 	src := toyCanonical(t)
-	cache := NewStageCache()
+	cache := NewStageCache(nil, nil)
 	pipe := &Pipeline{Cache: cache}
 	bad := "var x;\nx = undefinedCall();\n"
-	if _, err := pipe.EvaluateKernel(src, bad, "kernel"); err == nil {
+	if _, _, err := pipe.EvaluateKernel(src, bad, "kernel", nil); err == nil {
 		t.Fatal("expected a compile failure")
 	}
 	snap := cache.PerStage()
-	_, err := pipe.EvaluateKernel(src, bad, "kernel")
-	if err == nil {
-		t.Fatal("memoized failure lost")
+	_, cached, err := pipe.EvaluateKernel(src, bad, "kernel", nil)
+	if err == nil || !cached {
+		t.Fatalf("second attempt: err %v, cached %v; want the memoized failure", err, cached)
 	}
 	d := statsDelta(snap, cache.PerStage())
 	wantStage(t, d, StageCombine, 1, 0)
@@ -215,10 +221,10 @@ func TestPipelineMemoizesFailures(t *testing.T) {
 // report their own.
 func TestPipelineKeysWorkloadLabel(t *testing.T) {
 	src := toyCanonical(t)
-	cache := NewStageCache()
+	cache := NewStageCache(nil, nil)
 	pipe := &Pipeline{Cache: cache}
 	for _, label := range []string{"first", "second", "first"} {
-		e, err := pipe.EvaluateKernel(src, pipeKernelA, label)
+		e, _, err := pipe.EvaluateKernel(src, pipeKernelA, label, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,7 @@ import (
 // the store, and a fresh cache over the same store serves them as hits.
 func TestStageCacheStoreWriteThrough(t *testing.T) {
 	st := blob.NewMem()
-	a := NewStageCache()
-	a.SetStore(st)
+	a := NewStageCache(nil, st)
 
 	ks := StageKey(StageSynthesize, "machine")
 	a.Put(StageSynthesize, ks, SynthArtifact{CycleNs: 7.5, AreaCells: 1200}, nil)
@@ -26,8 +25,7 @@ func TestStageCacheStoreWriteThrough(t *testing.T) {
 		t.Fatalf("store holds %d blobs, want 2", st.Len())
 	}
 
-	b := NewStageCache()
-	b.SetStore(st)
+	b := NewStageCache(nil, st)
 	v, err, ok := b.Get(StageSynthesize, ks)
 	if !ok || err != nil || v.(SynthArtifact) != (SynthArtifact{CycleNs: 7.5, AreaCells: 1200}) {
 		t.Fatalf("synthesize via store = (%v, %v, %v)", v, err, ok)
@@ -56,13 +54,11 @@ func TestStageCacheStoreWriteThrough(t *testing.T) {
 // Memoized deterministic failures travel through the store too.
 func TestStageCacheStoreSharesFailures(t *testing.T) {
 	st := blob.NewMem()
-	a := NewStageCache()
-	a.SetStore(st)
+	a := NewStageCache(nil, st)
 	k := StageKey(StageCombine, "machine", "bad kernel", "label")
 	a.Put(StageCombine, k, (*Evaluation)(nil), fmt.Errorf("compile: no add operation"))
 
-	b := NewStageCache()
-	b.SetStore(st)
+	b := NewStageCache(nil, st)
 	_, err, ok := b.Get(StageCombine, k)
 	if !ok || err == nil || err.Error() != "compile: no add operation" {
 		t.Fatalf("failure via store = (%v, %v)", err, ok)
@@ -73,15 +69,13 @@ func TestStageCacheStoreSharesFailures(t *testing.T) {
 // cache misses.
 func TestStageCacheStoreSkipsMemoryOnlyStages(t *testing.T) {
 	st := blob.NewMem()
-	a := NewStageCache()
-	a.SetStore(st)
+	a := NewStageCache(nil, st)
 	k := StageKey(StageAssemble, "machine", "kernel")
 	a.Put(StageAssemble, k, struct{ live bool }{true}, nil)
 	if st.Len() != 0 {
 		t.Fatalf("assemble entry leaked into the store (%d blobs)", st.Len())
 	}
-	b := NewStageCache()
-	b.SetStore(st)
+	b := NewStageCache(nil, st)
 	if _, _, ok := b.Get(StageAssemble, k); ok {
 		t.Fatal("assemble entry served from store")
 	}
@@ -95,9 +89,7 @@ func TestStageCacheConcurrentStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewStageCache()
-	c.SetStore(st)
-	c.Bind(obs.NewRegistry())
+	c := NewStageCache(obs.NewRegistry(), st)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -131,18 +123,19 @@ func TestPipelineFullyServedFromStore(t *testing.T) {
 	src := toyCanonical(t)
 	st := blob.NewMem()
 
-	ca := NewStageCache()
-	ca.SetStore(st)
-	a, err := (&Pipeline{Cache: ca}).EvaluateKernel(src, pipeKernelA, "kernel")
+	ca := NewStageCache(nil, st)
+	a, _, err := (&Pipeline{Cache: ca}).EvaluateKernel(src, pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cb := NewStageCache()
-	cb.SetStore(st)
-	b, err := (&Pipeline{Cache: cb}).EvaluateKernel(src, pipeKernelA, "kernel")
+	cb := NewStageCache(nil, st)
+	b, cached, err := (&Pipeline{Cache: cb}).EvaluateKernel(src, pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cached {
+		t.Error("store-served evaluation not reported cached")
 	}
 
 	ps := cb.PerStage()
@@ -181,7 +174,7 @@ func TestDecodeCombineBlobWithHardwareKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := (&Pipeline{}).EvaluateKernel(toyCanonical(t), pipeKernelA, "kernel")
+	live, _, err := (&Pipeline{}).EvaluateKernel(toyCanonical(t), pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

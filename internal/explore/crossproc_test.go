@@ -1,7 +1,7 @@
 package explore_test
 
 // The tentpole acceptance test: two *processes* sharing a directory
-// BlobStore never evaluate the same architecture twice. Process A (a
+// blob store never evaluate the same architecture twice. Process A (a
 // re-exec of this test binary) explores SPAM and populates the store;
 // process B re-runs the identical exploration and recomputes nothing —
 // every stage except Parse (never cached by design) reports zero misses,
@@ -93,8 +93,7 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := core.NewStageCache()
-	cache.SetStore(st)
+	cache := core.NewStageCache(nil, st)
 	res, err := explore.New(machines.SPAM2Source, kernel,
 		explore.WithCache(cache),
 		explore.WithMaxIters(2),

@@ -94,7 +94,7 @@ func TestExploreSharedCacheAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	cache := core.NewStageCache()
+	cache := core.NewStageCache(nil, nil)
 	run := func(w explore.Weights) {
 		_, err := explore.New(machines.SPAMSource, sumKernel,
 			explore.WithWeights(w),
@@ -183,7 +183,7 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 		t.Error("no simulator perf counters published")
 	}
 	if c["cache.combine.misses"] == 0 {
-		t.Error("stage-cache counters not bound into the registry")
+		t.Error("stage-cache counters missing from the registry")
 	}
 
 	// Spans: one per iteration (the cache event count is the iteration

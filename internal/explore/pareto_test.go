@@ -58,7 +58,7 @@ func TestParetoOnSPAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	cache := core.NewStageCache()
+	cache := core.NewStageCache(nil, nil)
 	run := func(workers int, opts ...explore.Option) *explore.Result {
 		t.Helper()
 		opts = append([]explore.Option{

@@ -19,7 +19,7 @@ const maxRetainedPerEval = 24 << 10
 // stays within maxRetainedPerEval per cached evaluation, so cached
 // evaluations keep no simulator or hardware model reachable.
 func TestCachedEvaluationsRetainOnlyFigures(t *testing.T) {
-	cache := core.NewStageCache()
+	cache := core.NewStageCache(nil, nil)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -36,7 +36,9 @@ func TestCachedEvaluationsRetainOnlyFigures(t *testing.T) {
 
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	n := cache.StageLen(core.StageCombine)
+	// Every combine miss stores one evaluation: the Pareto walk never
+	// evaluates a text twice within an iteration.
+	n := cache.PerStage()[core.StageCombine].Misses
 	if n == 0 {
 		t.Fatal("no evaluation was cached")
 	}

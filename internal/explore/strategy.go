@@ -50,7 +50,9 @@ type Config struct {
 	Workers int
 	// NoCache disables evaluation memoization (see docs/PIPELINE.md).
 	NoCache bool
-	// Cache, when non-nil, is used instead of a fresh per-Run cache.
+	// Cache, when non-nil, is used instead of a fresh per-Run cache. It
+	// counts its hits and misses into the registry it was built with
+	// (core.NewStageCache), not into Obs.
 	Cache *core.StageCache
 	// Log receives one structured Event per exploration observation.
 	Log func(Event)
@@ -172,10 +174,7 @@ func newEngine(c *Config) *engine {
 	}
 	stages := c.Cache
 	if stages == nil && !c.NoCache {
-		stages = core.NewStageCache()
-	}
-	if stages != nil {
-		stages.Bind(c.Obs) // no-op when Obs is nil or already bound
+		stages = core.NewStageCache(c.Obs, nil)
 	}
 	pipe := &core.Pipeline{Cache: stages, Obs: c.Obs}
 	c.Obs.SetLaneName(0, "explore")
@@ -234,7 +233,8 @@ func (e *engine) scoreChecked(ev *core.Evaluation) (float64, error) {
 // pipeline has a cache (see docs/PIPELINE.md). Stage spans of executed
 // stages become children of sp in the trace.
 func (e *engine) evaluate(src string, sp *obs.Span) (*core.Evaluation, error) {
-	return e.pipe.EvaluateKernelTraced(src, e.cfg.Kernel, "kernel", sp)
+	ev, _, err := e.pipe.EvaluateKernel(src, e.cfg.Kernel, "kernel", sp)
+	return ev, err
 }
 
 // evalBase scores the starting candidate and emits the "base" event.

@@ -46,7 +46,7 @@ func TestBeamVsHillOnSPAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	cache := core.NewStageCache()
+	cache := core.NewStageCache(nil, nil)
 	run := func(workers int, opts ...explore.Option) *explore.Result {
 		t.Helper()
 		opts = append([]explore.Option{
@@ -111,7 +111,7 @@ func TestRestartsSeededDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	cache := core.NewStageCache()
+	cache := core.NewStageCache(nil, nil)
 	run := func(workers int) (*explore.Result, []string) {
 		t.Helper()
 		var lines []string
