@@ -70,7 +70,9 @@ func main() {
 	fmt.Printf("%s: %d words, %d symbols\n", name, len(p.Words), len(p.Symbols))
 }
 
+// fatal prints err with the program prefix once (errors from internal/asm
+// already start with it) and exits with status 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "asm:", err)
+	fmt.Fprintln(os.Stderr, "asm: "+strings.TrimPrefix(err.Error(), "asm: "))
 	os.Exit(1)
 }

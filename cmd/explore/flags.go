@@ -12,7 +12,6 @@ import (
 type runFlags struct {
 	strategy                                    string
 	iters, beam, frontierCap, restarts, workers int
-	noCache                                     bool
 	weights                                     explore.Weights
 	constraints                                 explore.Constraints
 }
@@ -70,9 +69,6 @@ func checkFlags(set map[string]bool, f runFlags) error {
 	}
 	if set["seed"] && f.restarts == 0 {
 		return fmt.Errorf("-seed requires -restarts")
-	}
-	if set["store"] && f.noCache {
-		return fmt.Errorf("-store requires caching; drop -no-cache")
 	}
 	if err := f.weights.Validate(); err != nil {
 		return err

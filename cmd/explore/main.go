@@ -10,7 +10,6 @@
 //	        [-max-runtime us] [-max-area cells] [-max-power mw]
 //	        [-frontier-out frontier.json|frontier.csv] [-frontier-cap n]
 //	        [-restarts n] [-seed s] [-iters 8] [-workers n]
-//	        [-no-cache]
 //	        [-store dir:PATH|http://HOST] [-o best.isdl]
 //
 // Strategies (-strategy, docs/EXPLORE.md):
@@ -35,14 +34,13 @@
 // A flag a run would ignore or reinterpret is rejected before any
 // evaluation, with exit status 2: a count out of range, -beam without
 // -strategy beam, a pareto flag without -strategy pareto, -seed without
-// -restarts, -store with -no-cache, and beside -remote any flag but -m,
-// -k, -trace-out, -metrics-out, -no-summary and -dash.
+// -restarts, and beside -remote any flag but -m, -k, -trace-out,
+// -metrics-out, -no-summary and -dash.
 //
 // Neighbour candidates within an iteration are evaluated concurrently
 // (-workers, default NumCPU), and whole evaluations and synthesis figures
 // are memoized across iterations and restarts (see docs/PIPELINE.md); for
-// every strategy the result is bit-identical to a sequential, uncached
-// run.
+// every strategy the result is bit-identical whatever the worker count.
 //
 // -store attaches a shared artifact store (docs/PIPELINE.md,
 // docs/SERVICE.md): dir:PATH is a directory any number of concurrent
@@ -109,7 +107,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "perturbation seed for -restarts (fixed seed = byte-identical run)")
 	iters := flag.Int("iters", 8, "maximum improvement iterations (per restart)")
 	workers := flag.Int("workers", 0, "concurrent candidate evaluations per iteration (0 = NumCPU)")
-	noCache := flag.Bool("no-cache", false, "disable evaluation memoization across iterations")
 	storeSpec := flag.String("store", "", "shared artifact store: dir:PATH or http://HOST (cmd/served); see docs/SERVICE.md")
 	out := flag.String("o", "", "write the winning ISDL description here")
 	wRun := flag.Float64("w-runtime", 1, "objective weight: run time (us)")
@@ -130,10 +127,9 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkFlags(set, runFlags{strategy: *strategy, iters: *iters, beam: *beamWidth,
-		frontierCap: *frontierCap, restarts: *restarts, workers: *workers, noCache: *noCache,
+		frontierCap: *frontierCap, restarts: *restarts, workers: *workers,
 		weights: weights, constraints: constraints}); err != nil {
-		fmt.Fprintln(os.Stderr, "explore:", err)
-		os.Exit(2)
+		exit(2, err)
 	}
 	frontierWriter, err := frontierWriterFor(*frontierOut)
 	if err != nil {
@@ -169,22 +165,19 @@ func main() {
 		return
 	}
 
-	var cache *core.StageCache
-	if !*noCache {
-		var st blob.Store
-		if *storeSpec != "" {
-			if st, err = blob.Open(*storeSpec); err != nil {
-				fatal(err)
-			}
-			// A tracing run tells the remote store who is asking, so a
-			// traced daemon records its side of every transfer.
-			if hc, ok := st.(*blob.HTTP); ok && *traceOut != "" {
-				hc.SetTrace(obs.TraceContext{TraceID: reg.TraceID()})
-			}
-			fmt.Printf("sharing artifacts via %s\n", *storeSpec)
+	var st blob.Store
+	if *storeSpec != "" {
+		if st, err = blob.Open(*storeSpec); err != nil {
+			fatal(err)
 		}
-		cache = core.NewStageCache(reg, st)
+		// A tracing run tells the remote store who is asking, so a
+		// traced daemon records its side of every transfer.
+		if hc, ok := st.(*blob.HTTP); ok && *traceOut != "" {
+			hc.SetTrace(obs.TraceContext{TraceID: reg.TraceID()})
+		}
+		fmt.Printf("sharing artifacts via %s\n", *storeSpec)
 	}
+	cache := core.NewStageCache(reg, st)
 
 	opts := []explore.Option{
 		explore.WithWeights(weights),
@@ -192,6 +185,7 @@ func main() {
 		explore.WithWorkers(*workers),
 		explore.WithLog(func(ev explore.Event) { fmt.Println(ev.Line) }),
 		explore.WithObs(reg),
+		explore.WithCache(cache),
 	}
 	switch *strategy {
 	case "hill":
@@ -204,11 +198,6 @@ func main() {
 	if *restarts > 0 {
 		opts = append(opts, explore.WithRestarts(*restarts, *seed))
 	}
-	if *noCache {
-		opts = append(opts, explore.WithoutCache())
-	} else {
-		opts = append(opts, explore.WithCache(cache))
-	}
 	res, err := explore.New(baseSrc, string(kernel), opts...).Run()
 	if err != nil {
 		fatal(err)
@@ -216,12 +205,10 @@ func main() {
 	writeObsOutputs(reg, *metricsOut, *traceOut, *quietObs)
 	fmt.Println()
 	fmt.Print(res.Report())
-	if cache != nil {
-		fmt.Printf("stage cache: %s\n", cache.StatsLine())
-		if *storeSpec != "" {
-			sh, sm, se := cache.StoreStats()
-			fmt.Printf("blob store: %d served / %d absent / %d errors\n", sh, sm, se)
-		}
+	fmt.Printf("stage cache: %s\n", cache.StatsLine())
+	if *storeSpec != "" {
+		sh, sm, se := cache.StoreStats()
+		fmt.Printf("blob store: %d served / %d absent / %d errors\n", sh, sm, se)
 	}
 	if *frontierOut != "" {
 		if err := atomicfile.WriteTo(*frontierOut, 0o644, func(w io.Writer) error {
@@ -333,7 +320,16 @@ func normalizeAddr(addr string) string {
 	return ":" + addr
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "explore:", err)
-	os.Exit(1)
+func fatal(err error) { exit(1, err) }
+
+// exit prints err as errLine does and exits with the given status.
+func exit(status int, err error) {
+	fmt.Fprintln(os.Stderr, errLine(err))
+	os.Exit(status)
+}
+
+// errLine prefixes err with the program name once: errors from
+// internal/explore already start with it.
+func errLine(err error) string {
+	return "explore: " + strings.TrimPrefix(err.Error(), "explore: ")
 }

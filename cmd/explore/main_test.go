@@ -106,7 +106,6 @@ func TestCheckFlags(t *testing.T) {
 		{"constraint under hill", "m k max-area", nil, "-max-area requires -strategy pareto"},
 		{"seed without restarts", "m k seed", nil, "-seed requires -restarts"},
 		{"seed with zero restarts", "m k seed restarts", nil, "-seed requires -restarts"},
-		{"store without cache", "m k store no-cache", func(f *runFlags) { f.noCache = true }, "-store requires caching"},
 		{"all-zero weights", "m k w-runtime w-area w-power",
 			func(f *runFlags) { f.weights = explore.Weights{} }, "all-zero weights"},
 		{"NaN weight", "m k w-area", func(f *runFlags) { f.weights.Area = math.NaN() }, "invalid area weight"},
@@ -132,6 +131,30 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestErrLine pins the exact stderr line for a rejected command line: the
+// program prefix appears once, whether the error comes from
+// internal/explore (which already starts with it) or from checkFlags.
+func TestErrLine(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*runFlags)
+		want string
+	}{
+		{func(f *runFlags) { f.weights.Area = -1 }, "explore: invalid area weight -1 (must be >= 0)"},
+		{func(f *runFlags) { f.iters = 0 }, "explore: -iters 0: want at least 1"},
+	} {
+		f := runFlags{strategy: "hill", iters: 8, beam: 4, weights: explore.DefaultWeights()}
+		tc.edit(&f)
+		err := checkFlags(map[string]bool{"m": true, "k": true}, f)
+		if err == nil {
+			t.Errorf("accepted, want %q", tc.want)
+			continue
+		}
+		if got := errLine(err); got != tc.want {
+			t.Errorf("errLine = %q, want %q", got, tc.want)
 		}
 	}
 }

@@ -98,7 +98,9 @@ func main() {
 	}
 }
 
+// fatal prints err with the program prefix once (errors from internal/hgen
+// already start with it) and exits with status 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hgen:", err)
+	fmt.Fprintln(os.Stderr, "hgen: "+strings.TrimPrefix(err.Error(), "hgen: "))
 	os.Exit(1)
 }

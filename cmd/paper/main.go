@@ -8,7 +8,8 @@
 //	paper -budget 500ms      quicker (noisier) Table 1
 //	paper -cosim-workers 8   Verilog co-simulation fan-out (0 = NumCPU)
 //
-// An unknown -table or -ablation value is a usage error (exit status 2).
+// An unknown -table or -ablation value, a -gauntlet-n below 1 and a
+// negative -cosim-workers or -budget are usage errors (exit status 2).
 //
 // The suite registry adds the workload-gauntlet modes, which skip the
 // tables above:
@@ -63,6 +64,15 @@ func checkChoice(name, val string, choices []string) error {
 	return fmt.Errorf("unknown -%s %q (want %s)", name, val, strings.Join(choices, " | "))
 }
 
+// checkAtLeast returns an error when a numeric flag is below its least
+// meaningful value, instead of letting the run reinterpret it.
+func checkAtLeast[T ~int | ~int64](name string, val, least T) error {
+	if val < least {
+		return fmt.Errorf("-%s %v: want at least %v", name, val, least)
+	}
+	return nil
+}
+
 func main() {
 	table := flag.String("table", "all", "which table to regenerate: "+strings.Join(tableChoices, " | "))
 	ablation := flag.String("ablation", "all", "which ablation: "+strings.Join(ablationChoices, " | "))
@@ -84,6 +94,9 @@ func main() {
 	for _, err := range []error{
 		checkChoice("table", *table, tableChoices),
 		checkChoice("ablation", *ablation, ablationChoices),
+		checkAtLeast("gauntlet-n", *gauntletN, 1),
+		checkAtLeast("cosim-workers", *cosimWorkers, 0),
+		checkAtLeast("budget", *budget, 0),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)

@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCheckChoice(t *testing.T) {
@@ -33,6 +34,34 @@ func TestCheckChoice(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), "-"+tc.name) {
 			t.Errorf("error %q does not name the -%s flag", err, tc.name)
+		}
+	}
+}
+
+// TestCheckAtLeast pins the numeric flags paper rejects instead of
+// reinterpreting: want is the exact error, or empty for an accepted value.
+func TestCheckAtLeast(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{checkAtLeast("gauntlet-n", 1, 1), ""},
+		{checkAtLeast("gauntlet-n", 25, 1), ""},
+		{checkAtLeast("gauntlet-n", 0, 1), "-gauntlet-n 0: want at least 1"},
+		{checkAtLeast("gauntlet-n", -4, 1), "-gauntlet-n -4: want at least 1"},
+		{checkAtLeast("cosim-workers", 0, 0), ""},
+		{checkAtLeast("cosim-workers", 8, 0), ""},
+		{checkAtLeast("cosim-workers", -1, 0), "-cosim-workers -1: want at least 0"},
+		{checkAtLeast("budget", 0, 0), ""},
+		{checkAtLeast("budget", 500*time.Millisecond, 0), ""},
+		{checkAtLeast("budget", -time.Second, 0), "-budget -1s: want at least 0s"},
+	} {
+		got := ""
+		if tc.err != nil {
+			got = tc.err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("error %q, want %q", got, tc.want)
 		}
 	}
 }

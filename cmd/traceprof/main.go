@@ -69,7 +69,9 @@ func main() {
 	}
 }
 
+// fatal prints err with the program prefix once (errors from
+// internal/traceprof already start with it) and exits with status 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "traceprof:", err)
+	fmt.Fprintln(os.Stderr, "traceprof: "+strings.TrimPrefix(err.Error(), "traceprof: "))
 	os.Exit(1)
 }

@@ -181,7 +181,9 @@ func runEngine(d *repro.Description, b xsim.Backend, source string, args []strin
 	}
 }
 
+// fatal prints err with the program prefix once (errors from internal/xsim
+// already start with it) and exits with status 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xsim:", err)
+	fmt.Fprintln(os.Stderr, "xsim: "+strings.TrimPrefix(err.Error(), "xsim: "))
 	os.Exit(1)
 }

@@ -153,7 +153,7 @@ func TestEvaluationShape(t *testing.T) {
 // (The non-halting case is TestRunSimulationLimit.)
 func TestEvaluateErrors(t *testing.T) {
 	var perr *core.ParseError
-	if _, _, err := (&core.Pipeline{}).EvaluateKernel("garbage", "", "w", nil); !errors.As(err, &perr) {
+	if _, _, err := (&core.Pipeline{Cache: core.NewStageCache(nil, nil)}).EvaluateKernel("garbage", "", "w", nil); !errors.As(err, &perr) {
 		t.Errorf("bad ISDL: err = %v, want a *core.ParseError", err)
 	}
 	d := machines.Toy()

@@ -46,14 +46,13 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // Pipeline runs the staged methodology with memoization.
 type Pipeline struct {
 	// Cache memoizes whole evaluations and synthesis figures and counts
-	// every stage's runs; nil runs every stage every time.
+	// every stage's runs. It is required.
 	Cache *StageCache
 	// Obs receives per-stage latency histograms (stage.<name>.ns),
 	// in-flight gauges (pipeline.<name>.inflight), one span per executed
-	// stage, simulator perf counters and synthesis phase timings. Nil
-	// disables instrumentation entirely (no clock reads on the hot path).
-	// The Cache counts its hits and misses into the registry it was
-	// built with (NewStageCache).
+	// stage, simulator perf counters and synthesis phase timings; a nil
+	// registry records nothing. The Cache counts its hits and misses into
+	// the registry it was built with (NewStageCache).
 	Obs *obs.Registry
 }
 
@@ -63,36 +62,27 @@ type Pipeline struct {
 // parent in the exported trace (the explorer passes its per-candidate
 // span, served its job span); a nil parent starts them at the root.
 //
-// With a cache, the whole evaluation is memoized under (canonical ISDL,
-// kernel, workload label) and the synthesis figures under the canonical
-// ISDL alone, and cached reports that the cache answered the evaluation
-// key, from memory or from the store, so no stage after Parse ran. Parse
+// The whole evaluation is memoized under (canonical ISDL, kernel,
+// workload label) and the synthesis figures under the canonical ISDL
+// alone, and cached reports that the cache answered the evaluation key,
+// from memory or from the store, so no stage after Parse ran. Parse
 // errors are returned unmemoized, as a *ParseError (an unparsable text
 // has no canonical form to key by); all later deterministic failures are
 // memoized under the evaluation key, so an infeasible candidate is
 // rejected once per cache lifetime.
 func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string, parent *obs.Span) (ev *Evaluation, cached bool, err error) {
-	c := p.Cache
-
 	// Parse + canonicalize. Never memoized: the artifact would be a mutable
 	// AST, which stages deliberately do not share across candidates.
-	if c != nil {
-		c.countRun(StageParse)
-	}
-	var start time.Time
-	if p.Obs != nil {
-		start = time.Now()
-	}
+	p.Cache.countRun(StageParse)
+	start := time.Now()
 	d, err := isdl.Parse(isdlSrc)
-	if p.Obs != nil {
-		p.Obs.Histogram("stage.parse.ns").Observe(time.Since(start))
-	}
+	p.Obs.Histogram("stage.parse.ns").Observe(time.Since(start))
 	if err != nil {
 		return nil, false, &ParseError{Err: err}
 	}
 	canonical := isdl.Format(d)
 
-	return memo(c, StageCombine, StageKey(StageCombine, canonical, kernel, workload), func() (*Evaluation, error) {
+	return memo(p.Cache, StageCombine, StageKey(StageCombine, canonical, kernel, workload), func() (*Evaluation, error) {
 		return p.runStages(d, canonical, kernel, workload, parent)
 	})
 }
@@ -133,14 +123,9 @@ func (p *Pipeline) runStages(d *isdl.Description, canonical, kernel, workload st
 
 	// Combine: pure arithmetic over the two artifacts; memoized as the
 	// whole evaluation by EvaluateKernel.
-	var start time.Time
-	if p.Obs != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	e := combineArtifacts(d.Name, workload, stats, synthArt)
-	if p.Obs != nil {
-		p.Obs.Histogram("stage.combine.ns").Observe(time.Since(start))
-	}
+	p.Obs.Histogram("stage.combine.ns").Observe(time.Since(start))
 	return e, nil
 }
 
@@ -154,9 +139,7 @@ func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload
 		return xsim.Stats{}, fmt.Errorf("core: load: %w", err)
 	}
 	err := sim.Run(limit)
-	if r != nil {
-		sim.Perf().Publish(r)
-	}
+	sim.Perf().Publish(r)
 	if err != nil {
 		return xsim.Stats{}, fmt.Errorf("core: simulate: %w", err)
 	}
@@ -167,8 +150,8 @@ func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload
 }
 
 // synthesize builds the hardware model and returns its cost figures; the
-// model itself is dropped here. With a registry, the synthesis phase
-// timings and the exhausted constraint-search count are published.
+// model itself is dropped here. The synthesis phase timings and the
+// exhausted constraint-search count are published into r.
 func synthesize(d *isdl.Description, r *obs.Registry) (SynthArtifact, error) {
 	opts := hgen.DefaultOptions()
 	opts.EmitVerilog = false // exploration needs only the cost model
@@ -176,23 +159,17 @@ func synthesize(d *isdl.Description, r *obs.Registry) (SynthArtifact, error) {
 	if err != nil {
 		return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
 	}
-	if r != nil {
-		for ph, sec := range hw.PhaseSeconds {
-			r.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
-		}
-		r.Counter("synth.coexist.exhausted").Add(uint64(hw.CoexistExhausted))
+	for ph, sec := range hw.PhaseSeconds {
+		r.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
 	}
+	r.Counter("synth.coexist.exhausted").Add(uint64(hw.CoexistExhausted))
 	return SynthArtifact{CycleNs: hw.CycleNs, AreaCells: hw.AreaCells, EnergyPerInstrPJ: hw.EnergyPerInstrPJ}, nil
 }
 
 // memo answers a memoized stage from the cache, or runs it and stores
 // its artifact (or deterministic error) under the key. The bool reports
-// that the cache answered. With a nil cache it just runs the stage.
+// that the cache answered.
 func memo[T any](c *StageCache, s Stage, k CacheKey, run func() (T, error)) (T, bool, error) {
-	if c == nil {
-		t, err := run()
-		return t, false, err
-	}
 	if v, err, ok := c.Get(s, k); ok {
 		t, _ := v.(T)
 		return t, true, err
@@ -203,17 +180,13 @@ func memo[T any](c *StageCache, s Stage, k CacheKey, run func() (T, error)) (T, 
 }
 
 // stageRun runs one stage, instrumented with a latency histogram, an
-// in-flight gauge and a span when the pipeline has a registry. A run of an
-// unmemoized stage counts as a cache miss; a memoized stage's lookup in
-// memo counts its own.
+// in-flight gauge and a span. A run of an unmemoized stage counts as a
+// cache miss; a memoized stage's lookup in memo counts its own.
 func stageRun[T any](p *Pipeline, parent *obs.Span, s Stage, run func() (T, error)) (T, error) {
-	if c := p.Cache; c != nil && !memoized[s] {
-		c.countRun(s)
+	if !memoized[s] {
+		p.Cache.countRun(s)
 	}
 	r := p.Obs
-	if r == nil {
-		return run()
-	}
 	var sp *obs.Span
 	if parent != nil {
 		sp = parent.Child(s.String())

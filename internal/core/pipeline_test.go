@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/compiler"
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/obs"
@@ -176,23 +177,35 @@ func mustParse(t *testing.T, src string) *isdl.Description {
 	return d
 }
 
-// TestPipelineNilCache: the pipeline works without memoization and produces
-// the same evaluation as the cached path.
-func TestPipelineNilCache(t *testing.T) {
-	src := toyCanonical(t)
-	cached, _, err := (&Pipeline{Cache: NewStageCache(nil, nil)}).EvaluateKernel(src, pipeKernelA, "kernel", nil)
+// TestPipelineMatchesEvaluate: the pipeline's evaluation equals
+// Evaluate's on the same compiled program, the uncached reference, and so
+// does the memo hit that answers the repeat.
+func TestPipelineMatchesEvaluate(t *testing.T) {
+	d := machines.Toy()
+	asmText, err := compiler.Compile(d, pipeKernelA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, hit, err := (&Pipeline{}).EvaluateKernel(src, pipeKernelA, "kernel", nil)
+	prog, err := asm.Assemble(d, asmText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
-		t.Error("uncached pipeline reported a cache hit")
+	ref, err := Evaluate(d, prog, "kernel")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, cached) {
-		t.Errorf("uncached evaluation differs:\n%+v\n%+v", plain, cached)
+	pipe := &Pipeline{Cache: NewStageCache(nil, nil)}
+	for _, wantCached := range []bool{false, true} {
+		ev, cached, err := pipe.EvaluateKernel(isdl.Format(d), pipeKernelA, "kernel", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached != wantCached {
+			t.Errorf("cached = %v, want %v", cached, wantCached)
+		}
+		if !reflect.DeepEqual(ev, ref) {
+			t.Errorf("pipeline evaluation (cached %v) differs from Evaluate:\n%+v\n%+v", cached, ev, ref)
+		}
 	}
 }
 

@@ -174,7 +174,7 @@ func TestDecodeCombineBlobWithHardwareKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := (&Pipeline{}).EvaluateKernel(toyCanonical(t), pipeKernelA, "kernel", nil)
+	live, _, err := (&Pipeline{Cache: NewStageCache(nil, nil)}).EvaluateKernel(toyCanonical(t), pipeKernelA, "kernel", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

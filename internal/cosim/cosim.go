@@ -36,8 +36,7 @@ import (
 // Pool runs independent co-simulation jobs over a bounded worker pool.
 // The zero value is usable: NumCPU workers, no instrumentation, real clock.
 type Pool struct {
-	// Workers bounds concurrency (<= 0 means runtime.NumCPU()). Workers=1
-	// runs jobs inline on the calling goroutine.
+	// Workers bounds concurrency (<= 0 means runtime.NumCPU()).
 	Workers int
 	// Obs, when non-nil, receives cosim.* counters, per-job setup/sim
 	// latency histograms, and one span per job on the owning worker's lane
@@ -226,28 +225,22 @@ func (p *Pool) Run(name string, n int, job func(i int, l *Lane) error) (Stats, e
 	}
 
 	start := now()
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			runJob(i, lanes[0])
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(l *Lane) {
-				defer wg.Done()
-				for i := range next {
-					runJob(i, l)
-				}
-			}(lanes[w])
-		}
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for _, l := range lanes {
+		wg.Add(1)
+		go func(l *Lane) {
+			defer wg.Done()
+			for i := range next {
+				runJob(i, l)
+			}
+		}(l)
 	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	wall := now().Sub(start)
 	root.SetArg("jobs", strconv.Itoa(n))
 	root.End()

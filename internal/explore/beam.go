@@ -104,14 +104,7 @@ func (b Beam) run(e *engine) (*Result, error) {
 			}
 			cand := outs[i].eval
 			accepted := s < best.score
-			if accepted {
-				e.obs().Counter("explore.moves.accepted").Inc()
-			} else {
-				e.obs().Counter("explore.moves.rejected").Inc()
-			}
-			res.Steps = append(res.Steps, Step{Iter: iter, Restart: e.restart, Action: mv.action, Eval: cand, Score: s, Accepted: accepted})
-			e.emit(Event{Kind: "candidate", Iter: iter, Action: mv.action, Score: s, Scored: true, Accepted: accepted, Eval: cand,
-				Line: fmt.Sprintf("iter %d: %-28s score %.2f (%s)", iter, mv.action, s, oneLine(cand))})
+			e.record(res, iter, mv, cand, s, accepted)
 			if accepted {
 				e.emit(Event{Kind: "accept", Iter: iter, Action: mv.action, Score: s, Scored: true, Accepted: true, Eval: cand,
 					Line: fmt.Sprintf("iter %d: ACCEPT %s (score %.2f -> %.2f)", iter, mv.action, best.score, s)})

@@ -20,7 +20,7 @@ func TestExploreFleetTelemetryBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	plain, _ := runConfig(t, 8, false)
+	plain, _ := runConfig(t, 8, nil)
 
 	reg := obs.NewRegistry()
 	sampler := obs.NewSampler(reg)

@@ -13,9 +13,10 @@ import (
 // sumKernel is a small loop that leaves removable operations on the table.
 const sumKernel = "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n"
 
-// runConfig runs one exploration of SPAM with the given concurrency/cache
-// knobs over a small kernel that leaves removable operations on the table.
-func runConfig(t *testing.T, workers int, noCache bool) (*explore.Result, []string) {
+// runConfig runs one exploration of SPAM with the given worker count over
+// a small kernel that leaves removable operations on the table, on the
+// given stage cache (nil = the run's own fresh cache).
+func runConfig(t *testing.T, workers int, cache *core.StageCache) (*explore.Result, []string) {
 	t.Helper()
 	var lines []string
 	opts := []explore.Option{
@@ -23,8 +24,8 @@ func runConfig(t *testing.T, workers int, noCache bool) (*explore.Result, []stri
 		explore.WithWorkers(workers),
 		explore.WithLog(func(ev explore.Event) { lines = append(lines, ev.Line) }),
 	}
-	if noCache {
-		opts = append(opts, explore.WithoutCache())
+	if cache != nil {
+		opts = append(opts, explore.WithCache(cache))
 	}
 	res, err := explore.New(machines.SPAMSource, sumKernel, opts...).Run()
 	if err != nil {
@@ -65,24 +66,32 @@ func sameResult(t *testing.T, name string, a, b *explore.Result) {
 
 // TestExploreParallelDeterministic: concurrent neighbour evaluation and the
 // memoizing cache must not change the exploration outcome — parallel runs
-// are bit-identical to Workers=1, cached runs to uncached ones.
+// are bit-identical to Workers=1, and runs answered from a warm shared
+// cache to runs on a fresh one.
 func TestExploreParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	seq, _ := runConfig(t, 1, true)
+	seq, _ := runConfig(t, 1, nil)
+	shared := core.NewStageCache(nil, nil)
+	cold, _ := runConfig(t, 1, shared)
+	sameResult(t, "workers=1, cold shared cache", seq, cold)
+	warmMisses := shared.PerStage()[core.StageCombine].Misses
 	for _, tc := range []struct {
 		name    string
 		workers int
-		noCache bool
+		cache   *core.StageCache
 	}{
-		{"workers=1+cache", 1, false},
-		{"workers=4", 4, true},
-		{"workers=4+cache", 4, false},
-		{"workers=32", 32, false},
+		{"workers=1, warm cache", 1, shared},
+		{"workers=4", 4, nil},
+		{"workers=4, warm cache", 4, shared},
+		{"workers=32, warm cache", 32, shared},
 	} {
-		res, _ := runConfig(t, tc.workers, tc.noCache)
+		res, _ := runConfig(t, tc.workers, tc.cache)
 		sameResult(t, tc.name, seq, res)
+	}
+	if m := shared.PerStage()[core.StageCombine].Misses; m != warmMisses {
+		t.Errorf("warm runs missed the shared cache %d times, want every evaluation served", m-warmMisses)
 	}
 }
 
@@ -130,7 +139,7 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	plain, _ := runConfig(t, 8, false)
+	plain, _ := runConfig(t, 8, nil)
 
 	reg := obs.NewRegistry()
 	var events []explore.Event
@@ -208,7 +217,7 @@ func TestExploreCacheHitsAcrossIterations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration loop is slow")
 	}
-	_, lines := runConfig(t, 4, false)
+	_, lines := runConfig(t, 4, nil)
 	var cacheLines []string
 	for _, l := range lines {
 		if strings.Contains(l, "cache") {

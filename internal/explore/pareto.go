@@ -225,13 +225,8 @@ func (p Pareto) run(e *engine) (*Result, error) {
 			seq++
 			if accepted {
 				entered[mv.src] = true
-				e.obs().Counter("explore.moves.accepted").Inc()
-			} else {
-				e.obs().Counter("explore.moves.rejected").Inc()
 			}
-			res.Steps = append(res.Steps, Step{Iter: iter, Restart: e.restart, Action: mv.action, Eval: cand, Score: s, Accepted: accepted})
-			e.emit(Event{Kind: "candidate", Iter: iter, Action: mv.action, Score: s, Scored: true, Accepted: accepted, Eval: cand,
-				Line: fmt.Sprintf("iter %d: %-28s score %.2f (%s)", iter, mv.action, s, oneLine(cand))})
+			e.record(res, iter, mv, cand, s, accepted)
 		}
 		e.emitCacheStats(iter)
 		frontier = truncateCrowding(frontier, p.Width)

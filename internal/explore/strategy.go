@@ -48,8 +48,6 @@ type Config struct {
 	// Results are bit-identical to Workers=1 regardless of completion
 	// order: candidates are reduced in move order.
 	Workers int
-	// NoCache disables evaluation memoization (see docs/PIPELINE.md).
-	NoCache bool
 	// Cache, when non-nil, is used instead of a fresh per-Run cache. It
 	// counts its hits and misses into the registry it was built with
 	// (core.NewStageCache), not into Obs.
@@ -91,9 +89,6 @@ func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 
 // WithWorkers bounds concurrent candidate evaluations (0 = NumCPU).
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithoutCache disables evaluation memoization.
-func WithoutCache() Option { return func(c *Config) { c.NoCache = true } }
 
 // WithCache shares an evaluation cache across runs (see Config.Cache).
 func WithCache(cache *core.StageCache) Option { return func(c *Config) { c.Cache = cache } }
@@ -173,7 +168,7 @@ func newEngine(c *Config) *engine {
 		workers = runtime.NumCPU()
 	}
 	stages := c.Cache
-	if stages == nil && !c.NoCache {
+	if stages == nil {
 		stages = core.NewStageCache(c.Obs, nil)
 	}
 	pipe := &core.Pipeline{Cache: stages, Obs: c.Obs}
@@ -229,8 +224,8 @@ func (e *engine) scoreChecked(ev *core.Evaluation) (float64, error) {
 
 // evaluate runs the staged pipeline (core.Pipeline) for one candidate:
 // parse → compile kernel → assemble → simulate → synthesize → combine,
-// with every post-parse stage memoized per content-addressed key when the
-// pipeline has a cache (see docs/PIPELINE.md). Stage spans of executed
+// with the whole evaluation and the synthesis figures memoized per
+// content-addressed key (see docs/PIPELINE.md). Stage spans of executed
 // stages become children of sp in the trace.
 func (e *engine) evaluate(src string, sp *obs.Span) (*core.Evaluation, error) {
 	ev, _, err := e.pipe.EvaluateKernel(src, e.cfg.Kernel, "kernel", sp)
@@ -266,9 +261,6 @@ func (e *engine) setBestScore(s float64) {
 
 // emitCacheStats publishes the per-iteration cache line.
 func (e *engine) emitCacheStats(iter int) {
-	if e.stages == nil {
-		return
-	}
 	e.emit(Event{Kind: "cache", Iter: iter,
 		Line: fmt.Sprintf("iter %d: cache %s", iter, e.stages.StatsLine())})
 }
@@ -340,12 +332,6 @@ func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
 		}
 		sp.End()
 	}
-	if workers <= 1 {
-		for i := range moves {
-			scoreOne(i, 1)
-		}
-		return outs
-	}
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -388,6 +374,20 @@ func (e *engine) scoreOutcome(iter int, mv move, o outcome) (s float64, ok bool)
 	return s, true
 }
 
+// record reduces one scored candidate the same way under every strategy:
+// it counts the move as accepted or rejected, appends its Step and emits
+// its "candidate" event.
+func (e *engine) record(res *Result, iter int, mv move, cand *core.Evaluation, s float64, accepted bool) {
+	if accepted {
+		e.obs().Counter("explore.moves.accepted").Inc()
+	} else {
+		e.obs().Counter("explore.moves.rejected").Inc()
+	}
+	res.Steps = append(res.Steps, Step{Iter: iter, Restart: e.restart, Action: mv.action, Eval: cand, Score: s, Accepted: accepted})
+	e.emit(Event{Kind: "candidate", Iter: iter, Action: mv.action, Score: s, Scored: true, Accepted: accepted, Eval: cand,
+		Line: fmt.Sprintf("iter %d: %-28s score %.2f (%s)", iter, mv.action, s, oneLine(cand))})
+}
+
 // HillClimb is the classic strategy: evaluate every neighbour of the
 // current candidate, accept the best improving move, stop at the first
 // iteration with no improvement (paper §1, Figure 1).
@@ -425,14 +425,7 @@ func (HillClimb) run(e *engine) (*Result, error) {
 			}
 			cand := outs[i].eval
 			accepted := s < bestScore
-			if accepted {
-				e.obs().Counter("explore.moves.accepted").Inc()
-			} else {
-				e.obs().Counter("explore.moves.rejected").Inc()
-			}
-			res.Steps = append(res.Steps, Step{Iter: iter, Restart: e.restart, Action: mv.action, Eval: cand, Score: s, Accepted: accepted})
-			e.emit(Event{Kind: "candidate", Iter: iter, Action: mv.action, Score: s, Scored: true, Accepted: accepted, Eval: cand,
-				Line: fmt.Sprintf("iter %d: %-28s score %.2f (%s)", iter, mv.action, s, oneLine(cand))})
+			e.record(res, iter, mv, cand, s, accepted)
 			if accepted {
 				bestScore, bestSrc, bestAction, bestEval = s, mv.src, mv.action, cand
 			}

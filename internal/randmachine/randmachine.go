@@ -2,8 +2,8 @@
 // ISDL machine descriptions and random programs for them. It exists to
 // drive property tests across the whole generated-tool pipeline: for any
 // machine the generator can produce, parsing must succeed, Format must be a
-// fixpoint, assembly must invert disassembly (Axiom 1), and the two
-// simulator cores must agree. The space covers varying word widths,
+// fixpoint, assembly must invert disassembly (Axiom 1), and the interp and
+// aot simulator backends must agree. The space covers varying word widths,
 // register-file shapes, immediate widths, operand non-terminals and
 // operation mixes.
 package randmachine

@@ -31,7 +31,7 @@ import (
 
 // GauntletOptions configures a gauntlet run.
 type GauntletOptions struct {
-	// N is the trial count (default 10).
+	// N is the trial count.
 	N int
 	// Seed is the base seed; per-trial seeds derive from it by splitmix64.
 	Seed int64
@@ -48,12 +48,6 @@ const (
 	// each generated machine.
 	maxPerturb = 2
 )
-
-func (o *GauntletOptions) defaults() {
-	if o.N <= 0 {
-		o.N = 10
-	}
-}
 
 // Divergence is one cross-model disagreement, replayable from Seed.
 type Divergence struct {
@@ -115,7 +109,6 @@ func TrialSeed(base int64, i int) int64 {
 // sequentially: determinism (byte-identical reruns) is the point of the
 // exercise, and the aot leg already parallelizes its builds internally.
 func RunGauntlet(o GauntletOptions) *GauntletReport {
-	o.defaults()
 	r := &GauntletReport{N: o.N, Seed: o.Seed, Cosim: !o.NoCosim}
 	for i := 0; i < o.N; i++ {
 		tr := RunTrial(i, TrialSeed(o.Seed, i), o)
@@ -131,7 +124,6 @@ func RunGauntlet(o GauntletOptions) *GauntletReport {
 // RunTrial runs one gauntlet trial from its seed — the replay entry point
 // for a printed divergence.
 func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
-	o.defaults()
 	tr := Trial{Trial: trial, Seed: seed}
 	rnd := rand.New(rand.NewSource(seed))
 
@@ -303,11 +295,10 @@ func diffSnapshots(a, b map[string][]bitvec.Value) string {
 }
 
 // cosimLeg synthesizes the machine, runs the program on the event-driven
-// Verilog model through internal/cosim, and compares the final
-// architectural state against the interp snapshot (IMEM excluded,
-// mirroring the hgen co-simulation tests; the hardware model retires one
-// instruction per tick, so cycle counts are not comparable to the ILS's
-// stall-aware count).
+// Verilog model, and compares the final architectural state against the
+// interp snapshot (IMEM excluded, mirroring the hgen co-simulation tests;
+// the hardware model retires one instruction per tick, so cycle counts
+// are not comparable to the ILS's stall-aware count).
 //
 // The hardware runs in lockstep with a fresh reference interpreter: one
 // clock tick per interpreter step, stopping when the interpreter halts.
@@ -330,39 +321,23 @@ func cosimLeg(d *isdl.Description, prog *asm.Program, want map[string][]bitvec.V
 	if err := ils.Load(prog); err != nil {
 		return fmt.Errorf("hw run: load: %w", err)
 	}
-	var hw *verilog.Sim
-	pool := &cosim.Pool{Workers: 1}
-	if _, err := pool.Run("gauntlet", 1, func(_ int, l *cosim.Lane) error {
-		if err := l.Setup(func() error {
-			var err error
-			if hw, err = verilog.NewSim(mod); err != nil {
-				return err
-			}
-			return cosim.LoadProgram(hw, prog)
-		}); err != nil {
-			return err
-		}
-		var steps uint64
-		err := l.Sim(func() error {
-			for !ils.Halted() {
-				if steps >= cosimMaxCycles {
-					return fmt.Errorf("hardware model did not halt within %d cycles", cosimMaxCycles)
-				}
-				if err := ils.Step(); err != nil {
-					return fmt.Errorf("lockstep reference faulted: %w", err)
-				}
-				if err := hw.Tick("clk"); err != nil {
-					return err
-				}
-				steps++
-			}
-			return nil
-		})
-		l.AddCycles(steps)
-		l.AddEvents(hw.Events())
-		return err
-	}); err != nil {
+	hw, err := verilog.NewSim(mod)
+	if err != nil {
 		return fmt.Errorf("hw run: %w", err)
+	}
+	if err := cosim.LoadProgram(hw, prog); err != nil {
+		return fmt.Errorf("hw run: %w", err)
+	}
+	for steps := 0; !ils.Halted(); steps++ {
+		if steps >= cosimMaxCycles {
+			return fmt.Errorf("hw run: hardware model did not halt within %d cycles", cosimMaxCycles)
+		}
+		if err := ils.Step(); err != nil {
+			return fmt.Errorf("hw run: lockstep reference faulted: %w", err)
+		}
+		if err := hw.Tick("clk"); err != nil {
+			return fmt.Errorf("hw run: %w", err)
+		}
 	}
 	hv, err := hw.Get("halted")
 	if err != nil {
