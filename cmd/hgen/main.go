@@ -35,6 +35,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hgen -m <machine> [-o out.v] [-sharing off|rules|full] [-decode twolevel|comparator]")
 		os.Exit(2)
 	}
+	opts, err := options(*sharing, *decodeStyle)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hgen:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	src, err := machines.Resolve(*machine)
 	if err != nil {
 		fatal(err)
@@ -53,27 +59,6 @@ func main() {
 		d = res.Desc
 		fmt.Println()
 	}
-
-	opts := hgen.DefaultOptions()
-	switch *sharing {
-	case "off":
-		opts.Sharing = hgen.ShareOff
-	case "rules":
-		opts.Sharing = hgen.ShareRules
-	case "full":
-		opts.Sharing = hgen.ShareRulesAndConstraints
-	default:
-		fatal(fmt.Errorf("unknown sharing mode %q", *sharing))
-	}
-	switch *decodeStyle {
-	case "twolevel":
-		opts.Decode = hgen.DecodeTwoLevel
-	case "comparator":
-		opts.Decode = hgen.DecodeComparator
-	default:
-		fatal(fmt.Errorf("unknown decode style %q", *decodeStyle))
-	}
-	opts.EmitVerilog = true
 
 	r, err := repro.Synthesize(d, nil, opts)
 	if err != nil {
@@ -96,6 +81,31 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d lines)\n", *out, r.VerilogLines)
 	}
+}
+
+// options maps the -sharing and -decode flag values to synthesis options;
+// the rest stay at hgen.DefaultOptions (Verilog emission on).
+func options(sharing, decode string) (hgen.Options, error) {
+	opts := hgen.DefaultOptions()
+	switch sharing {
+	case "off":
+		opts.Sharing = hgen.ShareOff
+	case "rules":
+		opts.Sharing = hgen.ShareRules
+	case "full":
+		opts.Sharing = hgen.ShareRulesAndConstraints
+	default:
+		return hgen.Options{}, fmt.Errorf("unknown -sharing %q (want off | rules | full)", sharing)
+	}
+	switch decode {
+	case "twolevel":
+		opts.Decode = hgen.DecodeTwoLevel
+	case "comparator":
+		opts.Decode = hgen.DecodeComparator
+	default:
+		return hgen.Options{}, fmt.Errorf("unknown -decode %q (want twolevel | comparator)", decode)
+	}
+	return opts, nil
 }
 
 // fatal prints err with the program prefix once (errors from internal/hgen

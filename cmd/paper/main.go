@@ -9,7 +9,8 @@
 //	paper -cosim-workers 8   Verilog co-simulation fan-out (0 = NumCPU)
 //
 // An unknown -table or -ablation value, a -gauntlet-n below 1 and a
-// negative -cosim-workers or -budget are usage errors (exit status 2).
+// negative -cosim-workers or -budget are usage errors (exit status 2), as
+// is a flag the chosen mode never reads (see checkFlags).
 //
 // The suite registry adds the workload-gauntlet modes, which skip the
 // tables above:
@@ -54,6 +55,41 @@ var (
 	ablationChoices = []string{"sharing", "decode", "stalls", "all", "none"}
 )
 
+// The flags each run mode reads besides its own -suite or -gauntlet.
+var (
+	tableFlags    = []string{"table", "ablation", "budget", "cosim-workers"}
+	suiteFlags    = []string{"suite-filter", "suite-json", "suite-backend"}
+	gauntletFlags = []string{"gauntlet-n", "seed", "seed-replay", "gauntlet-json", "gauntlet-no-cosim"}
+)
+
+// checkFlags returns an error when the command line (set holds the names
+// of the flags given) asks for two modes, or gives a flag its mode never
+// reads: a -suite run reads no gauntlet or table flag, a -gauntlet run no
+// suite or table flag, and a table run no suite or gauntlet flag.
+func checkFlags(set map[string]bool, suiteRun, gauntlet bool) error {
+	mode, unread := "table", [][]string{suiteFlags, gauntletFlags}
+	switch {
+	case suiteRun && gauntlet:
+		return fmt.Errorf("-suite and -gauntlet are separate runs; give one")
+	case suiteRun:
+		mode, unread = "-suite", [][]string{gauntletFlags, tableFlags}
+	case gauntlet:
+		mode, unread = "-gauntlet", [][]string{suiteFlags, tableFlags}
+	}
+	var unused []string
+	for _, names := range unread {
+		for _, name := range names {
+			if set[name] {
+				unused = append(unused, "-"+name)
+			}
+		}
+	}
+	if len(unused) > 0 {
+		return fmt.Errorf("a %s run does not use %s", mode, strings.Join(unused, " "))
+	}
+	return nil
+}
+
 // checkChoice returns an error unless val is one of the flag's choices.
 func checkChoice(name, val string, choices []string) error {
 	for _, c := range choices {
@@ -91,7 +127,10 @@ func main() {
 	gauntletJSON := flag.String("gauntlet-json", "", "also write the gauntlet report as JSON here")
 	gauntletNoCosim := flag.Bool("gauntlet-no-cosim", false, "skip the synthesized-Verilog gauntlet leg")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, err := range []error{
+		checkFlags(set, *suiteRun, *gauntlet),
 		checkChoice("table", *table, tableChoices),
 		checkChoice("ablation", *ablation, ablationChoices),
 		checkAtLeast("gauntlet-n", *gauntletN, 1),

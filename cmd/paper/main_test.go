@@ -65,3 +65,46 @@ func TestCheckAtLeast(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlags pins which flag combinations paper runs and which it
+// rejects before any work. want is the exact error, or empty for an
+// accepted command line.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		set             string // names of the flags given, space-separated
+		suite, gauntlet bool
+		want            string
+	}{
+		{"", false, false, ""},
+		{"table ablation budget cosim-workers", false, false, ""},
+		{"suite", true, false, ""},
+		{"suite suite-filter suite-json suite-backend", true, false, ""},
+		{"gauntlet gauntlet-n seed gauntlet-json", false, true, ""},
+		{"gauntlet gauntlet-n seed-replay gauntlet-no-cosim", false, true, ""},
+		{"suite gauntlet", false, false, ""}, // both given as =false
+
+		{"suite gauntlet", true, true, "-suite and -gauntlet are separate runs; give one"},
+		{"suite seed budget table suite-filter", true, false, "a -suite run does not use -seed -table -budget"},
+		{"suite gauntlet-n", true, false, "a -suite run does not use -gauntlet-n"},
+		{"suite cosim-workers ablation", true, false, "a -suite run does not use -ablation -cosim-workers"},
+		{"gauntlet suite-json", false, true, "a -gauntlet run does not use -suite-json"},
+		{"gauntlet seed table", false, true, "a -gauntlet run does not use -table"},
+		{"gauntlet budget", false, true, "a -gauntlet run does not use -budget"},
+		{"table seed", false, false, "a table run does not use -seed"},
+		{"seed-replay", false, false, "a table run does not use -seed-replay"},
+		{"budget gauntlet-n gauntlet-no-cosim", false, false, "a table run does not use -gauntlet-n -gauntlet-no-cosim"},
+		{"suite-filter suite-backend", false, false, "a table run does not use -suite-filter -suite-backend"},
+	} {
+		set := map[string]bool{}
+		for _, name := range strings.Fields(tc.set) {
+			set[name] = true
+		}
+		got := ""
+		if err := checkFlags(set, tc.suite, tc.gauntlet); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("checkFlags(%q, suite %v, gauntlet %v) = %q, want %q", tc.set, tc.suite, tc.gauntlet, got, tc.want)
+		}
+	}
+}

@@ -44,7 +44,9 @@ func main() {
 	}
 	b, err := xsim.ParseBackend(*backend)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "xsim: "+strings.TrimPrefix(err.Error(), "xsim: "))
+		flag.Usage()
+		os.Exit(2)
 	}
 	src, err := machines.Resolve(*machine)
 	if err != nil {

@@ -5,13 +5,14 @@
 // outcome is bit-identical to the sequential loop no matter how the workers
 // interleave.
 //
-// Safety of the fan-out rests on an audited invariant: a verilog.Sim holds
-// its elaborated *verilog.Module strictly read-only (elaboration state —
-// net values, memories, the event queue — lives in the Sim), and
-// bitvec.Value is immutable (every operation returns a fresh value), so any
-// number of concurrent Sims may share one parsed Module and one program
-// image. The -race co-simulation tests (cosim, hgen, experiments) exercise
-// exactly that sharing.
+// Safety of the fan-out rests on an audited invariant: verilog.NewSim only
+// reads the parsed *verilog.Module, and everything it compiles from it
+// (slot tables, compiled expressions and statements, net values, memories,
+// the event queue) lives in the Sim, never in the Module. bitvec.Value is
+// immutable (every operation returns a fresh value), so any number of
+// concurrent Sims may share one parsed Module and one program image. The
+// -race co-simulation tests (cosim, hgen, experiments) exercise exactly
+// that sharing.
 //
 // Measurement is first-class: each worker owns a Lane that separates setup
 // time (elaboration, program load) from simulation time (the Tick loop) and

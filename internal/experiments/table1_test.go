@@ -15,6 +15,7 @@ import (
 	"repro/internal/cosim"
 	"repro/internal/hgen"
 	"repro/internal/isdl"
+	"repro/internal/suite"
 	"repro/internal/tech"
 	"repro/internal/verilog"
 )
@@ -89,6 +90,73 @@ func TestVerilogSetupExcluded(t *testing.T) {
 	}
 	if got, want := st.SimCyclesPerSec(), float64(st.Cycles)/2; got != want {
 		t.Errorf("SimCyclesPerSec = %v, want %v (denominator must be the Tick loop only)", got, want)
+	}
+}
+
+// TestTable1VerilogEvents pins the event-driven cost model of the Table 1
+// run: the exact number of process evaluations at elaboration, during the
+// program load and over the Tick loop, the cycle count to halt, and the
+// FIR outputs against the registry's reference. Any change to the event
+// schedule (queue order, deduplication, fan-out, what counts as an event)
+// moves these counts, and with them Table 1's events per cycle.
+func TestTable1VerilogEvents(t *testing.T) {
+	d, p, mod := table1FIR(t)
+	w, err := suite.Get("fir16.spam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, out, ref, err := suite.Prepare(w, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, err := verilog.NewSim(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hw.Events(); got != 158 {
+		t.Errorf("events after NewSim = %d, want 158", got)
+	}
+	if err := cosim.LoadProgram(hw, p); err != nil {
+		t.Fatal(err)
+	}
+	loaded := hw.Events()
+	if got := loaded - 158; got != 156 {
+		t.Errorf("events in LoadProgram = %d, want 156", got)
+	}
+	var cycles uint64
+	for {
+		if err := hw.Tick("clk"); err != nil {
+			t.Fatal(err)
+		}
+		cycles++
+		h, err := hw.Get("halted")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.IsZero() {
+			break
+		}
+		if cycles > 10000 {
+			t.Fatal("model did not halt within 10000 cycles")
+		}
+	}
+	if cycles != 1879 {
+		t.Errorf("cycles = %d, want 1879", cycles)
+	}
+	if got := hw.Events() - loaded; got != 300268 {
+		t.Errorf("events over the Tick loop = %d, want 300268", got)
+	}
+	if out.N != len(ref) || len(ref) == 0 {
+		t.Fatalf("output region %+v against %d reference words", out, len(ref))
+	}
+	for i, want := range ref {
+		v, err := hw.GetMem("s_"+out.Storage, out.Base+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Uint64() != want {
+			t.Errorf("%s[%d] = %#x, want %#x", out.Storage, out.Base+i, v.Uint64(), want)
+		}
 	}
 }
 

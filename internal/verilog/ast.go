@@ -4,11 +4,14 @@
 //
 // The paper evaluates the generated hardware model with Cadence Verilog-XL
 // (Table 1); this repository has no commercial simulator, so the emitted
-// text is parsed back in and executed by the event-driven interpreter in
-// sim.go, which reproduces the cost structure that makes HDL simulation slow
-// relative to an instruction-level simulator: per-net events, sensitivity
-// lists, and re-evaluation to a fixpoint every cycle. As the paper notes,
-// "the synthesizable Verilog model is itself a simulator".
+// text is parsed back in and run by the event-driven simulator in sim.go.
+// NewSim elaborates the parsed module once, resolving every net to a slot
+// and compiling every expression and statement, so the running simulator
+// looks up no name. Its event schedule is unchanged by that compilation and
+// reproduces the cost structure that makes HDL simulation slow relative to
+// an instruction-level simulator: per-net events, sensitivity lists, and
+// re-evaluation to a fixpoint every cycle. As the paper notes, "the
+// synthesizable Verilog model is itself a simulator".
 package verilog
 
 import (

@@ -6,73 +6,191 @@ import (
 	"repro/internal/bitvec"
 )
 
-// Sim is an event-driven, two-value simulator for one elaborated module.
+// Sim is an event-driven, two-value simulator for one module.
 //
-// Continuous assignments are processes with sensitivity lists; a change on a
-// net schedules every process in its fan-out, and evaluation repeats until
-// the combinational network reaches a fixpoint — the classic event-driven
-// HDL execution model whose per-cycle cost Table 1 compares against the
-// instruction-level simulator.
+// NewSim elaborates the module once. Every scalar net and port becomes a
+// slot in a value table, and every memory a slot in a memory table. Every
+// expression, lvalue and statement becomes a closure over resolved slots,
+// widths, slice bounds and memory depths. Each operator is chosen at
+// elaboration, and each subexpression whose operands are all constants is
+// evaluated there once. Anything the module gets wrong (an undeclared net,
+// a memory read of a scalar, an unknown operator, a continuous assignment
+// to a memory) is an error from NewSim, not a late failure in Tick. The
+// running simulator looks up no name.
+//
+// Elaboration changes the cost of an event, not which events happen. The
+// schedule is the classic event-driven HDL execution model whose per-cycle
+// cost Table 1 compares against the instruction-level simulator.
+// Continuous assignments are processes with sensitivity lists. A change on
+// a net schedules every process in its fan-out, in assignment order, onto
+// a FIFO queue that holds each process at most once, and evaluation
+// repeats until the combinational network reaches a fixpoint. Every
+// process evaluation and every executed procedural assignment is one event.
+//
+// The Module is only read, and only by NewSim; all simulation state lives
+// in the Sim, so any number of Sims may share one Module concurrently.
 type Sim struct {
 	m *Module
 
-	vals map[string]bitvec.Value
-	mems map[string][]bitvec.Value
+	vals []bitvec.Value   // scalar nets and ports, by slot
+	mems [][]bitvec.Value // memories, by slot
+	// netSlot and memSlot resolve names for the string API (Get, GetMem,
+	// SetMem, SetInput); the compiled model never consults them.
+	netSlot map[string]int
+	memSlot map[string]int
 
-	// fanout maps a net to the continuous assignments that read it.
-	fanout map[string][]int
-	// queued marks assignments already in the work queue.
-	queued []bool
-	queue  []int
+	// assigns[i] evaluates continuous assignment i and writes its net.
+	assigns []func()
+	always  []block
+	// netFanout and memFanout list, by slot, the continuous assignments
+	// that read a net or a memory, in assignment order.
+	netFanout [][]int
+	memFanout [][]int
+
+	// ring is the FIFO work queue: n scheduled assignments from head,
+	// wrapping. queued marks its members, so it never holds more than
+	// len(assigns).
+	ring    []int
+	head, n int
+	queued  []bool
+
+	// nus and mus collect one Tick's non-blocking updates. They are kept
+	// between ticks, so a Tick allocates no buffer.
+	nus []netUpd
+	mus []memUpd
 
 	events uint64
 }
 
+// block is one compiled always block.
+type block struct {
+	clock string
+	run   func()
+}
+
+// netUpd is a pending non-blocking write to a net. A whole-net write has
+// a zero-width keep; a part-select write replaces bits [lo, lo+width(val))
+// and keeps the bits of the net that keep marks.
+type netUpd struct {
+	slot int
+	lo   int
+	keep bitvec.Value
+	val  bitvec.Value
+}
+
+// memUpd is a pending non-blocking write of one memory word.
+type memUpd struct {
+	slot, idx int
+	val       bitvec.Value
+}
+
+// node is a compiled expression: its evaluator, the width of every value
+// the evaluator returns, and whether it is a constant.
+type node struct {
+	eval    func() bitvec.Value
+	width   int
+	isConst bool
+}
+
+// reads collects the slots an expression reads, for the fan-out table.
+type reads struct{ nets, mems []int }
+
 // NewSim elaborates a module. Every net starts at zero (two-value
-// simulation).
+// simulation), and the combinational network is settled once.
 func NewSim(m *Module) (*Sim, error) {
 	s := &Sim{
-		m:      m,
-		vals:   map[string]bitvec.Value{},
-		mems:   map[string][]bitvec.Value{},
-		fanout: map[string][]int{},
-		queued: make([]bool, len(m.Assigns)),
+		m:       m,
+		netSlot: map[string]int{},
+		memSlot: map[string]int{},
+		ring:    make([]int, len(m.Assigns)),
+		queued:  make([]bool, len(m.Assigns)),
 	}
+	// A name declared twice (a port redeclared as a reg) is one net, at
+	// the width of its first declaration.
 	for _, p := range m.Ports {
-		s.vals[p.Name] = bitvec.New(p.Width)
+		s.declareNet(p.Name, p.Width)
 	}
 	for _, n := range m.Nets {
-		if n.Depth > 0 {
-			mem := make([]bitvec.Value, n.Depth)
-			for i := range mem {
-				mem[i] = bitvec.New(n.Width)
-			}
-			s.mems[n.Name] = mem
-		} else {
-			s.vals[n.Name] = bitvec.New(n.Width)
+		if n.Depth == 0 {
+			s.declareNet(n.Name, n.Width)
+			continue
 		}
+		if _, ok := s.memSlot[n.Name]; ok {
+			continue
+		}
+		mem := make([]bitvec.Value, n.Depth)
+		for i := range mem {
+			mem[i] = bitvec.New(n.Width)
+		}
+		s.memSlot[n.Name] = len(s.mems)
+		s.mems = append(s.mems, mem)
 	}
+	s.netFanout = make([][]int, len(s.vals))
+	s.memFanout = make([][]int, len(s.mems))
+
 	driven := map[string]bool{}
 	for i := range m.Assigns {
 		a := &m.Assigns[i]
-		for _, dep := range exprDeps(a.RHS, nil) {
-			s.fanout[dep] = append(s.fanout[dep], i)
-		}
 		if nl, ok := a.LHS.(*NetL); ok {
 			if driven[nl.Name] {
 				return nil, fmt.Errorf("verilog: net %s has multiple whole-net drivers", nl.Name)
 			}
 			driven[nl.Name] = true
 		}
+		if _, ok := a.LHS.(*IndexL); ok {
+			return nil, fmt.Errorf("verilog: continuous assignment to a memory")
+		}
+		var r reads
+		rhs, err := s.compile(a.RHS, &r)
+		if err != nil {
+			return nil, err
+		}
+		write, w, err := s.lvalue(a.LHS, false)
+		if err != nil {
+			return nil, err
+		}
+		v := resize(rhs, w)
+		s.assigns = append(s.assigns, func() { write(v()) })
+		for _, slot := range r.nets {
+			s.netFanout[slot] = addFanout(s.netFanout[slot], i)
+		}
+		for _, slot := range r.mems {
+			s.memFanout[slot] = addFanout(s.memFanout[slot], i)
+		}
 	}
+	for _, al := range m.Always {
+		run, err := s.compileStmts(al.Stmts)
+		if err != nil {
+			return nil, err
+		}
+		s.always = append(s.always, block{clock: al.Clock, run: run})
+	}
+
 	// Initial settle so outputs reflect the zero state.
-	for i := range m.Assigns {
+	for i := range s.assigns {
 		s.schedule(i)
 	}
 	if err := s.settle(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+func (s *Sim) declareNet(name string, width int) {
+	if _, ok := s.netSlot[name]; ok {
+		return
+	}
+	s.netSlot[name] = len(s.vals)
+	s.vals = append(s.vals, bitvec.New(width))
+}
+
+// addFanout appends assignment i to a fan-out list unless it already ends
+// with it (an assignment that reads a net twice).
+func addFanout(list []int, i int) []int {
+	if n := len(list); n > 0 && list[n-1] == i {
+		return list
+	}
+	return append(list, i)
 }
 
 // Events returns the number of process evaluations so far — the measure of
@@ -84,19 +202,20 @@ func (s *Sim) Module() *Module { return s.m }
 
 // Get reads a scalar net or port.
 func (s *Sim) Get(name string) (bitvec.Value, error) {
-	v, ok := s.vals[name]
+	slot, ok := s.netSlot[name]
 	if !ok {
 		return bitvec.Value{}, fmt.Errorf("verilog: no net %s", name)
 	}
-	return v, nil
+	return s.vals[slot], nil
 }
 
 // GetMem reads one memory word.
 func (s *Sim) GetMem(name string, idx int) (bitvec.Value, error) {
-	mem, ok := s.mems[name]
+	slot, ok := s.memSlot[name]
 	if !ok {
 		return bitvec.Value{}, fmt.Errorf("verilog: no memory %s", name)
 	}
+	mem := s.mems[slot]
 	if idx < 0 || idx >= len(mem) {
 		return bitvec.Value{}, fmt.Errorf("verilog: %s[%d] out of range", name, idx)
 	}
@@ -105,17 +224,16 @@ func (s *Sim) GetMem(name string, idx int) (bitvec.Value, error) {
 
 // SetMem initializes one memory word (testbench use: program load).
 func (s *Sim) SetMem(name string, idx int, v bitvec.Value) error {
-	mem, ok := s.mems[name]
+	slot, ok := s.memSlot[name]
 	if !ok {
 		return fmt.Errorf("verilog: no memory %s", name)
 	}
+	mem := s.mems[slot]
 	if idx < 0 || idx >= len(mem) {
 		return fmt.Errorf("verilog: %s[%d] out of range", name, idx)
 	}
 	mem[idx] = v.Trunc(mem[idx].Width())
-	for _, ai := range s.fanout[name] {
-		s.schedule(ai)
-	}
+	s.wake(s.memFanout[slot])
 	return s.settle()
 }
 
@@ -126,7 +244,8 @@ func (s *Sim) SetInput(name string, v bitvec.Value) error {
 			if p.Dir != In {
 				return fmt.Errorf("verilog: %s is not an input", name)
 			}
-			s.update(name, v.Trunc(p.Width))
+			slot := s.netSlot[name]
+			s.update(slot, v.Trunc(s.vals[slot].Width()))
 			return s.settle()
 		}
 	}
@@ -137,144 +256,61 @@ func (s *Sim) SetInput(name string, v bitvec.Value) error {
 // evaluate against pre-edge state, their non-blocking updates apply
 // together, and the combinational network settles.
 func (s *Sim) Tick(clock string) error {
-	type memUpd struct {
-		name string
-		idx  int
-		val  bitvec.Value
-	}
-	type netUpd struct {
-		name   string
-		hi, lo int
-		val    bitvec.Value
-	}
-	var mus []memUpd
-	var nus []netUpd
-
-	var run func(stmts []Stmt) error
-	run = func(stmts []Stmt) error {
-		for _, st := range stmts {
-			switch st := st.(type) {
-			case *NBAssign:
-				v, err := s.eval(st.RHS)
-				if err != nil {
-					return err
-				}
-				s.events++
-				switch l := st.LHS.(type) {
-				case *NetL:
-					w, _, _ := s.m.NetByName(l.Name)
-					nus = append(nus, netUpd{name: l.Name, hi: w - 1, lo: 0, val: v.Trunc(w)})
-				case *SliceL:
-					nus = append(nus, netUpd{name: l.Name, hi: l.Hi, lo: l.Lo, val: v.Trunc(l.Hi - l.Lo + 1)})
-				case *IndexL:
-					iv, err := s.eval(l.Idx)
-					if err != nil {
-						return err
-					}
-					w, depth, _ := s.m.NetByName(l.Name)
-					idx := int(iv.Uint64())
-					if depth > 0 {
-						idx %= depth
-					}
-					mus = append(mus, memUpd{name: l.Name, idx: idx, val: v.Trunc(w)})
-				}
-			case *BAssign:
-				v, err := s.eval(st.RHS)
-				if err != nil {
-					return err
-				}
-				s.events++
-				switch l := st.LHS.(type) {
-				case *NetL:
-					w, _, _ := s.m.NetByName(l.Name)
-					s.update(l.Name, v.Trunc(w))
-				case *SliceL:
-					old := s.vals[l.Name]
-					nv := old
-					sv := v.Trunc(l.Hi - l.Lo + 1)
-					for b := l.Lo; b <= l.Hi; b++ {
-						nv = nv.WithBit(b, sv.Bit(b-l.Lo))
-					}
-					s.update(l.Name, nv)
-				case *IndexL:
-					iv, err := s.eval(l.Idx)
-					if err != nil {
-						return err
-					}
-					w, depth, _ := s.m.NetByName(l.Name)
-					idx := int(iv.Uint64())
-					if depth > 0 {
-						idx %= depth
-					}
-					nv := v.Trunc(w)
-					if !s.mems[l.Name][idx].Eq(nv) {
-						s.mems[l.Name][idx] = nv
-						for _, ai := range s.fanout[l.Name] {
-							s.schedule(ai)
-						}
-					}
-				}
-			case *If:
-				c, err := s.eval(st.Cond)
-				if err != nil {
-					return err
-				}
-				body := st.Then
-				if c.IsZero() {
-					body = st.Else
-				}
-				if err := run(body); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	for i := range s.m.Always {
-		if s.m.Always[i].Clock != clock {
-			continue
-		}
-		if err := run(s.m.Always[i].Stmts); err != nil {
-			return err
+	for _, b := range s.always {
+		if b.clock == clock {
+			b.run()
 		}
 	}
-	for _, mu := range mus {
-		if !s.mems[mu.name][mu.idx].Eq(mu.val) {
-			s.mems[mu.name][mu.idx] = mu.val
-			for _, ai := range s.fanout[mu.name] {
-				s.schedule(ai)
-			}
-		}
+	for _, u := range s.mus {
+		s.writeMem(u.slot, u.idx, u.val)
 	}
-	for _, nu := range nus {
-		old := s.vals[nu.name]
-		nv := old
-		for b := nu.lo; b <= nu.hi; b++ {
-			nv = nv.WithBit(b, nu.val.Bit(b-nu.lo))
+	for _, u := range s.nus {
+		v := u.val
+		if u.keep.Width() > 0 {
+			v = splice(s.vals[u.slot], u.keep, u.lo, v)
 		}
-		s.update(nu.name, nv)
+		s.update(u.slot, v)
 	}
+	s.mus, s.nus = s.mus[:0], s.nus[:0]
 	return s.settle()
 }
 
 // update writes a net value and schedules its fan-out on change.
-func (s *Sim) update(name string, v bitvec.Value) {
-	old := s.vals[name]
-	if old.Eq(v) {
+func (s *Sim) update(slot int, v bitvec.Value) {
+	if s.vals[slot].Eq(v) {
 		return
 	}
-	s.vals[name] = v
-	for _, ai := range s.fanout[name] {
-		s.schedule(ai)
+	s.vals[slot] = v
+	s.wake(s.netFanout[slot])
+}
+
+// writeMem writes a memory word and schedules its fan-out on change.
+func (s *Sim) writeMem(slot, idx int, v bitvec.Value) {
+	mem := s.mems[slot]
+	if mem[idx].Eq(v) {
+		return
+	}
+	mem[idx] = v
+	s.wake(s.memFanout[slot])
+}
+
+func (s *Sim) wake(fanout []int) {
+	for _, i := range fanout {
+		s.schedule(i)
 	}
 }
 
 func (s *Sim) schedule(i int) {
-	if !s.queued[i] {
-		s.queued[i] = true
-		s.queue = append(s.queue, i)
+	if s.queued[i] {
+		return
 	}
+	s.queued[i] = true
+	t := s.head + s.n
+	if t >= len(s.ring) {
+		t -= len(s.ring)
+	}
+	s.ring[t] = i
+	s.n++
 }
 
 // settle evaluates scheduled continuous assignments until the network is
@@ -282,31 +318,15 @@ func (s *Sim) schedule(i int) {
 func (s *Sim) settle() error {
 	const maxEvents = 1 << 22
 	n := 0
-	for len(s.queue) > 0 {
-		i := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.n > 0 {
+		i := s.ring[s.head]
+		if s.head++; s.head == len(s.ring) {
+			s.head = 0
+		}
+		s.n--
 		s.queued[i] = false
-		a := &s.m.Assigns[i]
-		v, err := s.eval(a.RHS)
-		if err != nil {
-			return err
-		}
+		s.assigns[i]()
 		s.events++
-		switch l := a.LHS.(type) {
-		case *NetL:
-			w, _, _ := s.m.NetByName(l.Name)
-			s.update(l.Name, v.Trunc(w))
-		case *SliceL:
-			old := s.vals[l.Name]
-			nv := old
-			sv := v.Trunc(l.Hi - l.Lo + 1)
-			for b := l.Lo; b <= l.Hi; b++ {
-				nv = nv.WithBit(b, sv.Bit(b-l.Lo))
-			}
-			s.update(l.Name, nv)
-		default:
-			return fmt.Errorf("verilog: continuous assignment to a memory")
-		}
 		if n++; n > maxEvents {
 			return fmt.Errorf("verilog: combinational network did not settle (loop?)")
 		}
@@ -314,162 +334,340 @@ func (s *Sim) settle() error {
 	return nil
 }
 
-// eval computes an expression against current net values.
-func (s *Sim) eval(e Expr) (bitvec.Value, error) {
-	switch e := e.(type) {
-	case *Const:
-		return e.Val, nil
-	case *Ref:
-		v, ok := s.vals[e.Name]
-		if !ok {
-			return bitvec.Value{}, fmt.Errorf("verilog: no net %s", e.Name)
-		}
-		return v, nil
-	case *Index:
-		iv, err := s.eval(e.Idx)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		mem, ok := s.mems[e.Name]
-		if !ok {
-			return bitvec.Value{}, fmt.Errorf("verilog: no memory %s", e.Name)
-		}
-		return mem[int(iv.Uint64())%len(mem)], nil
-	case *Slice:
-		v, err := s.eval(e.X)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		return v.Slice(e.Hi, e.Lo), nil
-	case *Unary:
-		v, err := s.eval(e.X)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		switch e.Op {
-		case "~":
-			return v.Not(), nil
-		case "-":
-			return v.Neg(), nil
-		case "!":
-			return vbool(v.IsZero()), nil
-		case "|":
-			return vbool(!v.IsZero()), nil
-		}
-	case *Binary:
-		x, err := s.eval(e.X)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		y, err := s.eval(e.Y)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		switch e.Op {
-		case "&&":
-			return vbool(!x.IsZero() && !y.IsZero()), nil
-		case "||":
-			return vbool(!x.IsZero() || !y.IsZero()), nil
-		case "<<":
-			return x.Shl(int(y.Uint64())), nil
-		case ">>":
-			return x.ShrL(int(y.Uint64())), nil
-		}
-		// Width-matched operators zero-extend the narrower operand.
-		w := x.Width()
-		if y.Width() > w {
-			w = y.Width()
-		}
-		x, y = x.ZeroExt(w), y.ZeroExt(w)
-		switch e.Op {
-		case "+":
-			return x.Add(y), nil
-		case "-":
-			return x.Sub(y), nil
-		case "*":
-			return x.Mul(y), nil
-		case "/":
-			return x.DivU(y), nil
-		case "%":
-			return x.ModU(y), nil
-		case "&":
-			return x.And(y), nil
-		case "|":
-			return x.Or(y), nil
-		case "^":
-			return x.Xor(y), nil
-		case "==":
-			return vbool(x.Eq(y)), nil
-		case "!=":
-			return vbool(!x.Eq(y)), nil
-		case "<":
-			return vbool(x.CmpU(y) < 0), nil
-		case "<=":
-			return vbool(x.CmpU(y) <= 0), nil
-		case ">":
-			return vbool(x.CmpU(y) > 0), nil
-		case ">=":
-			return vbool(x.CmpU(y) >= 0), nil
-		}
-	case *Ternary:
-		c, err := s.eval(e.C)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		pick := e.A
-		if c.IsZero() {
-			pick = e.B
-		}
-		v, err := s.eval(pick)
-		if err != nil {
-			return bitvec.Value{}, err
-		}
-		return v.ZeroExt(e.W), nil
-	case *ConcatE:
-		var v bitvec.Value
-		for i, part := range e.Parts {
-			pv, err := s.eval(part)
-			if err != nil {
-				return bitvec.Value{}, err
-			}
-			if i == 0 {
-				v = pv
-			} else {
-				v = v.Concat(pv)
-			}
-		}
-		return v, nil
-	}
-	return bitvec.Value{}, fmt.Errorf("verilog: cannot evaluate expression")
+// splice returns old with the bits that keep clears replaced by v shifted
+// to lo.
+func splice(old, keep bitvec.Value, lo int, v bitvec.Value) bitvec.Value {
+	return old.And(keep).Or(v.Trunc(old.Width()).Shl(lo))
 }
+
+// compileStmts compiles a statement list into one closure.
+func (s *Sim) compileStmts(stmts []Stmt) (func(), error) {
+	fs := make([]func(), len(stmts))
+	for i, st := range stmts {
+		f, err := s.compileStmt(st)
+		if err != nil {
+			return nil, err
+		}
+		fs[i] = f
+	}
+	return func() {
+		for _, f := range fs {
+			f()
+		}
+	}, nil
+}
+
+func (s *Sim) compileStmt(st Stmt) (func(), error) {
+	var lhs LValue
+	var rhs Expr
+	deferred := false
+	switch st := st.(type) {
+	case *NBAssign:
+		lhs, rhs, deferred = st.LHS, st.RHS, true
+	case *BAssign:
+		lhs, rhs = st.LHS, st.RHS
+	case *If:
+		c, err := s.compile(st.Cond, nil)
+		if err != nil {
+			return nil, err
+		}
+		then, err := s.compileStmts(st.Then)
+		if err != nil {
+			return nil, err
+		}
+		els, err := s.compileStmts(st.Else)
+		if err != nil {
+			return nil, err
+		}
+		cond := c.eval
+		return func() {
+			if !cond().IsZero() {
+				then()
+			} else {
+				els()
+			}
+		}, nil
+	default:
+		return nil, fmt.Errorf("verilog: unknown statement %T", st)
+	}
+	r, err := s.compile(rhs, nil)
+	if err != nil {
+		return nil, err
+	}
+	write, w, err := s.lvalue(lhs, deferred)
+	if err != nil {
+		return nil, err
+	}
+	v := resize(r, w)
+	return func() {
+		x := v()
+		s.events++
+		write(x)
+	}, nil
+}
+
+// lvalue compiles an assignment destination into a writer of values of
+// the returned width. A deferred writer queues a non-blocking update for
+// the end of the Tick; an immediate one writes at once and schedules the
+// fan-out of a change.
+func (s *Sim) lvalue(l LValue, deferred bool) (func(bitvec.Value), int, error) {
+	switch l := l.(type) {
+	case *NetL:
+		slot, ok := s.netSlot[l.Name]
+		if !ok {
+			return nil, 0, fmt.Errorf("verilog: no net %s", l.Name)
+		}
+		if deferred {
+			return func(v bitvec.Value) { s.nus = append(s.nus, netUpd{slot: slot, val: v}) }, s.vals[slot].Width(), nil
+		}
+		return func(v bitvec.Value) { s.update(slot, v) }, s.vals[slot].Width(), nil
+	case *SliceL:
+		slot, ok := s.netSlot[l.Name]
+		if !ok {
+			return nil, 0, fmt.Errorf("verilog: no net %s", l.Name)
+		}
+		w := s.vals[slot].Width()
+		if l.Lo < 0 || l.Hi < l.Lo || l.Hi >= w {
+			return nil, 0, fmt.Errorf("verilog: slice [%d:%d] out of range of %s", l.Hi, l.Lo, l.Name)
+		}
+		lo, k := l.Lo, l.Hi-l.Lo+1
+		keep := bitvec.New(k).Not().Trunc(w).Shl(lo).Not()
+		if deferred {
+			return func(v bitvec.Value) { s.nus = append(s.nus, netUpd{slot: slot, lo: lo, keep: keep, val: v}) }, k, nil
+		}
+		return func(v bitvec.Value) { s.update(slot, splice(s.vals[slot], keep, lo, v)) }, k, nil
+	case *IndexL:
+		slot, ok := s.memSlot[l.Name]
+		if !ok {
+			return nil, 0, fmt.Errorf("verilog: %s is not a memory", l.Name)
+		}
+		idx, err := s.compile(l.Idx, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		ix, depth, w := idx.eval, uint64(len(s.mems[slot])), s.mems[slot][0].Width()
+		if deferred {
+			return func(v bitvec.Value) {
+				s.mus = append(s.mus, memUpd{slot: slot, idx: int(ix().Uint64() % depth), val: v})
+			}, w, nil
+		}
+		return func(v bitvec.Value) { s.writeMem(slot, int(ix().Uint64()%depth), v) }, w, nil
+	}
+	return nil, 0, fmt.Errorf("verilog: unknown assignment target %T", l)
+}
+
+// constant is a node that always yields v.
+func constant(v bitvec.Value) node {
+	return node{eval: func() bitvec.Value { return v }, width: v.Width(), isConst: true}
+}
+
+// fold evaluates n once, at elaboration, when all its operands are
+// constants.
+func fold(n node, operands ...node) node {
+	for _, o := range operands {
+		if !o.isConst {
+			return n
+		}
+	}
+	return constant(n.eval())
+}
+
+// resize returns n's evaluator adjusted to width w (zero-extended or
+// truncated), or n's own evaluator when it already has that width.
+func resize(n node, w int) func() bitvec.Value {
+	if n.width == w {
+		return n.eval
+	}
+	if n.isConst {
+		return constant(n.eval().Trunc(w)).eval
+	}
+	f := n.eval
+	return func() bitvec.Value { return f().Trunc(w) }
+}
+
+var (
+	vtrue  = bitvec.FromUint64(1, 1)
+	vfalse = bitvec.New(1)
+)
 
 func vbool(b bool) bitvec.Value {
 	if b {
-		return bitvec.FromUint64(1, 1)
+		return vtrue
 	}
-	return bitvec.New(1)
+	return vfalse
 }
 
-// exprDeps accumulates the nets an expression reads.
-func exprDeps(e Expr, out []string) []string {
+// compile resolves an expression into a node, recording in r (when
+// non-nil) the nets and memories it reads.
+func (s *Sim) compile(e Expr, r *reads) (node, error) {
 	switch e := e.(type) {
+	case *Const:
+		return constant(e.Val), nil
 	case *Ref:
-		out = append(out, e.Name)
-	case *Index:
-		out = append(out, e.Name)
-		out = exprDeps(e.Idx, out)
-	case *Slice:
-		out = exprDeps(e.X, out)
-	case *Unary:
-		out = exprDeps(e.X, out)
-	case *Binary:
-		out = exprDeps(e.X, exprDeps(e.Y, out))
-	case *Ternary:
-		out = exprDeps(e.C, exprDeps(e.A, exprDeps(e.B, out)))
-	case *ConcatE:
-		for _, p := range e.Parts {
-			out = exprDeps(p, out)
+		slot, ok := s.netSlot[e.Name]
+		if !ok {
+			return node{}, fmt.Errorf("verilog: no net %s", e.Name)
 		}
+		if r != nil {
+			r.nets = append(r.nets, slot)
+		}
+		vals := s.vals
+		return node{eval: func() bitvec.Value { return vals[slot] }, width: vals[slot].Width()}, nil
+	case *Index:
+		slot, ok := s.memSlot[e.Name]
+		if !ok {
+			return node{}, fmt.Errorf("verilog: no memory %s", e.Name)
+		}
+		if r != nil {
+			r.mems = append(r.mems, slot)
+		}
+		idx, err := s.compile(e.Idx, r)
+		if err != nil {
+			return node{}, err
+		}
+		mem, ix := s.mems[slot], idx.eval
+		depth := uint64(len(mem))
+		return node{eval: func() bitvec.Value { return mem[ix().Uint64()%depth] }, width: mem[0].Width()}, nil
+	case *Slice:
+		x, err := s.compile(e.X, r)
+		if err != nil {
+			return node{}, err
+		}
+		if e.Lo < 0 || e.Hi < e.Lo || e.Hi >= x.width {
+			return node{}, fmt.Errorf("verilog: slice [%d:%d] out of range of %d-bit value", e.Hi, e.Lo, x.width)
+		}
+		f, hi, lo := x.eval, e.Hi, e.Lo
+		return fold(node{eval: func() bitvec.Value { return f().Slice(hi, lo) }, width: hi - lo + 1}, x), nil
+	case *Unary:
+		x, err := s.compile(e.X, r)
+		if err != nil {
+			return node{}, err
+		}
+		f := x.eval
+		var n node
+		switch e.Op {
+		case "~":
+			n = node{eval: func() bitvec.Value { return f().Not() }, width: x.width}
+		case "-":
+			n = node{eval: func() bitvec.Value { return f().Neg() }, width: x.width}
+		case "!":
+			n = node{eval: func() bitvec.Value { return vbool(f().IsZero()) }, width: 1}
+		case "|":
+			n = node{eval: func() bitvec.Value { return vbool(!f().IsZero()) }, width: 1}
+		default:
+			return node{}, fmt.Errorf("verilog: unknown unary operator %q", e.Op)
+		}
+		return fold(n, x), nil
+	case *Binary:
+		x, err := s.compile(e.X, r)
+		if err != nil {
+			return node{}, err
+		}
+		y, err := s.compile(e.Y, r)
+		if err != nil {
+			return node{}, err
+		}
+		n, err := binary(e.Op, x, y)
+		if err != nil {
+			return node{}, err
+		}
+		return fold(n, x, y), nil
+	case *Ternary:
+		c, err := s.compile(e.C, r)
+		if err != nil {
+			return node{}, err
+		}
+		a, err := s.compile(e.A, r)
+		if err != nil {
+			return node{}, err
+		}
+		b, err := s.compile(e.B, r)
+		if err != nil {
+			return node{}, err
+		}
+		cf, af, bf := c.eval, resize(a, e.W), resize(b, e.W)
+		n := node{eval: func() bitvec.Value {
+			if cf().IsZero() {
+				return bf()
+			}
+			return af()
+		}, width: e.W}
+		return fold(n, c, a, b), nil
+	case *ConcatE:
+		if len(e.Parts) == 0 {
+			return node{}, fmt.Errorf("verilog: empty concatenation")
+		}
+		parts := make([]node, len(e.Parts))
+		width := 0
+		for i, p := range e.Parts {
+			n, err := s.compile(p, r)
+			if err != nil {
+				return node{}, err
+			}
+			parts[i] = n
+			width += n.width
+		}
+		n := node{eval: func() bitvec.Value {
+			v := parts[0].eval()
+			for _, p := range parts[1:] {
+				v = v.Concat(p.eval())
+			}
+			return v
+		}, width: width}
+		return fold(n, parts...), nil
 	}
-	return out
+	return node{}, fmt.Errorf("verilog: cannot evaluate expression %T", e)
+}
+
+// binary picks a binary operator's evaluator. Shifts keep the left
+// operand's width and comparisons and logical operators yield one bit;
+// every other operator zero-extends the narrower operand.
+func binary(op string, x, y node) (node, error) {
+	xf, yf := x.eval, y.eval
+	switch op {
+	case "&&":
+		return node{eval: func() bitvec.Value { return vbool(!xf().IsZero() && !yf().IsZero()) }, width: 1}, nil
+	case "||":
+		return node{eval: func() bitvec.Value { return vbool(!xf().IsZero() || !yf().IsZero()) }, width: 1}, nil
+	case "<<":
+		return node{eval: func() bitvec.Value { return xf().Shl(int(yf().Uint64())) }, width: x.width}, nil
+	case ">>":
+		return node{eval: func() bitvec.Value { return xf().ShrL(int(yf().Uint64())) }, width: x.width}, nil
+	}
+	w := max(x.width, y.width)
+	xf, yf = resize(x, w), resize(y, w)
+	var f func() bitvec.Value
+	switch op {
+	case "+":
+		f = func() bitvec.Value { return xf().Add(yf()) }
+	case "-":
+		f = func() bitvec.Value { return xf().Sub(yf()) }
+	case "*":
+		f = func() bitvec.Value { return xf().Mul(yf()) }
+	case "/":
+		f = func() bitvec.Value { return xf().DivU(yf()) }
+	case "%":
+		f = func() bitvec.Value { return xf().ModU(yf()) }
+	case "&":
+		f = func() bitvec.Value { return xf().And(yf()) }
+	case "|":
+		f = func() bitvec.Value { return xf().Or(yf()) }
+	case "^":
+		f = func() bitvec.Value { return xf().Xor(yf()) }
+	case "==":
+		return node{eval: func() bitvec.Value { return vbool(xf().Eq(yf())) }, width: 1}, nil
+	case "!=":
+		return node{eval: func() bitvec.Value { return vbool(!xf().Eq(yf())) }, width: 1}, nil
+	case "<":
+		return node{eval: func() bitvec.Value { return vbool(xf().CmpU(yf()) < 0) }, width: 1}, nil
+	case "<=":
+		return node{eval: func() bitvec.Value { return vbool(xf().CmpU(yf()) <= 0) }, width: 1}, nil
+	case ">":
+		return node{eval: func() bitvec.Value { return vbool(xf().CmpU(yf()) > 0) }, width: 1}, nil
+	case ">=":
+		return node{eval: func() bitvec.Value { return vbool(xf().CmpU(yf()) >= 0) }, width: 1}, nil
+	default:
+		return node{}, fmt.Errorf("verilog: unknown binary operator %q", op)
+	}
+	return node{eval: f, width: w}, nil
 }
