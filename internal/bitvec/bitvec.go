@@ -476,11 +476,23 @@ func (a Value) Not() Value {
 	return r
 }
 
-// Shl returns a shifted left by n bits; vacated bits are zero.
-func (a Value) Shl(n int) Value {
-	if n < 0 {
-		return a.ShrL(-n)
+// Amount returns v's full unsigned value as a shift amount for Shl, ShrL
+// and ShrA. Every amount at or beyond a value's width shifts all of its
+// bits out, so an amount above MaxWidth reads as MaxWidth.
+func (v Value) Amount() int {
+	if v.Uint64() > MaxWidth {
+		return MaxWidth
 	}
+	for i := 1; i < len(v.words); i++ {
+		if v.words[i] != 0 {
+			return MaxWidth
+		}
+	}
+	return int(v.Uint64())
+}
+
+// Shl returns a shifted left by n >= 0 bits; vacated bits are zero.
+func (a Value) Shl(n int) Value {
 	if n >= a.width {
 		return New(a.width)
 	}
@@ -500,11 +512,9 @@ func (a Value) Shl(n int) Value {
 	return r
 }
 
-// ShrL returns a logically shifted right by n bits; vacated bits are zero.
+// ShrL returns a logically shifted right by n >= 0 bits; vacated bits are
+// zero.
 func (a Value) ShrL(n int) Value {
-	if n < 0 {
-		return a.Shl(-n)
-	}
 	if n >= a.width {
 		return New(a.width)
 	}
@@ -523,12 +533,9 @@ func (a Value) ShrL(n int) Value {
 	return r
 }
 
-// ShrA returns a arithmetically shifted right by n bits; vacated bits copy
-// the sign bit.
+// ShrA returns a arithmetically shifted right by n >= 0 bits; vacated bits
+// copy the sign bit.
 func (a Value) ShrA(n int) Value {
-	if n < 0 {
-		return a.Shl(-n)
-	}
 	if !a.Sign() {
 		return a.ShrL(n)
 	}

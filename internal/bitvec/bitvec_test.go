@@ -188,6 +188,39 @@ func TestShifts(t *testing.T) {
 	}
 }
 
+// TestAmount pins the shift-amount clamp: an amount is the full unsigned
+// value, and anything at or beyond MaxWidth reads as MaxWidth.
+func TestAmount(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		want int
+	}{
+		{FromUint64(8, 5), 5},
+		{FromUint64(32, MaxWidth), MaxWidth},
+		{FromUint64(32, MaxWidth+1), MaxWidth},
+		{FromUint64(64, 1<<63), MaxWidth},
+		{FromUint64(64, ^uint64(0)), MaxWidth},
+		{FromWords(72, []uint64{0, 1}), MaxWidth},
+		{FromWords(128, []uint64{7, 0}), 7},
+	} {
+		if got := c.v.Amount(); got != c.want {
+			t.Errorf("%s.Amount() = %d, want %d", c.v, got, c.want)
+		}
+	}
+	a := FromUint64(8, 0x81)
+	for _, n := range []int{8, MaxWidth} {
+		if got := a.Shl(n); !got.IsZero() {
+			t.Errorf("Shl(%d) = %s, want 0", n, got)
+		}
+		if got := a.ShrL(n); !got.IsZero() {
+			t.Errorf("ShrL(%d) = %s, want 0", n, got)
+		}
+		if got := a.ShrA(n); got.Uint64() != 0xff {
+			t.Errorf("ShrA(%d) = %s, want 8'hff", n, got)
+		}
+	}
+}
+
 func TestSliceConcatInverse(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {

@@ -10,7 +10,8 @@ import (
 // This file compiles RTL expressions and statements into Go source. Every
 // construct mirrors the interpreter in internal/xsim/eval.go bit for bit:
 // evaluation order (and therefore read counting), canonical-width masking,
-// shift/divide edge cases, and fault points. Values stay in uint64 — the
+// the operator table's value rules (internal/isdl/ops.go: shift and divide
+// edge cases included), and fault points. Values stay in uint64 — the
 // generator refuses descriptions whose RTL touches anything wider.
 
 // cw is an indented code writer.
@@ -175,15 +176,7 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		switch e.Op {
-		case "-":
-			return masked("-"+x, e.W), nil
-		case "~":
-			return masked("^"+x, e.W), nil
-		case "!":
-			return fmt.Sprintf("b2u(%s == 0)", x), nil
-		}
-		return "", g.unsupported("unary operator %q", e.Op)
+		return g.op(e.Def, []string{x}, []int{e.X.Width()}, e.W)
 
 	case *isdl.Binary:
 		x, err := g.expr(e.X, sc)
@@ -194,187 +187,146 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		// Short-circuit forms skip the right operand — and its reads —
-		// exactly like the interpreter.
-		switch e.Op {
+		return g.op(e.Def, []string{x, y}, []int{e.X.Width(), e.Y.Width()}, e.W)
+
+	case *isdl.Call:
+		if e.Def == nil {
+			return g.pop(e)
+		}
+		ops := e.Operands()
+		xs, ws := make([]string, len(ops)), make([]int, len(ops))
+		for i, a := range ops {
+			x, err := g.expr(a, sc)
+			if err != nil {
+				return "", err
+			}
+			xs[i], ws[i] = x, a.Width()
+		}
+		return g.op(e.Def, xs, ws, e.W)
+	}
+	return "", g.unsupported("expression form %T", e)
+}
+
+// op compiles an operator table entry applied to compiled operands xs of
+// widths ws, with result width w: one case per entry.
+func (g *gen) op(o *isdl.Operator, xs []string, ws []int, w int) (string, error) {
+	x, xw := xs[0], ws[0]
+	var y string
+	if len(xs) > 1 {
+		y = xs[1]
+	}
+	switch o.Form {
+	case isdl.FormUnary:
+		switch o.Name {
+		case "-":
+			return masked("-"+x, w), nil
+		case "~":
+			return masked("^"+x, w), nil
+		case "!":
+			return fmt.Sprintf("b2u(%s == 0)", x), nil
+		}
+
+	case isdl.FormBinary:
+		// Go spells + - * & | ^ and the comparisons as ISDL does.
+		switch o.Name {
+		case "+", "-", "*":
+			return masked(x+" "+o.Name+" "+y, w), nil
+		case "/":
+			return fmt.Sprintf("hdivu(%s, %s, %s)", x, y, hexU(maskU(w))), nil
+		case "%":
+			return fmt.Sprintf("hmodu(%s, %s)", x, y), nil
+		case "&", "|", "^":
+			return "(" + x + " " + o.Name + " " + y + ")", nil
+		case "<<":
+			return fmt.Sprintf("hshl(%s, %s, %d, %s)", x, y, xw, hexU(maskU(xw))), nil
+		case ">>":
+			return fmt.Sprintf("hshr(%s, %s, %d)", x, y, xw), nil
+		case "==", "!=", "<", "<=", ">", ">=":
+			return fmt.Sprintf("b2u(%s %s %s)", x, o.Name, y), nil
+		// Go's && and || skip the right operand, and its reads, exactly
+		// like the interpreter.
 		case "&&":
 			return fmt.Sprintf("b2u(%s != 0 && %s != 0)", x, y), nil
 		case "||":
 			return fmt.Sprintf("b2u(%s != 0 || %s != 0)", x, y), nil
 		}
-		return g.binOp(e.Op, x, y, e.X.Width(), e.W)
 
-	case *isdl.Call:
-		return g.call(e, sc)
+	case isdl.FormCall:
+		switch o.Name {
+		// bitvec's SignExt and ZeroExt truncate when narrowing, and Trunc
+		// zero-extends when widening.
+		case "sext":
+			if w <= xw {
+				return resize(x, xw, w), nil
+			}
+			return fmt.Sprintf("hsext(%s, %d, %s)", x, xw-1, hexU(maskU(w)&^maskU(xw))), nil
+		case "zext", "trunc":
+			return resize(x, xw, w), nil
+		case "carry":
+			return fmt.Sprintf("b2u(hcarry(%s, %s, %d))", x, y, xw), nil
+		case "borrow":
+			return fmt.Sprintf("b2u(%s < %s)", x, y), nil
+		case "addov":
+			return fmt.Sprintf("b2u(haddov(%s, %s, %d))", x, y, xw-1), nil
+		case "subov":
+			return fmt.Sprintf("b2u(hsubov(%s, %s, %d))", x, y, xw-1), nil
+		case "slt":
+			return fmt.Sprintf("b2u(sxt(%s, %d) < sxt(%s, %d))", x, xw, y, xw), nil
+		case "sle":
+			return fmt.Sprintf("b2u(sxt(%s, %d) <= sxt(%s, %d))", x, xw, y, xw), nil
+		case "sgt":
+			return fmt.Sprintf("b2u(sxt(%s, %d) > sxt(%s, %d))", x, xw, y, xw), nil
+		case "sge":
+			return fmt.Sprintf("b2u(sxt(%s, %d) >= sxt(%s, %d))", x, xw, y, xw), nil
+		case "asr":
+			return fmt.Sprintf("hasr(%s, %s, %d, %s)", x, y, xw, hexU(maskU(xw))), nil
+		case "concat":
+			acc := x
+			for i := 1; i < len(xs); i++ {
+				acc = fmt.Sprintf("(%s<<%d | %s)", acc, ws[i], xs[i])
+			}
+			return acc, nil
+		}
 	}
-	return "", g.unsupported("expression form %T", e)
+	return "", g.unsupported("operator %s", o.Name)
 }
 
-// binOp compiles a non-short-circuit binary operator.
-func (g *gen) binOp(op, x, y string, xw, w int) (string, error) {
-	switch op {
-	case "+":
-		return masked(x+" + "+y, w), nil
-	case "-":
-		return masked(x+" - "+y, w), nil
-	case "*":
-		return masked(x+" * "+y, w), nil
-	case "/":
-		return fmt.Sprintf("hdivu(%s, %s, %s)", x, y, hexU(maskU(w))), nil
-	case "%":
-		return fmt.Sprintf("hmodu(%s, %s)", x, y), nil
-	case "&":
-		return "(" + x + " & " + y + ")", nil
-	case "|":
-		return "(" + x + " | " + y + ")", nil
-	case "^":
-		return "(" + x + " ^ " + y + ")", nil
-	case "<<":
-		return fmt.Sprintf("hshl(%s, int(%s), %d, %s)", x, y, xw, hexU(maskU(xw))), nil
-	case ">>":
-		return fmt.Sprintf("hshr(%s, int(%s), %d, %s)", x, y, xw, hexU(maskU(xw))), nil
-	case "==":
-		return fmt.Sprintf("b2u(%s == %s)", x, y), nil
-	case "!=":
-		return fmt.Sprintf("b2u(%s != %s)", x, y), nil
-	case "<":
-		return fmt.Sprintf("b2u(%s < %s)", x, y), nil
-	case "<=":
-		return fmt.Sprintf("b2u(%s <= %s)", x, y), nil
-	case ">":
-		return fmt.Sprintf("b2u(%s > %s)", x, y), nil
-	case ">=":
-		return fmt.Sprintf("b2u(%s >= %s)", x, y), nil
-	}
-	return "", g.unsupported("binary operator %q", op)
-}
-
-// extCall compiles sext/zext/trunc width adjustment from fw to tw bits
-// (bitvec: SignExt/ZeroExt truncate when narrowing, Trunc zero-extends when
-// widening).
-func extCall(fn, x string, fw, tw int) string {
-	if tw == fw {
-		return x
-	}
+// resize adjusts a canonical fw-bit value to tw bits without sign
+// extension: a mask when narrowing, nothing when widening.
+func resize(x string, fw, tw int) string {
 	if tw < fw {
 		return masked(x, tw)
 	}
-	if fn != "sext" {
-		return x // canonical value is already zero-extended
-	}
-	hi := maskU(tw) &^ maskU(fw)
-	return fmt.Sprintf("hsext(%s, %d, %s)", x, fw-1, hexU(hi))
+	return x
 }
 
-func (g *gen) call(e *isdl.Call, sc *scope) (string, error) {
-	arg := func(i int) (string, error) { return g.expr(e.Args[i], sc) }
-	switch e.Fn {
-	case "pop":
-		ref, ok := e.Args[0].(*isdl.Ref)
-		if !ok {
-			return "", g.unsupported("pop target form")
-		}
-		st, ok := g.d.StorageByName[ref.Name]
-		if !ok {
-			return "", g.unsupported("pop of unknown storage %s", ref.Name)
-		}
-		sid := g.sid[st.Name]
-		if st.Kind != isdl.StStack {
-			name := fmt.Sprintf("popbad%d", sid)
-			if !g.emitted[name] {
-				g.emitted[name] = true
-				w := &cw{}
-				w.ln("func (m *mach) %s() uint64 {", name)
-				w.in()
-				w.ln("panic(&simErr{m.curPC, %q})", fmt.Sprintf("state: %s is not a stack", st.Name))
-				w.out()
-				w.ln("}")
-				w.ln("")
-				g.methods = append(g.methods, w.sb.String())
-			}
-			return "m." + name + "()", nil
-		}
-		return fmt.Sprintf("m.pop%d()", sid), nil
-	case "push":
-		return "", g.unsupported("push used as a value")
-	case "sext", "zext", "trunc":
-		x, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		return extCall(e.Fn, x, e.Args[0].Width(), e.W), nil
-	case "carry":
-		x, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		y, err := arg(1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("b2u(hcarry(%s, %s, %d))", x, y, e.Args[0].Width()), nil
-	case "borrow":
-		x, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		y, err := arg(1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("b2u(%s < %s)", x, y), nil
-	case "addov", "subov":
-		x, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		y, err := arg(1)
-		if err != nil {
-			return "", err
-		}
-		fn := "haddov"
-		if e.Fn == "subov" {
-			fn = "hsubov"
-		}
-		return fmt.Sprintf("b2u(%s(%s, %s, %d))", fn, x, y, e.Args[0].Width()-1), nil
-	case "slt", "sle", "sgt", "sge":
-		x, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		y, err := arg(1)
-		if err != nil {
-			return "", err
-		}
-		op := map[string]string{"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}[e.Fn]
-		w := e.Args[0].Width()
-		return fmt.Sprintf("b2u(sxt(%s, %d) %s sxt(%s, %d))", x, w, op, y, w), nil
-	case "asr":
-		x, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		y, err := arg(1)
-		if err != nil {
-			return "", err
-		}
-		w := e.Args[0].Width()
-		return fmt.Sprintf("hasr(%s, int(%s), %d, %s)", x, y, w, hexU(maskU(w))), nil
-	case "concat":
-		acc, err := arg(0)
-		if err != nil {
-			return "", err
-		}
-		for i := 1; i < len(e.Args); i++ {
-			ai, err := arg(i)
-			if err != nil {
-				return "", err
-			}
-			acc = fmt.Sprintf("(%s<<%d | %s)", acc, e.Args[i].Width(), ai)
-		}
-		return acc, nil
+// pop compiles a pop call (a value; push is only a statement).
+func (g *gen) pop(e *isdl.Call) (string, error) {
+	ref, ok := e.Args[0].(*isdl.Ref)
+	if !ok {
+		return "", g.unsupported("pop target form")
 	}
-	return "", g.unsupported("builtin %s", e.Fn)
+	st, ok := g.d.StorageByName[ref.Name]
+	if !ok {
+		return "", g.unsupported("pop of unknown storage %s", ref.Name)
+	}
+	sid := g.sid[st.Name]
+	if st.Kind != isdl.StStack {
+		name := fmt.Sprintf("popbad%d", sid)
+		if !g.emitted[name] {
+			g.emitted[name] = true
+			w := &cw{}
+			w.ln("func (m *mach) %s() uint64 {", name)
+			w.in()
+			w.ln("panic(&simErr{m.curPC, %q})", fmt.Sprintf("state: %s is not a stack", st.Name))
+			w.out()
+			w.ln("}")
+			w.ln("")
+			g.methods = append(g.methods, w.sb.String())
+		}
+		return "m." + name + "()", nil
+	}
+	return fmt.Sprintf("m.pop%d()", sid), nil
 }
 
 // loc compiles an lvalue to a wr expression (evalLoc).
@@ -496,7 +448,7 @@ func (g *gen) stmts(list []isdl.Stmt, sc *scope, w *cw) error {
 				w.ln("ph.pushes = append(ph.pushes, pushOp{sid: %d, val: v%d})", sid, n)
 			case "pop":
 				// A pop statement pops at exec time and drops the value.
-				x, err := g.call(call, sc)
+				x, err := g.pop(call)
 				if err != nil {
 					return err
 				}

@@ -154,37 +154,28 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func hshl(x uint64, n, w int, mask uint64) uint64 {
-	if n < 0 {
-		return hshr(x, -n, w, mask)
-	}
-	if n >= w {
+func hshl(x, n uint64, w int, mask uint64) uint64 {
+	if n >= uint64(w) {
 		return 0
 	}
-	return x << uint(n) & mask
+	return x << n & mask
 }
 
-func hshr(x uint64, n, w int, mask uint64) uint64 {
-	if n < 0 {
-		return hshl(x, -n, w, mask)
-	}
-	if n >= w {
+func hshr(x, n uint64, w int) uint64 {
+	if n >= uint64(w) {
 		return 0
 	}
-	return x >> uint(n)
+	return x >> n
 }
 
-func hasr(x uint64, n, w int, mask uint64) uint64 {
-	if n < 0 {
-		return hshl(x, -n, w, mask)
-	}
+func hasr(x, n uint64, w int, mask uint64) uint64 {
 	if x>>uint(w-1)&1 == 0 {
-		return hshr(x, n, w, mask)
+		return hshr(x, n, w)
 	}
-	if n >= w {
+	if n >= uint64(w) {
 		return mask
 	}
-	return (x>>uint(n) | ^(mask >> uint(n))) & mask
+	return (x>>n | ^(mask >> n)) & mask
 }
 
 func hdivu(a, b, mask uint64) uint64 {

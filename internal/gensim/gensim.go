@@ -32,7 +32,7 @@ import (
 
 // GeneratorVersion tags the emitted code shape; it is part of the build
 // fingerprint, so bumping it invalidates every cached binary.
-const GeneratorVersion = 3
+const GeneratorVersion = 4
 
 // ProtoVersion is the stdin/stdout protocol version; the handshake rejects
 // a mismatched child binary.

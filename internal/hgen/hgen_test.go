@@ -229,7 +229,7 @@ func TestCliqueCoverValidity(t *testing.T) {
 			// All nodes in a group share one unit class.
 			for _, n := range group[1:] {
 				a, b := r.Nodes[group[0]], r.Nodes[n]
-				if (a.Kind == hgen.NodeMul) != (b.Kind == hgen.NodeMul) {
+				if (a.Kind == isdl.CircuitMul) != (b.Kind == isdl.CircuitMul) {
 					t.Fatalf("%s: mixed mul/non-mul group", d.Name)
 				}
 				// Nodes of the same operation may share only across

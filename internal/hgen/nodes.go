@@ -14,46 +14,25 @@ import (
 	"repro/internal/isdl"
 )
 
-// NodeKind classifies an RTL node by the circuit it maps to (§4.1.2: "we
-// break up the RTL expressions for all operation definitions into a number
-// of nodes, each of which can be mapped to a circuit").
-type NodeKind int
-
-const (
-	// NodeAdd and NodeSub map to a carry-propagate adder; per sharing rule
-	// 2 an add is a subset of a subtract, so they share an add/sub unit.
-	NodeAdd NodeKind = iota
-	NodeSub
-	NodeMul
-	NodeDiv
-	// NodeLogic covers bitwise AND/OR/XOR/NOT and boolean reductions.
-	NodeLogic
-	NodeShift
-	NodeCmp
-)
-
-var nodeKindNames = map[NodeKind]string{
-	NodeAdd: "add", NodeSub: "sub", NodeMul: "mul", NodeDiv: "div",
-	NodeLogic: "logic", NodeShift: "shift", NodeCmp: "cmp",
-}
-
-func (k NodeKind) String() string { return nodeKindNames[k] }
-
-// unitClass groups kinds that can share one functional unit (sharing rule
-// 2, with the add⊂sub subsumption).
-func unitClass(k NodeKind) string {
-	switch k {
-	case NodeAdd, NodeSub:
+// unitClass groups circuit classes that can share one functional unit
+// (sharing rule 2, with the add⊂sub subsumption: an add is a subset of a
+// subtract, so they share an add/sub unit).
+func unitClass(c isdl.Circuit) string {
+	switch c {
+	case isdl.CircuitAdd, isdl.CircuitSub:
 		return "addsub"
 	default:
-		return k.String()
+		return c.String()
 	}
 }
 
 // Node is one numbered RTL node.
 type Node struct {
-	ID    int
-	Kind  NodeKind
+	ID int
+	// Kind is the circuit the node maps to (§4.1.2: "we break up the RTL
+	// expressions for all operation definitions into a number of nodes,
+	// each of which can be mapped to a circuit").
+	Kind  isdl.Circuit
 	Width int
 	// Op owns the node; Stmt is the statement ordinal within the owner
 	// (sharing rule 1 forbids sharing within one statement, and nodes of
@@ -124,7 +103,10 @@ type extractor struct {
 	optionIdx int
 }
 
-func (x *extractor) add(kind NodeKind, width int) {
+func (x *extractor) add(kind isdl.Circuit, width int) {
+	if kind == isdl.Wiring {
+		return
+	}
 	*x.nodes = append(*x.nodes, &Node{
 		Kind: kind, Width: width, Op: x.op, Stmt: x.stmt,
 		ParamPath: x.paramPath, OptionIdx: x.optionIdx,
@@ -148,50 +130,24 @@ func (x *extractor) stmts(stmts []isdl.Stmt) {
 	}
 }
 
+// expr adds a node for each operator of e that maps to a circuit, sized by
+// its operands (a comparison yields one bit but its circuit is as wide as
+// its inputs); a unary node and a binary logical one are sized by their
+// result.
 func (x *extractor) expr(e isdl.Expr) {
 	isdl.WalkExpr(e, func(e isdl.Expr) {
 		switch e := e.(type) {
-		case *isdl.Binary:
-			w := e.Width()
-			if w == 0 {
-				w = 1
-			}
-			ow := opWidth(e)
-			switch e.Op {
-			case "+":
-				x.add(NodeAdd, ow)
-			case "-":
-				x.add(NodeSub, ow)
-			case "*":
-				x.add(NodeMul, ow)
-			case "/", "%":
-				x.add(NodeDiv, ow)
-			case "&", "|", "^":
-				x.add(NodeLogic, ow)
-			case "<<", ">>":
-				x.add(NodeShift, ow)
-			case "==", "!=", "<", "<=", ">", ">=":
-				x.add(NodeCmp, ow)
-			case "&&", "||":
-				x.add(NodeLogic, 1)
-			}
 		case *isdl.Unary:
-			switch e.Op {
-			case "-":
-				x.add(NodeSub, e.Width())
-			case "~", "!":
-				x.add(NodeLogic, maxInt(e.Width(), 1))
+			x.add(e.Def.Circuit, max(e.Width(), 1))
+		case *isdl.Binary:
+			if e.Def.Width == isdl.Logical {
+				x.add(e.Def.Circuit, 1)
+			} else {
+				x.add(e.Def.Circuit, opWidth(e))
 			}
 		case *isdl.Call:
-			switch e.Fn {
-			case "carry", "addov":
-				x.add(NodeAdd, argWidth(e))
-			case "borrow", "subov":
-				x.add(NodeSub, argWidth(e))
-			case "slt", "sle", "sgt", "sge":
-				x.add(NodeCmp, argWidth(e))
-			case "asr":
-				x.add(NodeShift, argWidth(e))
+			if e.Def != nil {
+				x.add(e.Def.Circuit, argWidth(e))
 			}
 		}
 	})
@@ -218,11 +174,4 @@ func argWidth(e *isdl.Call) int {
 		}
 	}
 	return w
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

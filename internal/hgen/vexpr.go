@@ -26,7 +26,7 @@ func (e *venv) expr(x isdl.Expr) (verilog.Expr, error) {
 			st := g.d.StorageByName[a.Target]
 			var base verilog.Expr
 			if a.Indexed {
-				base = &verilog.Index{Name: "s_" + a.Target, Idx: constE(bitvec.FromUint64(maxInt(1, addrBitsFor(st.Depth)), a.Index)), W: st.Width}
+				base = &verilog.Index{Name: "s_" + a.Target, Idx: constE(bitvec.FromUint64(max(1, addrBitsFor(st.Depth)), a.Index)), W: st.Width}
 			} else {
 				base = &verilog.Ref{Name: "s_" + a.Target, W: st.Width}
 			}
@@ -116,18 +116,16 @@ func constE(v bitvec.Value) verilog.Expr {
 	return &verilog.ConcatE{Parts: parts, W: w}
 }
 
+// call translates a builtin call: one case per call-form entry of the
+// operator table, plus pop.
 func (e *venv) call(x *isdl.Call) (verilog.Expr, error) {
 	g := e.g
 	arg := func(i int) (verilog.Expr, error) { return e.expr(x.Args[i]) }
-	argRef := func(i int) (verilog.Expr, error) {
-		v, err := arg(i)
-		if err != nil {
-			return nil, err
-		}
-		return g.ensureRef(v), nil
+	if x.Def == nil {
+		return e.pop(x), nil
 	}
 
-	switch x.Fn {
+	switch x.Def.Name {
 	case "zext", "trunc":
 		a, err := arg(0)
 		if err != nil {
@@ -136,10 +134,11 @@ func (e *venv) call(x *isdl.Call) (verilog.Expr, error) {
 		return adjustWidth(g, a, x.W), nil
 
 	case "sext":
-		a, err := argRef(0)
+		a, err := arg(0)
 		if err != nil {
 			return nil, err
 		}
+		a = g.ensureRef(a)
 		aw := verilog.Width(a)
 		if x.W <= aw {
 			return adjustWidth(g, a, x.W), nil
@@ -149,11 +148,7 @@ func (e *venv) call(x *isdl.Call) (verilog.Expr, error) {
 		return &verilog.ConcatE{Parts: []verilog.Expr{ext, a}, W: x.W}, nil
 
 	case "carry":
-		a, err := argRef(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := argRef(1)
+		a, b, err := e.refs(x)
 		if err != nil {
 			return nil, err
 		}
@@ -175,67 +170,22 @@ func (e *venv) call(x *isdl.Call) (verilog.Expr, error) {
 		}
 		return &verilog.Binary{Op: "<", X: a, Y: b, W: 1}, nil
 
-	case "addov", "subov":
-		a, err := argRef(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := argRef(1)
-		if err != nil {
-			return nil, err
-		}
-		w := verilog.Width(a)
-		op := "+"
-		if x.Fn == "subov" {
-			op = "-"
-		}
-		res := g.store(&verilog.Binary{Op: op, X: a, Y: b, W: w}, w)
-		am := &verilog.Slice{X: a, Hi: w - 1, Lo: w - 1}
-		bm := &verilog.Slice{X: b, Hi: w - 1, Lo: w - 1}
-		rm := &verilog.Slice{X: res, Hi: w - 1, Lo: w - 1}
-		signsCmp := "=="
-		if x.Fn == "subov" {
-			signsCmp = "!="
-		}
-		return &verilog.Binary{Op: "&&",
-			X: &verilog.Binary{Op: signsCmp, X: am, Y: bm, W: 1},
-			Y: &verilog.Binary{Op: "!=", X: rm, Y: am, W: 1},
-			W: 1}, nil
+	case "addov":
+		return e.overflow(x, "+", "==")
+	case "subov":
+		return e.overflow(x, "-", "!=")
 
-	case "slt", "sle", "sgt", "sge":
-		a, err := argRef(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := argRef(1)
-		if err != nil {
-			return nil, err
-		}
-		w := verilog.Width(a)
-		am := &verilog.Slice{X: a, Hi: w - 1, Lo: w - 1}
-		bm := &verilog.Slice{X: b, Hi: w - 1, Lo: w - 1}
-		diff := &verilog.Binary{Op: "!=", X: am, Y: bm, W: 1}
-		var onDiff verilog.Expr
-		var uop string
-		switch x.Fn {
-		case "slt":
-			onDiff, uop = am, "<"
-		case "sle":
-			onDiff, uop = am, "<="
-		case "sgt":
-			onDiff, uop = bm, ">"
-		case "sge":
-			onDiff, uop = bm, ">="
-		}
-		return &verilog.Ternary{C: diff, A: onDiff,
-			B: &verilog.Binary{Op: uop, X: a, Y: b, W: 1}, W: 1}, nil
+	case "slt":
+		return e.signedCmp(x, false, "<")
+	case "sle":
+		return e.signedCmp(x, false, "<=")
+	case "sgt":
+		return e.signedCmp(x, true, ">")
+	case "sge":
+		return e.signedCmp(x, true, ">=")
 
 	case "asr":
-		a, err := argRef(0)
-		if err != nil {
-			return nil, err
-		}
-		n, err := argRef(1)
+		a, n, err := e.refs(x)
 		if err != nil {
 			return nil, err
 		}
@@ -257,28 +207,76 @@ func (e *venv) call(x *isdl.Call) (verilog.Expr, error) {
 			c.Parts = append(c.Parts, v)
 		}
 		return c, nil
-
-	case "pop":
-		// Read the top of stack into a temporary and bump the pointer down,
-		// guarded by the enclosing condition (the read itself is harmless).
-		name := "s_" + x.Args[0].(*isdl.Ref).Name
-		spW, _, _ := g.mod.NetByName(name + "_sp")
-		w, _, _ := g.mod.NetByName(name)
-		sp := &verilog.Ref{Name: name + "_sp", W: spW}
-		one := constE(bitvec.FromUint64(spW, 1))
-		spm1 := g.store(&verilog.Binary{Op: "-", X: sp, Y: one, W: spW}, spW)
-		val := g.store(&verilog.Index{Name: name, Idx: spm1, W: w}, w)
-		dec := verilog.Stmt(&verilog.BAssign{LHS: &verilog.NetL{Name: name + "_sp"}, RHS: spm1})
-		if e.guard != nil {
-			dec = &verilog.If{Cond: e.guard, Then: []verilog.Stmt{dec}}
-		}
-		g.stmt(dec)
-		return val, nil
-
-	case "push":
-		return nil, fmt.Errorf("push used as a value")
 	}
-	return nil, fmt.Errorf("unknown builtin %s", x.Fn)
+	return nil, fmt.Errorf("no Verilog for builtin %s", x.Fn)
+}
+
+// overflow is addov or subov: the signs of the operands compare with
+// signsCmp, and the sign of a op b differs from a's.
+func (e *venv) overflow(x *isdl.Call, op, signsCmp string) (verilog.Expr, error) {
+	a, b, err := e.refs(x)
+	if err != nil {
+		return nil, err
+	}
+	w := verilog.Width(a)
+	res := e.g.store(&verilog.Binary{Op: op, X: a, Y: b, W: w}, w)
+	am := &verilog.Slice{X: a, Hi: w - 1, Lo: w - 1}
+	bm := &verilog.Slice{X: b, Hi: w - 1, Lo: w - 1}
+	rm := &verilog.Slice{X: res, Hi: w - 1, Lo: w - 1}
+	return &verilog.Binary{Op: "&&",
+		X: &verilog.Binary{Op: signsCmp, X: am, Y: bm, W: 1},
+		Y: &verilog.Binary{Op: "!=", X: rm, Y: am, W: 1},
+		W: 1}, nil
+}
+
+// signedCmp is a signed comparison: when the signs differ the result is
+// a's sign bit (b's when onDiffB), otherwise the unsigned comparison uop.
+func (e *venv) signedCmp(x *isdl.Call, onDiffB bool, uop string) (verilog.Expr, error) {
+	a, b, err := e.refs(x)
+	if err != nil {
+		return nil, err
+	}
+	w := verilog.Width(a)
+	am := &verilog.Slice{X: a, Hi: w - 1, Lo: w - 1}
+	bm := &verilog.Slice{X: b, Hi: w - 1, Lo: w - 1}
+	var onDiff verilog.Expr = am
+	if onDiffB {
+		onDiff = bm
+	}
+	return &verilog.Ternary{C: &verilog.Binary{Op: "!=", X: am, Y: bm, W: 1}, A: onDiff,
+		B: &verilog.Binary{Op: uop, X: a, Y: b, W: 1}, W: 1}, nil
+}
+
+// refs translates a two-operand call's arguments, in order, each into a
+// simple net.
+func (e *venv) refs(x *isdl.Call) (a, b verilog.Expr, err error) {
+	if a, err = e.expr(x.Args[0]); err != nil {
+		return nil, nil, err
+	}
+	a = e.g.ensureRef(a)
+	if b, err = e.expr(x.Args[1]); err != nil {
+		return nil, nil, err
+	}
+	return a, e.g.ensureRef(b), nil
+}
+
+// pop reads the top of stack into a temporary and bumps the pointer down,
+// guarded by the enclosing condition (the read itself is harmless).
+func (e *venv) pop(x *isdl.Call) verilog.Expr {
+	g := e.g
+	name := "s_" + x.Args[0].(*isdl.Ref).Name
+	spW, _, _ := g.mod.NetByName(name + "_sp")
+	w, _, _ := g.mod.NetByName(name)
+	sp := &verilog.Ref{Name: name + "_sp", W: spW}
+	one := constE(bitvec.FromUint64(spW, 1))
+	spm1 := g.store(&verilog.Binary{Op: "-", X: sp, Y: one, W: spW}, spW)
+	val := g.store(&verilog.Index{Name: name, Idx: spm1, W: w}, w)
+	dec := verilog.Stmt(&verilog.BAssign{LHS: &verilog.NetL{Name: name + "_sp"}, RHS: spm1})
+	if e.guard != nil {
+		dec = &verilog.If{Cond: e.guard, Then: []verilog.Stmt{dec}}
+	}
+	g.stmt(dec)
+	return val
 }
 
 // adjustWidth zero-extends or truncates an expression to w bits.

@@ -7,34 +7,6 @@ import "repro/internal/bitvec"
 // builtin functions; "<-" is the register-transfer assignment of the paper's
 // RTL-type statements.
 
-// binPrec returns the binding power of a binary operator, or 0 if the token
-// is not a binary operator. Higher binds tighter.
-func binPrec(op string) int {
-	switch op {
-	case "||":
-		return 1
-	case "&&":
-		return 2
-	case "|":
-		return 3
-	case "^":
-		return 4
-	case "&":
-		return 5
-	case "==", "!=":
-		return 6
-	case "<", "<=", ">", ">=":
-		return 7
-	case "<<", ">>":
-		return 8
-	case "+", "-":
-		return 9
-	case "*", "/", "%":
-		return 10
-	}
-	return 0
-}
-
 func (p *parser) parseExpr() (Expr, error) { return p.parseBin(1) }
 
 func (p *parser) parseBin(minPrec int) (Expr, error) {
@@ -46,46 +18,45 @@ func (p *parser) parseBin(minPrec int) (Expr, error) {
 		if p.tok.Kind != lexPunct {
 			return lhs, nil
 		}
-		prec := binPrec(p.tok.Text)
-		if prec == 0 || prec < minPrec {
+		def := lookupOp(FormBinary, p.tok.Text)
+		if def == nil || def.Prec < minPrec {
 			return lhs, nil
 		}
-		op := p.tok.Text
 		pos := p.tok.Pos
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		rhs, err := p.parseBin(prec + 1)
+		rhs, err := p.parseBin(def.Prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &Binary{At: pos, Op: op, X: lhs, Y: rhs}
+		lhs = &Binary{At: pos, Op: def.Name, Def: def, X: lhs, Y: rhs}
 	}
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.tok.Kind == lexPunct {
-		switch p.tok.Text {
-		case "-", "~", "!":
-			op := p.tok.Text
-			pos := p.tok.Pos
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			// Fold "-literal" into a negative unsized literal so widths
-			// infer naturally.
-			if lit, ok := x.(*Lit); ok && !lit.Sized && op == "-" {
-				lit.Neg = !lit.Neg
-				return lit, nil
-			}
-			return &Unary{At: pos, Op: op, X: x}, nil
-		}
+	if p.tok.Kind != lexPunct {
+		return p.parsePostfix()
 	}
-	return p.parsePostfix()
+	def := lookupOp(FormUnary, p.tok.Text)
+	if def == nil {
+		return p.parsePostfix()
+	}
+	pos := p.tok.Pos
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	// Fold "-literal" into a negative unsized literal so widths infer
+	// naturally.
+	if lit, ok := x.(*Lit); ok && !lit.Sized && def.Name == "-" {
+		lit.Neg = !lit.Neg
+		return lit, nil
+	}
+	return &Unary{At: pos, Op: def.Name, Def: def, X: x}, nil
 }
 
 func (p *parser) parsePostfix() (Expr, error) {

@@ -352,6 +352,10 @@ func (p *parser) parseSyntax() ([]SynElem, []*Param, error) {
 	for {
 		switch {
 		case p.tok.Kind == lexString:
+			if p.tok.Text == "" {
+				// An empty Lit marks a parameter element.
+				return nil, nil, p.errf("empty syntax literal")
+			}
 			syn = append(syn, SynElem{Lit: p.tok.Text})
 			if err := p.advance(); err != nil {
 				return nil, nil, err

@@ -146,10 +146,7 @@ func (b binding) expr(e Expr, visit func(Read)) {
 			}
 			return
 		}
-		for i, a := range e.Args {
-			if i == 1 && isWidthCall(e.Fn) {
-				continue // the target width, not a value
-			}
+		for _, a := range e.Operands() {
 			b.expr(a, visit)
 		}
 	}
@@ -177,11 +174,9 @@ func (b binding) decodeTime(e Expr) bool {
 	case *Unary:
 		return b.decodeTime(e.X)
 	case *Binary:
-		return e.Op != "&&" && e.Op != "||" && b.decodeTime(e.X) && b.decodeTime(e.Y)
+		return e.Def.Width != Logical && b.decodeTime(e.X) && b.decodeTime(e.Y)
 	case *Call:
-		return isWidthCall(e.Fn) && b.decodeTime(e.Args[0])
+		return e.Def != nil && e.Def.Width == WidthLiteral && b.decodeTime(e.Args[0])
 	}
 	return false
 }
-
-func isWidthCall(fn string) bool { return fn == "sext" || fn == "zext" || fn == "trunc" }

@@ -71,27 +71,30 @@ type SliceE struct {
 	Hi, Lo int
 }
 
-// Unary applies "-", "~" or "!" to X.
+// Unary applies a unary operator of the operator table (ops.go) to X.
 type Unary struct {
-	At Pos
-	Op string
-	X  Expr
-	W  int
+	At  Pos
+	Op  string
+	Def *Operator // the table entry, set by the parser
+	X   Expr
+	W   int
 }
 
-// Binary applies an arithmetic, logical, shift or comparison operator.
+// Binary applies a binary operator of the operator table (ops.go).
 type Binary struct {
 	At   Pos
 	Op   string
+	Def  *Operator // the table entry, set by the parser
 	X, Y Expr
 	W    int
 }
 
-// Call invokes one of the builtin RTL functions: sext, zext, trunc, carry,
-// borrow, concat, push, pop.
+// Call invokes a builtin: a call-form entry of the operator table (ops.go),
+// or the stack effects push and pop.
 type Call struct {
 	At   Pos
 	Fn   string
+	Def  *Operator // the table entry, set by the semantic pass; nil for push and pop
 	Args []Expr
 	W    int
 }

@@ -572,22 +572,15 @@ func (sc *scope) checkExpr(e Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch e.Op {
-		case "!":
+		if e.Def.Width == Logical {
 			if xw == 0 {
 				if err := sc.materialize(e.X, 1); err != nil {
 					return 0, err
 				}
 			}
-			e.W = 1
-		case "-", "~":
-			if xw == 0 {
-				return 0, nil // stays untyped; folded at materialization
-			}
-			e.W = xw
-		default:
-			return 0, semErr(e.At, "unknown unary operator %s", e.Op)
+			xw = 1
 		}
+		e.W = xw // 0 stays untyped; folded at materialization
 		return e.W, nil
 
 	case *Binary:
@@ -599,19 +592,19 @@ func (sc *scope) checkExpr(e Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch e.Op {
-		case "<<", ">>":
+		switch e.Def.Width {
+		case Shift:
 			if xw == 0 {
 				return 0, semErr(e.At, "shift of an unsized literal; size it")
 			}
 			if yw == 0 {
-				if err := sc.materialize(e.Y, 32); err != nil {
+				if err := sc.materialize(e.Y, shiftAmountWidth); err != nil {
 					return 0, err
 				}
 			}
 			e.W = xw
 			return e.W, nil
-		case "&&", "||":
+		case Logical:
 			if xw == 0 {
 				if err := sc.materialize(e.X, 1); err != nil {
 					return 0, err
@@ -625,10 +618,10 @@ func (sc *scope) checkExpr(e Expr) (int, error) {
 			e.W = 1
 			return 1, nil
 		}
-		// Width-matched operators.
+		// SameWidth and OneBit operands unify.
 		switch {
 		case xw == 0 && yw == 0:
-			if isCompare(e.Op) {
+			if e.Def.Width == OneBit {
 				return 0, semErr(e.At, "comparison of two unsized literals")
 			}
 			return 0, nil
@@ -646,7 +639,7 @@ func (sc *scope) checkExpr(e Expr) (int, error) {
 		if xw != yw {
 			return 0, semErr(e.At, "operand width mismatch %d vs %d for %q", xw, yw, e.Op)
 		}
-		if isCompare(e.Op) {
+		if e.Def.Width == OneBit {
 			e.W = 1
 		} else {
 			e.W = xw
@@ -657,14 +650,6 @@ func (sc *scope) checkExpr(e Expr) (int, error) {
 		return sc.checkCall(e)
 	}
 	return 0, semErr(e.Pos(), "unknown expression")
-}
-
-func isCompare(op string) bool {
-	switch op {
-	case "==", "!=", "<", "<=", ">", ">=":
-		return true
-	}
-	return false
 }
 
 // addrBits returns the index width for a storage of the given depth.
@@ -734,65 +719,6 @@ func (sc *scope) checkCall(e *Call) (int, error) {
 	}
 
 	switch e.Fn {
-	case "sext", "zext", "trunc":
-		if err := argc(2); err != nil {
-			return 0, err
-		}
-		if _, err := sized(0); err != nil {
-			return 0, err
-		}
-		w, err := widthArg(1)
-		if err != nil {
-			return 0, err
-		}
-		e.W = w
-		return w, nil
-
-	case "carry", "borrow", "addov", "subov", "slt", "sle", "sgt", "sge":
-		if err := argc(2); err != nil {
-			return 0, err
-		}
-		if _, err := pairSameWidth(); err != nil {
-			return 0, err
-		}
-		e.W = 1
-		return 1, nil
-
-	case "asr":
-		if err := argc(2); err != nil {
-			return 0, err
-		}
-		w, err := sized(0)
-		if err != nil {
-			return 0, err
-		}
-		sw, err := sc.checkExpr(e.Args[1])
-		if err != nil {
-			return 0, err
-		}
-		if sw == 0 {
-			if err := sc.materialize(e.Args[1], 32); err != nil {
-				return 0, err
-			}
-		}
-		e.W = w
-		return w, nil
-
-	case "concat":
-		if len(e.Args) < 2 {
-			return 0, semErr(e.At, "concat needs at least two arguments")
-		}
-		total := 0
-		for i := range e.Args {
-			w, err := sized(i)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		e.W = total
-		return total, nil
-
 	case "push":
 		if err := argc(2); err != nil {
 			return 0, err
@@ -828,7 +754,62 @@ func (sc *scope) checkCall(e *Call) (int, error) {
 		e.W = st.Width
 		return e.W, nil
 	}
-	return 0, semErr(e.At, "unknown builtin %s", e.Fn)
+
+	e.Def = lookupOp(FormCall, e.Fn)
+	if e.Def == nil {
+		return 0, semErr(e.At, "unknown builtin %s", e.Fn)
+	}
+	if e.Def.Width == SumOfWidths {
+		if len(e.Args) < e.Def.Arity {
+			return 0, semErr(e.At, "%s needs at least %d arguments", e.Fn, e.Def.Arity)
+		}
+	} else if err := argc(e.Def.Arity); err != nil {
+		return 0, err
+	}
+	switch e.Def.Width {
+	case WidthLiteral:
+		if _, err := sized(0); err != nil {
+			return 0, err
+		}
+		w, err := widthArg(1)
+		if err != nil {
+			return 0, err
+		}
+		e.W = w
+
+	case OneBit:
+		if _, err := pairSameWidth(); err != nil {
+			return 0, err
+		}
+		e.W = 1
+
+	case Shift:
+		w, err := sized(0)
+		if err != nil {
+			return 0, err
+		}
+		sw, err := sc.checkExpr(e.Args[1])
+		if err != nil {
+			return 0, err
+		}
+		if sw == 0 {
+			if err := sc.materialize(e.Args[1], shiftAmountWidth); err != nil {
+				return 0, err
+			}
+		}
+		e.W = w
+
+	case SumOfWidths:
+		e.W = 0
+		for i := range e.Args {
+			w, err := sized(i)
+			if err != nil {
+				return 0, err
+			}
+			e.W += w
+		}
+	}
+	return e.W, nil
 }
 
 func (sc *scope) stackArg(e Expr) (*Storage, error) {

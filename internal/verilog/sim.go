@@ -630,9 +630,9 @@ func binary(op string, x, y node) (node, error) {
 	case "||":
 		return node{eval: func() bitvec.Value { return vbool(!xf().IsZero() || !yf().IsZero()) }, width: 1}, nil
 	case "<<":
-		return node{eval: func() bitvec.Value { return xf().Shl(int(yf().Uint64())) }, width: x.width}, nil
+		return node{eval: func() bitvec.Value { return xf().Shl(yf().Amount()) }, width: x.width}, nil
 	case ">>":
-		return node{eval: func() bitvec.Value { return xf().ShrL(int(yf().Uint64())) }, width: x.width}, nil
+		return node{eval: func() bitvec.Value { return xf().ShrL(yf().Amount()) }, width: x.width}, nil
 	}
 	w := max(x.width, y.width)
 	xf, yf = resize(x, w), resize(y, w)

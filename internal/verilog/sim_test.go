@@ -58,10 +58,6 @@ func b2i(b bool) *big.Int {
 	return big.NewInt(0)
 }
 
-// low64 is the shift amount a shift operator reads: the low 64 bits of
-// its right operand.
-func low64(y *big.Int) uint64 { return modW(y, 64).Uint64() }
-
 // binaryRef computes a binary operator on unsigned operands of widths xw
 // and yw under the subset's width rules: comparisons and logical
 // operators are one bit, shifts keep the left operand's width, and every
@@ -111,18 +107,17 @@ func binaryRef(op string, x *big.Int, xw int, y *big.Int, yw int) (*big.Int, int
 		return b2i(x.Sign() != 0 && y.Sign() != 0), 1
 	case "||":
 		return b2i(x.Sign() != 0 || y.Sign() != 0), 1
+	// A shift amount is the operand's full unsigned value.
 	case "<<":
-		n := low64(y)
-		if n >= uint64(xw) {
+		if y.Cmp(big.NewInt(int64(xw))) >= 0 {
 			return big.NewInt(0), xw
 		}
-		return modW(new(big.Int).Lsh(x, uint(n)), xw), xw
+		return modW(new(big.Int).Lsh(x, uint(y.Uint64())), xw), xw
 	case ">>":
-		n := low64(y)
-		if n >= uint64(xw) {
+		if y.Cmp(big.NewInt(int64(xw))) >= 0 {
 			return big.NewInt(0), xw
 		}
-		return new(big.Int).Rsh(x, uint(n)), xw
+		return new(big.Int).Rsh(x, uint(y.Uint64())), xw
 	}
 	panic("no reference for " + op)
 }

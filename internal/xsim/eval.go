@@ -20,7 +20,8 @@ import (
 // simulators bind operands when they disassemble the program: arguments are
 // bound by parameter position, storage handles are indexed by
 // isdl.Storage.Index, and no name is looked up while an operation executes.
-// Runtime faults (stack overflow/underflow, malformed RTL) are rare, so the
+// Operators evaluate through the operator-table entry (internal/isdl/ops.go)
+// each expression node points at. Runtime faults (stack overflow/underflow, malformed RTL) are rare, so the
 // evaluator reports them by panicking with *RuntimeError; Step recovers.
 
 // env binds the parameters of one operation or option instance. Environments
@@ -236,149 +237,36 @@ func (ev *env) eval(e isdl.Expr) bitvec.Value {
 		return ev.eval(e.X).Slice(e.Hi, e.Lo)
 
 	case *isdl.Unary:
-		v := ev.eval(e.X)
-		switch e.Op {
-		case "-":
-			return v.Neg()
-		case "~":
-			return v.Not()
-		case "!":
-			return boolVal(v.IsZero())
-		}
+		return e.Def.Eval(ev.eval(e.X), bitvec.Value{}, e.W)
 
 	case *isdl.Binary:
 		x := ev.eval(e.X)
-		// Short-circuit logical operators.
-		switch e.Op {
-		case "&&":
-			return boolVal(!x.IsZero() && !ev.eval(e.Y).IsZero())
-		case "||":
-			return boolVal(!x.IsZero() || !ev.eval(e.Y).IsZero())
+		var y bitvec.Value
+		if e.Def.Decides == nil || !e.Def.Decides(x) {
+			y = ev.eval(e.Y)
 		}
-		v, ok := evalBinary(e.Op, x, ev.eval(e.Y))
-		if !ok {
-			ev.sim.fault("unknown operator %q", e.Op)
-		}
-		return v
+		return e.Def.Eval(x, y, e.W)
 
 	case *isdl.Call:
-		return ev.evalCall(e)
+		if e.Def == nil {
+			// pop: push has no value, so the semantic pass admits it
+			// only as a statement.
+			v, err := ev.sim.st.Pop(e.Args[0].(*isdl.Ref).Name)
+			if err != nil {
+				ev.sim.fault("%s", err.Error())
+			}
+			return v
+		}
+		ops := e.Operands()
+		v := ev.eval(ops[0])
+		if len(ops) == 1 {
+			return e.Def.Eval(v, bitvec.Value{}, e.W)
+		}
+		for _, a := range ops[1:] {
+			v = e.Def.Eval(v, ev.eval(a), e.W)
+		}
+		return v
 	}
 	ev.sim.fault("cannot evaluate %s", e)
-	return bitvec.Value{}
-}
-
-func boolVal(b bool) bitvec.Value {
-	if b {
-		return bitvec.FromUint64(1, 1)
-	}
-	return bitvec.New(1)
-}
-
-// evalBinary applies a non-short-circuit binary operator; ok is false for
-// an unknown operator.
-func evalBinary(op string, x, y bitvec.Value) (v bitvec.Value, ok bool) {
-	switch op {
-	case "+":
-		return x.Add(y), true
-	case "-":
-		return x.Sub(y), true
-	case "*":
-		return x.Mul(y), true
-	case "/":
-		return x.DivU(y), true
-	case "%":
-		return x.ModU(y), true
-	case "&":
-		return x.And(y), true
-	case "|":
-		return x.Or(y), true
-	case "^":
-		return x.Xor(y), true
-	case "<<":
-		return x.Shl(int(y.Uint64())), true
-	case ">>":
-		return x.ShrL(int(y.Uint64())), true
-	case "==":
-		return boolVal(x.Eq(y)), true
-	case "!=":
-		return boolVal(!x.Eq(y)), true
-	case "<":
-		return boolVal(x.CmpU(y) < 0), true
-	case "<=":
-		return boolVal(x.CmpU(y) <= 0), true
-	case ">":
-		return boolVal(x.CmpU(y) > 0), true
-	case ">=":
-		return boolVal(x.CmpU(y) >= 0), true
-	}
-	return bitvec.Value{}, false
-}
-
-func (ev *env) evalCall(e *isdl.Call) bitvec.Value {
-	// push/pop touch the stack; the rest are pure.
-	switch e.Fn {
-	case "pop":
-		v, err := ev.sim.st.Pop(e.Args[0].(*isdl.Ref).Name)
-		if err != nil {
-			ev.sim.fault("%s", err.Error())
-		}
-		return v
-	case "push":
-		ev.sim.fault("push used as a value")
-	}
-
-	var argBuf [4]bitvec.Value
-	var args []bitvec.Value
-	if len(e.Args) <= len(argBuf) {
-		args = argBuf[:len(e.Args)]
-	} else {
-		args = make([]bitvec.Value, len(e.Args))
-	}
-	for i, a := range e.Args {
-		// Width arguments of sext/zext/trunc are unsized literals carrying
-		// the target width; skip evaluating them.
-		if i == 1 && (e.Fn == "sext" || e.Fn == "zext" || e.Fn == "trunc") {
-			continue
-		}
-		args[i] = ev.eval(a)
-	}
-	switch e.Fn {
-	case "sext":
-		return args[0].SignExt(e.W)
-	case "zext":
-		return args[0].ZeroExt(e.W)
-	case "trunc":
-		return args[0].Trunc(e.W)
-	case "carry":
-		_, c := args[0].AddCarry(args[1])
-		return boolVal(c)
-	case "borrow":
-		_, b := args[0].SubBorrow(args[1])
-		return boolVal(b)
-	case "addov":
-		s := args[0].Add(args[1])
-		return boolVal(args[0].Sign() == args[1].Sign() && s.Sign() != args[0].Sign())
-	case "subov":
-		s := args[0].Sub(args[1])
-		return boolVal(args[0].Sign() != args[1].Sign() && s.Sign() != args[0].Sign())
-	case "slt":
-		return boolVal(args[0].CmpS(args[1]) < 0)
-	case "sle":
-		return boolVal(args[0].CmpS(args[1]) <= 0)
-	case "sgt":
-		return boolVal(args[0].CmpS(args[1]) > 0)
-	case "sge":
-		return boolVal(args[0].CmpS(args[1]) >= 0)
-	case "asr":
-		return args[0].ShrA(int(args[1].Uint64()))
-	case "concat":
-		v := args[0]
-		for _, a := range args[1:] {
-			v = v.Concat(a)
-		}
-		return v
-	}
-	ev.sim.fault("unknown builtin %s", e.Fn)
 	return bitvec.Value{}
 }
