@@ -42,11 +42,7 @@ func main() {
 	fmt.Print(hw.Report())
 	fmt.Println()
 
-	mod, err := verilog.Parse(hw.VerilogText)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vsim, err := verilog.NewSim(mod)
+	vsim, err := verilog.NewSim(hw.Module)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,13 +6,17 @@
 // interleave.
 //
 // Safety of the fan-out rests on an audited invariant: verilog.NewSim only
-// reads the parsed *verilog.Module, and everything it compiles from it
-// (slot tables, compiled expressions and statements, net values, memories,
-// the event queue) lives in the Sim, never in the Module. bitvec.Value is
-// immutable (every operation returns a fresh value), so any number of
-// concurrent Sims may share one parsed Module and one program image. The
-// -race co-simulation tests (cosim, hgen, experiments) exercise exactly
-// that sharing.
+// reads the parsed *verilog.Module, and everything it resolves and compiles
+// from it (slot tables, widths, compiled expressions and statements, net
+// values, memories, the event queue) lives in the Sim, never in the Module.
+// Parse resolves nothing, so the module a job gets — typically
+// hgen.Result.Module, which HGEN's gate has already elaborated once — is
+// exactly the parsed text. bitvec.Value is immutable (every operation
+// returns a fresh value), so any number of concurrent Sims may share one
+// parsed Module and one program image. The -race co-simulation tests
+// (cosim, hgen, experiments) exercise exactly that sharing, and
+// verilog's TestElaborationKeepsModule pins that elaboration writes
+// nothing back.
 //
 // Measurement is first-class: each worker owns a Lane that separates setup
 // time (elaboration, program load) from simulation time (the Tick loop) and

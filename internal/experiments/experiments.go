@@ -141,11 +141,7 @@ func RunTable1Opts(o Table1Options) (*Table1, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod, err := verilog.Parse(synth.VerilogText)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := measureVerilog(mod, p, o, nil)
+	stats, err := measureVerilog(synth.Module, p, o, nil)
 	if err != nil {
 		return nil, err
 	}

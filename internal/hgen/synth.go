@@ -87,12 +87,17 @@ type Result struct {
 
 	VerilogText  string
 	VerilogLines int
+	// Module is VerilogText as the re-parse gate read it back, the module
+	// to simulate; nil when EmitVerilog is off. It is shared, so it is
+	// only read: give it to any number of verilog.NewSim calls.
+	Module *verilog.Module
 	// SynthSeconds is the wall-clock synthesis time (Table 2).
 	SynthSeconds float64
 	// PhaseSeconds splits SynthSeconds by phase: "share" (node extraction
 	// and resource-sharing clique cover), "retime" (unit construction and
 	// area/cycle/energy estimation) and "emit" (Verilog generation and the
-	// re-parse gate; absent when EmitVerilog is off).
+	// gate that re-parses and elaborates it; absent when EmitVerilog is
+	// off).
 	PhaseSeconds map[string]float64
 	// CoexistExhausted counts the cross-field operation pairs whose
 	// constraint search ran out of budget and was assumed to coexist, so
@@ -130,11 +135,16 @@ func Synthesize(d *isdl.Description, lib *tech.Library, opts Options) (*Result, 
 		}
 		r.VerilogText = text
 		r.VerilogLines = verilog.CountLines(text)
-		// The emitted model must parse back in our own subset — the same
-		// gate a real flow applies by linting the RTL.
-		if _, err := verilog.Parse(text); err != nil {
+		// The emitted model must parse back in our own subset and
+		// elaborate — the same gate a real flow applies by linting the RTL.
+		mod, err := verilog.Parse(text)
+		if err != nil {
 			return nil, fmt.Errorf("hgen: generated Verilog does not re-parse: %v", err)
 		}
+		if _, err := verilog.NewSim(mod); err != nil {
+			return nil, fmt.Errorf("hgen: generated Verilog does not elaborate: %v", err)
+		}
+		r.Module = mod
 		r.PhaseSeconds["emit"] = time.Since(phase).Seconds()
 	}
 	r.SynthSeconds = time.Since(start).Seconds()

@@ -1,6 +1,10 @@
 package isdl
 
-import "repro/internal/bitvec"
+import (
+	"strings"
+
+	"repro/internal/bitvec"
+)
 
 // RTL expression and statement parsing. The grammar is a conventional
 // C-flavoured expression language over storage references, parameters and
@@ -171,7 +175,20 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, p.errf("expected expression, found %q", p.tok.Text)
 }
 
+// fromSized returns a sized literal's value. The token keeps the low 64
+// bits; a wider literal's digits are read again from its text (n'h…,
+// n'b…, 0x… or 0b…), which the lexer has already checked.
 func fromSized(t lexToken) bitvec.Value {
+	if t.NumWidth > 64 {
+		k := max(strings.IndexByte(t.Text, '\''), 0)
+		bits := 1
+		if t.Text[k+1] == 'h' || t.Text[k+1] == 'x' {
+			bits = 4
+		}
+		if _, words, _ := parseDigits(t.Text[k+2:], bits); words != nil {
+			return bitvec.FromWords(t.NumWidth, words)
+		}
+	}
 	return bitvec.FromUint64(t.NumWidth, t.NumVal)
 }
 

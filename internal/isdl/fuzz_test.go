@@ -23,18 +23,25 @@ func FuzzFormatFixpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		text := isdl.Format(d)
-		d2, err := isdl.Parse(text)
-		if err != nil {
-			t.Fatalf("Format output does not parse: %v\n%s", err, text)
-		}
-		if s1, s2 := structure(d), structure(d2); s1 != s2 {
-			t.Fatalf("Format changed the structure:\n%s\n--- after Parse(Format):\n%s", s1, s2)
-		}
-		if text2 := isdl.Format(d2); text2 != text {
-			t.Fatalf("Format is not a fixpoint:\n%s\n--- then:\n%s", text, text2)
-		}
+		checkFormatFixpoint(t, d)
 	})
+}
+
+// checkFormatFixpoint fails t unless Format(d) parses to d's structure
+// and formats to itself.
+func checkFormatFixpoint(t *testing.T, d *isdl.Description) {
+	t.Helper()
+	text := isdl.Format(d)
+	d2, err := isdl.Parse(text)
+	if err != nil {
+		t.Fatalf("Format output does not parse: %v\n%s", err, text)
+	}
+	if s1, s2 := structure(d), structure(d2); s1 != s2 {
+		t.Fatalf("Format changed the structure:\n%s\n--- after Parse(Format):\n%s", s1, s2)
+	}
+	if text2 := isdl.Format(d2); text2 != text {
+		t.Fatalf("Format is not a fixpoint:\n%s\n--- then:\n%s", text, text2)
+	}
 }
 
 // structure renders what a description means, without positions and
@@ -119,5 +126,56 @@ func TestEmptySyntaxLiteral(t *testing.T) {
 	_, err := isdl.Parse(src)
 	if err == nil || !strings.Contains(err.Error(), "empty syntax literal") {
 		t.Fatalf("Parse = %v, want an empty syntax literal error", err)
+	}
+}
+
+// wideToy is toy with a 96-bit register that halt assigns the literal lit.
+func wideToy(t *testing.T, lit string) string {
+	t.Helper()
+	src := strings.Replace(machines.ToySource, "Register ACC width 8;", "Register ACC width 8;\nRegister WIDE width 96;", 1)
+	src = strings.Replace(src, "Action { HLT <- 0b1; }", "Action { HLT <- 0b1; WIDE <- "+lit+"; }", 1)
+	if !strings.Contains(src, "WIDE <- ") {
+		t.Fatal("toy has no halt action to rewrite")
+	}
+	return src
+}
+
+// TestWideLiteralFormat pins literals wider than 64 bits through Format:
+// an unsized literal assigned to a 96-bit register is materialized at 96
+// bits and written sized (96'h5, 96'hff…fb), which the lexer must read
+// back. Both inputs are also in testdata/fuzz/FuzzFormatFixpoint.
+func TestWideLiteralFormat(t *testing.T) {
+	for _, c := range []struct{ lit, want string }{
+		{"5", "WIDE <- 96'h5;"},
+		{"-5", "WIDE <- 96'hfffffffffffffffffffffffb;"},
+	} {
+		d, err := isdl.Parse(wideToy(t, c.lit))
+		if err != nil {
+			t.Fatalf("%s: %v", c.lit, err)
+		}
+		if text := isdl.Format(d); !strings.Contains(text, c.want) {
+			t.Fatalf("%s: Format has no %q:\n%s", c.lit, c.want, text)
+		}
+		checkFormatFixpoint(t, d)
+	}
+}
+
+// TestWideLiteralLex checks sized literals across the 64-bit word
+// boundary: the digits beyond 64 bits land in further words, and digits
+// beyond the width are truncated as they are below 64 bits.
+func TestWideLiteralLex(t *testing.T) {
+	for _, c := range []struct{ lit, want string }{
+		{"96'h123456789abcdef0fedcba98", "96'h123456789abcdef0fedcba98"},
+		{"0x00000000000000010000000000000002", "128'h10000000000000002"},
+		{"96'b1" + strings.Repeat("0", 95), "96'h800000000000000000000000"},
+		{"96'h1ffffffffffffffffffffffff", "96'hffffffffffffffffffffffff"},
+	} {
+		d, err := isdl.Parse(wideToy(t, "trunc("+c.lit+", 96)"))
+		if err != nil {
+			t.Fatalf("%s: %v", c.lit, err)
+		}
+		if text := isdl.Format(d); !strings.Contains(text, c.want) {
+			t.Errorf("%s: Format has no %q", c.lit, c.want)
+		}
 	}
 }

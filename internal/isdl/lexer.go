@@ -3,6 +3,8 @@ package isdl
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/bitvec"
 )
 
 // lexKind classifies lexical tokens of the ISDL concrete syntax.
@@ -22,7 +24,8 @@ type lexToken struct {
 	Text string
 	Pos  Pos
 
-	// Number payload.
+	// Number payload. NumVal holds the low 64 bits of a wider literal;
+	// fromSized reads the rest from Text.
 	NumVal   uint64
 	NumWidth int // 0 for unsized decimals
 }
@@ -158,6 +161,10 @@ func (l *lexer) next() (lexToken, error) {
 //	8'd255     sized decimal
 //	8'hff      sized hexadecimal
 //	4'b1010    sized binary
+//
+// Hexadecimal and binary literals may be of any width up to
+// bitvec.MaxWidth; decimal literals are limited to 64 bits. Digits beyond
+// a sized literal's width are truncated.
 func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 	start := l.off
 	for l.off < len(l.src) && isDigit(l.src[l.off]) {
@@ -168,7 +175,7 @@ func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 	if l.off < len(l.src) && l.src[l.off] == '\'' {
 		// Verilog-style sized literal.
 		width, err := parseDecimal(dec)
-		if err != nil || width == 0 {
+		if err != nil || width == 0 || width > bitvec.MaxWidth {
 			return lexToken{}, &lexError{p, "invalid literal width"}
 		}
 		l.advance(1)
@@ -185,25 +192,28 @@ func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 		var v uint64
 		switch base {
 		case 'd':
+			if width > 64 {
+				return lexToken{}, &lexError{p, "sized decimal literals wider than 64 bits are not supported; use hex"}
+			}
 			v, err = parseDecimal(digits)
 		case 'h':
-			v, err = parseHex(digits)
+			v, _, err = parseDigits(digits, 4)
 		case 'b':
-			v, err = parseBin(digits)
+			v, _, err = parseDigits(digits, 1)
 		default:
 			return lexToken{}, &lexError{p, fmt.Sprintf("unknown literal base %q", base)}
 		}
 		if err != nil {
 			return lexToken{}, &lexError{p, err.Error()}
 		}
-		if int(width) > 64 {
-			return lexToken{}, &lexError{p, "sized literals wider than 64 bits are not supported; use concat"}
-		}
 		return lexToken{Kind: lexNumber, Text: l.src[start:l.off], Pos: p, NumVal: v, NumWidth: int(width)}, nil
 	}
 
 	if dec == "0" && l.off < len(l.src) && (l.src[l.off] == 'b' || l.src[l.off] == 'x') {
-		base := l.src[l.off]
+		bits := 1
+		if l.src[l.off] == 'x' {
+			bits = 4
+		}
 		l.advance(1)
 		ds := l.off
 		for l.off < len(l.src) && isIdentCont(l.src[l.off]) {
@@ -213,24 +223,14 @@ func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 		if len(digits) == 0 {
 			return lexToken{}, &lexError{p, "truncated numeric literal"}
 		}
-		var v uint64
-		var err error
-		var width int
-		switch base {
-		case 'b':
-			v, err = parseBin(digits)
-			width = len(digits)
-		case 'x':
-			v, err = parseHex(digits)
-			width = 4 * len(digits)
+		if bits*len(digits) > bitvec.MaxWidth {
+			return lexToken{}, &lexError{p, fmt.Sprintf("literals wider than %d bits are not supported", bitvec.MaxWidth)}
 		}
+		v, _, err := parseDigits(digits, bits)
 		if err != nil {
 			return lexToken{}, &lexError{p, err.Error()}
 		}
-		if width > 64 {
-			return lexToken{}, &lexError{p, "literals wider than 64 bits are not supported; use concat"}
-		}
-		return lexToken{Kind: lexNumber, Text: l.src[start:l.off], Pos: p, NumVal: v, NumWidth: width}, nil
+		return lexToken{Kind: lexNumber, Text: l.src[start:l.off], Pos: p, NumVal: v, NumWidth: bits * len(digits)}, nil
 	}
 
 	v, err := parseDecimal(dec)
@@ -258,44 +258,43 @@ func parseDecimal(s string) (uint64, error) {
 	return v, nil
 }
 
-func parseHex(s string) (uint64, error) {
+// parseDigits reads hexadecimal (4 bits a digit) or binary (1 bit a digit)
+// digits. Digits longer than 64 bits also come back as little-endian
+// words, v being the lowest.
+func parseDigits(s string, bits int) (v uint64, words []uint64, err error) {
 	if s == "" {
-		return 0, fmt.Errorf("empty number")
+		return 0, nil, fmt.Errorf("empty number")
 	}
-	var v uint64
-	for _, c := range s {
-		var d uint64
+	if bits*len(s) > 64 {
+		words = make([]uint64, (bits*len(s)+63)/64)
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		d := 16
 		switch {
 		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
+			d = int(c - '0')
 		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
+			d = int(c-'a') + 10
 		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("invalid hex digit %q", c)
+			d = int(c-'A') + 10
 		}
-		if v>>60 != 0 {
-			return 0, fmt.Errorf("hex literal overflows 64 bits")
+		if d >= 1<<bits {
+			name := "hex"
+			if bits == 1 {
+				name = "binary"
+			}
+			return 0, nil, fmt.Errorf("invalid %s digit %q", name, c)
 		}
-		v = v<<4 | d
+		if words == nil {
+			v = v<<bits | uint64(d)
+		} else {
+			at := bits * (len(s) - 1 - i)
+			words[at/64] |= uint64(d) << (at % 64)
+		}
 	}
-	return v, nil
-}
-
-func parseBin(s string) (uint64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty number")
+	if words != nil {
+		v = words[0]
 	}
-	var v uint64
-	for _, c := range s {
-		if c != '0' && c != '1' {
-			return 0, fmt.Errorf("invalid binary digit %q", c)
-		}
-		if v>>63 != 0 {
-			return 0, fmt.Errorf("binary literal overflows 64 bits")
-		}
-		v = v<<1 | uint64(c-'0')
-	}
-	return v, nil
+	return v, words, nil
 }

@@ -1,10 +1,6 @@
 package isdl
 
-import (
-	"fmt"
-
-	"repro/internal/bitvec"
-)
+import "fmt"
 
 // Parse parses and semantically validates an ISDL description. On success
 // the returned Description is fully resolved: parameter types, storage
@@ -75,6 +71,9 @@ func (p *parser) expectIdent() (lexToken, error) { return p.expect(lexIdent, "")
 func (p *parser) expectNumber() (lexToken, error) {
 	if p.tok.Kind != lexNumber {
 		return lexToken{}, p.errf("expected number, found %q", p.tok.Text)
+	}
+	if p.tok.NumWidth > 64 {
+		return lexToken{}, p.errf("number %s wider than 64 bits", p.tok.Text)
 	}
 	t := p.tok
 	return t, p.advance()
@@ -492,7 +491,7 @@ func (p *parser) parseBitAssigns(dstName string, params []*Param) ([]*BitAssign,
 			if p.tok.NumWidth != ba.Width() {
 				return nil, p.errf("constant width %d does not match bitfield width %d", p.tok.NumWidth, ba.Width())
 			}
-			ba.Const = bitvec.FromUint64(p.tok.NumWidth, p.tok.NumVal)
+			ba.Const = fromSized(p.tok)
 			ba.ConstSet = true
 			if err := p.advance(); err != nil {
 				return nil, err

@@ -313,15 +313,11 @@ func cosimLeg(d *isdl.Description, prog *asm.Program, want map[string][]bitvec.V
 	if err != nil {
 		return fmt.Errorf("synthesize: %w", err)
 	}
-	mod, err := verilog.Parse(r.VerilogText)
-	if err != nil {
-		return fmt.Errorf("synthesize: parse generated Verilog: %w", err)
-	}
 	ils := xsim.New(d)
 	if err := ils.Load(prog); err != nil {
 		return fmt.Errorf("hw run: load: %w", err)
 	}
-	hw, err := verilog.NewSim(mod)
+	hw, err := verilog.NewSim(r.Module)
 	if err != nil {
 		return fmt.Errorf("hw run: %w", err)
 	}

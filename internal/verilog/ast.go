@@ -5,11 +5,13 @@
 // The paper evaluates the generated hardware model with Cadence Verilog-XL
 // (Table 1); this repository has no commercial simulator, so the emitted
 // text is parsed back in and run by the event-driven simulator in sim.go.
-// NewSim elaborates the parsed module once, resolving every net to a slot
-// and compiling every expression and statement, so the running simulator
-// looks up no name. Its event schedule is unchanged by that compilation and
-// reproduces the cost structure that makes HDL simulation slow relative to
-// an instruction-level simulator: per-net events, sensitivity lists, and
+// Parse builds the syntax tree only. NewSim elaborates the parsed module
+// once: it is the one place that resolves names and widths and rejects an
+// ill-formed model, resolving every net to a slot and compiling every
+// expression and statement, so the running simulator looks up no name.
+// Its event schedule is unchanged by that compilation and reproduces the
+// cost structure that makes HDL simulation slow relative to an
+// instruction-level simulator: per-net events, sensitivity lists, and
 // re-evaluation to a fixpoint every cycle. As the paper notes, "the
 // synthesizable Verilog model is itself a simulator".
 package verilog
@@ -130,8 +132,10 @@ func (*NetL) vlval()   {}
 func (*IndexL) vlval() {}
 func (*SliceL) vlval() {}
 
-// Expr is a Verilog expression. W is the expression width in bits; the
-// emitter and parser agree on the width rules documented in width().
+// Expr is a Verilog expression. The W fields of Ref, Index, Unary, Binary,
+// Ternary and ConcatE are widths in bits for HGEN, which sets them while it
+// builds a module and reads them back through Width. Parse leaves them at
+// zero, and NewSim never reads them: it computes every width itself.
 type Expr interface{ vexpr() }
 
 // Const is a sized literal.
@@ -191,7 +195,9 @@ func (*Binary) vexpr()  {}
 func (*Ternary) vexpr() {}
 func (*ConcatE) vexpr() {}
 
-// Width returns the width of an expression.
+// Width returns the width of an expression as its builder recorded it. On
+// a parsed module the W fields are zero, so only a constant's and a
+// slice's width is known.
 func Width(e Expr) int {
 	switch e := e.(type) {
 	case *Const:

@@ -2,6 +2,9 @@ package verilog
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/bitvec"
 )
@@ -10,17 +13,16 @@ import (
 // Table 1 flow is: HGEN emits Verilog text → Parse → event-driven
 // simulation, so the hardware model is exercised exactly as a Verilog
 // simulator would see it, not through a private in-memory shortcut.
+//
+// Parse checks syntax only. It resolves no name and computes no width, so
+// it accepts a module that reads an undeclared net or slices past a net's
+// width; NewSim resolves the module and rejects such a model.
 func Parse(src string) (*Module, error) {
 	p := &vparser{}
-	p.tokenize(src)
-	m, err := p.parseModule()
-	if err != nil {
+	if err := p.tokenize(src); err != nil {
 		return nil, err
 	}
-	if err := resolveWidths(m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return p.parseModule()
 }
 
 type vtok struct {
@@ -35,7 +37,7 @@ type vparser struct {
 	pos  int
 }
 
-func (p *vparser) tokenize(src string) {
+func (p *vparser) tokenize(src string) error {
 	line := 1
 	i := 0
 	push := func(t vtok) { t.line = line; p.toks = append(p.toks, t) }
@@ -57,37 +59,29 @@ func (p *vparser) tokenize(src string) {
 				j++
 			}
 			word := src[i:j]
-			if isVDigit(c) {
-				// Number; possibly the width part of a sized literal.
-				if j < len(src) && src[j] == '\'' {
-					width := parseUint(word)
-					base := src[j+1]
-					k := j + 2
-					for k < len(src) && isVWord(src[k]) {
-						k++
-					}
-					digits := src[j+2 : k]
-					var v uint64
-					switch base {
-					case 'h':
-						for _, d := range digits {
-							v = v<<4 | uint64(hexDigitVal(byte(d)))
-						}
-					case 'b':
-						for _, d := range digits {
-							v = v<<1 | uint64(d-'0')
-						}
-					default: // 'd'
-						v = parseUint(digits)
-					}
-					push(vtok{text: src[i:k], num: v, width: int(width)})
-					i = k
-					continue
-				}
-				push(vtok{text: word, num: parseUint(word), width: 0})
-			} else {
+			if !isVDigit(c) {
 				push(vtok{text: word, width: -1})
+				i = j
+				continue
 			}
+			// Number; possibly the width part of a sized literal.
+			t := vtok{text: word}
+			var err error
+			if j < len(src) && src[j] == '\'' {
+				k := j + 1
+				for k < len(src) && isVWord(src[k]) {
+					k++
+				}
+				t.text = src[i:k]
+				t.num, t.width, err = sizedLiteral(word, src[j+1:k])
+				j = k
+			} else {
+				t.num, err = parseUint(word, 10)
+			}
+			if err != nil {
+				return fmt.Errorf("verilog line %d: %q: %v", line, t.text, err)
+			}
+			push(t)
 			i = j
 		default:
 			// Multi-char operators.
@@ -105,6 +99,7 @@ func (p *vparser) tokenize(src string) {
 			}
 		}
 	}
+	return nil
 }
 
 func isVWord(c byte) bool {
@@ -113,23 +108,38 @@ func isVWord(c byte) bool {
 
 func isVDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func parseUint(s string) uint64 {
-	var v uint64
-	for _, c := range s {
-		v = v*10 + uint64(c-'0')
+// sizedLiteral reads the width and the base-and-digits spec (after the
+// quote) of a sized literal such as 8'hff. The subset keeps literals to 64
+// bits; HGEN writes wider constants as concatenations.
+func sizedLiteral(width, spec string) (uint64, int, error) {
+	w, err := strconv.ParseUint(width, 10, 64)
+	if err != nil || w == 0 || w > 64 {
+		return 0, 0, fmt.Errorf("literal width must be 1 to 64 bits")
 	}
-	return v
+	var base int
+	switch {
+	case strings.HasPrefix(spec, "h"):
+		base = 16
+	case strings.HasPrefix(spec, "b"):
+		base = 2
+	case strings.HasPrefix(spec, "d"):
+		base = 10
+	default:
+		return 0, 0, fmt.Errorf("missing or unknown base")
+	}
+	v, err := parseUint(spec[1:], base)
+	return v, int(w), err
 }
 
-func hexDigitVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	default:
-		return int(c-'A') + 10
+// parseUint reads digits in the given base that fit 64 bits. ParseUint's
+// errors are *strconv.NumError; only the cause is kept, since the caller
+// quotes the token.
+func parseUint(digits string, base int) (uint64, error) {
+	v, err := strconv.ParseUint(digits, base, 64)
+	if ne, ok := err.(*strconv.NumError); ok {
+		return 0, ne.Err
 	}
+	return v, err
 }
 
 func (p *vparser) errf(format string, args ...interface{}) error {
@@ -177,10 +187,14 @@ func (p *vparser) ident() (string, error) {
 	return p.next().text, nil
 }
 
-// number returns an unsized decimal value.
+// number returns an unsized decimal value: a range bound, a memory bound
+// or a static select, so it must fit 31 bits.
 func (p *vparser) number() (int, error) {
 	if p.pos >= len(p.toks) || p.toks[p.pos].width != 0 {
 		return 0, p.errf("expected number, found %q", p.peek())
+	}
+	if p.toks[p.pos].num > math.MaxInt32 {
+		return 0, p.errf("number %s out of range", p.peek())
 	}
 	return int(p.next().num), nil
 }
@@ -425,7 +439,10 @@ func (p *vparser) parseLValue() (LValue, error) {
 	// Static "h:l" or "n" is a slice; anything else is a memory index.
 	if p.pos < len(p.toks) && p.toks[p.pos].width == 0 {
 		save := p.pos
-		first, _ := p.number()
+		first, err := p.number()
+		if err != nil {
+			return nil, err
+		}
 		if p.accept(":") {
 			lo, err := p.number()
 			if err != nil {
@@ -523,7 +540,10 @@ func (p *vparser) parsePostfix() (Expr, error) {
 	for p.accept("[") {
 		if p.pos < len(p.toks) && p.toks[p.pos].width == 0 {
 			save := p.pos
-			first, _ := p.number()
+			first, err := p.number()
+			if err != nil {
+				return nil, err
+			}
 			if p.accept(":") {
 				lo, err := p.number()
 				if err != nil {
@@ -536,8 +556,8 @@ func (p *vparser) parsePostfix() (Expr, error) {
 				continue
 			}
 			if p.accept("]") {
-				// Single static index: memory word or bit-select,
-				// disambiguated during width resolution.
+				// Single static index: a memory word or a bit-select,
+				// told apart by NewSim.
 				e = &Slice{X: e, Hi: first, Lo: first}
 				continue
 			}
@@ -588,9 +608,6 @@ func (p *vparser) parsePrimary() (Expr, error) {
 		return c, nil
 	case p.pos < len(p.toks) && p.toks[p.pos].width > 0:
 		t := p.next()
-		if t.width > 64 {
-			return nil, p.errf("literal wider than 64 bits")
-		}
 		return &Const{Val: bitvec.FromUint64(t.width, t.num)}, nil
 	case p.pos < len(p.toks) && p.toks[p.pos].width == 0:
 		// Bare decimal: give it a self-determined 32-bit width.
@@ -603,201 +620,4 @@ func (p *vparser) parsePrimary() (Expr, error) {
 		}
 		return &Ref{Name: name}, nil
 	}
-}
-
-// resolveWidths computes expression widths from declarations. Rules (a
-// deterministic simplification of the Verilog standard, matched by the
-// emitter): ref = declaration width; memory index = element width; slice =
-// hi−lo+1; ~,- = operand; !,| (reduce), comparisons, && and || = 1; shifts =
-// left operand; other binary = max of operands (zero-extending the
-// narrower); ternary = max of arms; concat = sum.
-func resolveWidths(m *Module) error {
-	var fix func(e Expr) (int, error)
-	fix = func(e Expr) (int, error) {
-		switch e := e.(type) {
-		case *Const:
-			return e.Val.Width(), nil
-		case *Ref:
-			w, depth, ok := m.NetByName(e.Name)
-			if !ok {
-				return 0, fmt.Errorf("verilog: undeclared net %s", e.Name)
-			}
-			if depth > 0 {
-				return 0, fmt.Errorf("verilog: memory %s used without an index", e.Name)
-			}
-			e.W = w
-			return w, nil
-		case *Index:
-			w, depth, ok := m.NetByName(e.Name)
-			if !ok {
-				return 0, fmt.Errorf("verilog: undeclared memory %s", e.Name)
-			}
-			if depth == 0 {
-				return 0, fmt.Errorf("verilog: %s is not a memory", e.Name)
-			}
-			if _, err := fix(e.Idx); err != nil {
-				return 0, err
-			}
-			e.W = w
-			return w, nil
-		case *Slice:
-			// A slice whose base is a memory reference is really an
-			// indexed word (bit-select of memories is not in the subset).
-			if ref, ok := e.X.(*Ref); ok {
-				if w, depth, found := m.NetByName(ref.Name); found && depth > 0 {
-					if e.Hi != e.Lo {
-						return 0, fmt.Errorf("verilog: part-select of memory %s", ref.Name)
-					}
-					idx := &Index{Name: ref.Name, Idx: &Const{Val: bitvec.FromUint64(32, uint64(e.Lo))}, W: w}
-					*e = Slice{X: idx, Hi: w - 1, Lo: 0}
-					return w, nil
-				}
-			}
-			xw, err := fix(e.X)
-			if err != nil {
-				return 0, err
-			}
-			if e.Hi >= xw || e.Lo < 0 || e.Hi < e.Lo {
-				return 0, fmt.Errorf("verilog: slice [%d:%d] out of range of %d-bit value", e.Hi, e.Lo, xw)
-			}
-			return e.Hi - e.Lo + 1, nil
-		case *Unary:
-			xw, err := fix(e.X)
-			if err != nil {
-				return 0, err
-			}
-			switch e.Op {
-			case "!", "|":
-				e.W = 1
-			default:
-				e.W = xw
-			}
-			return e.W, nil
-		case *Binary:
-			xw, err := fix(e.X)
-			if err != nil {
-				return 0, err
-			}
-			yw, err := fix(e.Y)
-			if err != nil {
-				return 0, err
-			}
-			switch e.Op {
-			case "==", "!=", "<", "<=", ">", ">=", "&&", "||":
-				e.W = 1
-			case "<<", ">>":
-				e.W = xw
-			default:
-				e.W = xw
-				if yw > e.W {
-					e.W = yw
-				}
-			}
-			return e.W, nil
-		case *Ternary:
-			if _, err := fix(e.C); err != nil {
-				return 0, err
-			}
-			aw, err := fix(e.A)
-			if err != nil {
-				return 0, err
-			}
-			bw, err := fix(e.B)
-			if err != nil {
-				return 0, err
-			}
-			e.W = aw
-			if bw > e.W {
-				e.W = bw
-			}
-			return e.W, nil
-		case *ConcatE:
-			total := 0
-			for _, part := range e.Parts {
-				w, err := fix(part)
-				if err != nil {
-					return 0, err
-				}
-				total += w
-			}
-			e.W = total
-			return total, nil
-		}
-		return 0, fmt.Errorf("verilog: unknown expression")
-	}
-
-	fixL := func(l LValue) error {
-		switch l := l.(type) {
-		case *NetL:
-			if _, _, ok := m.NetByName(l.Name); !ok {
-				return fmt.Errorf("verilog: undeclared net %s", l.Name)
-			}
-		case *IndexL:
-			if _, depth, ok := m.NetByName(l.Name); !ok || depth == 0 {
-				return fmt.Errorf("verilog: %s is not a memory", l.Name)
-			}
-			if _, err := fix(l.Idx); err != nil {
-				return err
-			}
-		case *SliceL:
-			w, depth, ok := m.NetByName(l.Name)
-			if !ok {
-				return fmt.Errorf("verilog: undeclared net %s", l.Name)
-			}
-			if depth > 0 {
-				return fmt.Errorf("verilog: part-select of memory %s", l.Name)
-			}
-			if l.Hi >= w || l.Lo < 0 || l.Hi < l.Lo {
-				return fmt.Errorf("verilog: slice [%d:%d] out of range of %s", l.Hi, l.Lo, l.Name)
-			}
-		}
-		return nil
-	}
-
-	for i := range m.Assigns {
-		if err := fixL(m.Assigns[i].LHS); err != nil {
-			return err
-		}
-		if _, err := fix(m.Assigns[i].RHS); err != nil {
-			return err
-		}
-	}
-	var fixStmts func(stmts []Stmt) error
-	fixStmts = func(stmts []Stmt) error {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *NBAssign:
-				if err := fixL(s.LHS); err != nil {
-					return err
-				}
-				if _, err := fix(s.RHS); err != nil {
-					return err
-				}
-			case *BAssign:
-				if err := fixL(s.LHS); err != nil {
-					return err
-				}
-				if _, err := fix(s.RHS); err != nil {
-					return err
-				}
-			case *If:
-				if _, err := fix(s.Cond); err != nil {
-					return err
-				}
-				if err := fixStmts(s.Then); err != nil {
-					return err
-				}
-				if err := fixStmts(s.Else); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for i := range m.Always {
-		if err := fixStmts(m.Always[i].Stmts); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,15 +8,15 @@ import (
 
 // Sim is an event-driven, two-value simulator for one module.
 //
-// NewSim elaborates the module once. Every scalar net and port becomes a
-// slot in a value table, and every memory a slot in a memory table. Every
-// expression, lvalue and statement becomes a closure over resolved slots,
-// widths, slice bounds and memory depths. Each operator is chosen at
-// elaboration, and each subexpression whose operands are all constants is
-// evaluated there once. Anything the module gets wrong (an undeclared net,
-// a memory read of a scalar, an unknown operator, a continuous assignment
-// to a memory) is an error from NewSim, not a late failure in Tick. The
-// running simulator looks up no name.
+// NewSim elaborates the module once; it is the one place that resolves
+// names and widths, since Parse builds syntax only. Every scalar net and
+// port becomes a slot in a value table, and every memory a slot in a memory
+// table. Every expression, lvalue and statement becomes a closure over
+// resolved slots, widths, slice bounds and memory depths. Each operator is
+// chosen at elaboration, and each subexpression whose operands are all
+// constants is evaluated there once. Anything the module gets wrong (an
+// undeclared net, a memory without an index, a slice out of range, an
+// unknown operator) is an error from NewSim, not a late failure in Tick.
 //
 // Elaboration changes the cost of an event, not which events happen. The
 // schedule is the classic event-driven HDL execution model whose per-cycle
@@ -108,22 +108,14 @@ func NewSim(m *Module) (*Sim, error) {
 	// A name declared twice (a port redeclared as a reg) is one net, at
 	// the width of its first declaration.
 	for _, p := range m.Ports {
-		s.declareNet(p.Name, p.Width)
+		if err := s.declare(Net{Name: p.Name, Width: p.Width}); err != nil {
+			return nil, err
+		}
 	}
 	for _, n := range m.Nets {
-		if n.Depth == 0 {
-			s.declareNet(n.Name, n.Width)
-			continue
+		if err := s.declare(n); err != nil {
+			return nil, err
 		}
-		if _, ok := s.memSlot[n.Name]; ok {
-			continue
-		}
-		mem := make([]bitvec.Value, n.Depth)
-		for i := range mem {
-			mem[i] = bitvec.New(n.Width)
-		}
-		s.memSlot[n.Name] = len(s.mems)
-		s.mems = append(s.mems, mem)
 	}
 	s.netFanout = make([][]int, len(s.vals))
 	s.memFanout = make([][]int, len(s.mems))
@@ -176,12 +168,39 @@ func NewSim(m *Module) (*Sim, error) {
 	return s, nil
 }
 
-func (s *Sim) declareNet(name string, width int) {
-	if _, ok := s.netSlot[name]; ok {
-		return
+// declare gives a net or memory declaration its slot. A name declared
+// again keeps its first slot, which must be of the same kind.
+func (s *Sim) declare(n Net) error {
+	_, isNet := s.netSlot[n.Name]
+	_, isMem := s.memSlot[n.Name]
+	switch {
+	case n.Width < 1 || n.Width > bitvec.MaxWidth || n.Depth < 0:
+		return fmt.Errorf("verilog: %s declared %d bits wide and %d deep", n.Name, n.Width, n.Depth)
+	case isNet && n.Depth > 0 || isMem && n.Depth == 0:
+		return fmt.Errorf("verilog: %s declared both as a net and as a memory", n.Name)
+	case n.Depth == 0 && !isNet:
+		s.netSlot[n.Name] = len(s.vals)
+		s.vals = append(s.vals, bitvec.New(n.Width))
+	case n.Depth > 0 && !isMem:
+		mem := make([]bitvec.Value, n.Depth)
+		for i := range mem {
+			mem[i] = bitvec.New(n.Width)
+		}
+		s.memSlot[n.Name] = len(s.mems)
+		s.mems = append(s.mems, mem)
 	}
-	s.netSlot[name] = len(s.vals)
-	s.vals = append(s.vals, bitvec.New(width))
+	return nil
+}
+
+// net resolves the name of a whole net to its slot.
+func (s *Sim) net(name string) (int, error) {
+	if slot, ok := s.netSlot[name]; ok {
+		return slot, nil
+	}
+	if _, ok := s.memSlot[name]; ok {
+		return 0, fmt.Errorf("verilog: memory %s used without an index", name)
+	}
+	return 0, fmt.Errorf("verilog: no net %s", name)
 }
 
 // addFanout appends assignment i to a fan-out list unless it already ends
@@ -196,9 +215,6 @@ func addFanout(list []int, i int) []int {
 // Events returns the number of process evaluations so far — the measure of
 // event-driven simulation work.
 func (s *Sim) Events() uint64 { return s.events }
-
-// Module returns the simulated module.
-func (s *Sim) Module() *Module { return s.m }
 
 // Get reads a scalar net or port.
 func (s *Sim) Get(name string) (bitvec.Value, error) {
@@ -413,18 +429,21 @@ func (s *Sim) compileStmt(st Stmt) (func(), error) {
 func (s *Sim) lvalue(l LValue, deferred bool) (func(bitvec.Value), int, error) {
 	switch l := l.(type) {
 	case *NetL:
-		slot, ok := s.netSlot[l.Name]
-		if !ok {
-			return nil, 0, fmt.Errorf("verilog: no net %s", l.Name)
+		slot, err := s.net(l.Name)
+		if err != nil {
+			return nil, 0, err
 		}
 		if deferred {
 			return func(v bitvec.Value) { s.nus = append(s.nus, netUpd{slot: slot, val: v}) }, s.vals[slot].Width(), nil
 		}
 		return func(v bitvec.Value) { s.update(slot, v) }, s.vals[slot].Width(), nil
 	case *SliceL:
-		slot, ok := s.netSlot[l.Name]
-		if !ok {
-			return nil, 0, fmt.Errorf("verilog: no net %s", l.Name)
+		if _, ok := s.memSlot[l.Name]; ok {
+			return nil, 0, fmt.Errorf("verilog: part-select of memory %s", l.Name)
+		}
+		slot, err := s.net(l.Name)
+		if err != nil {
+			return nil, 0, err
 		}
 		w := s.vals[slot].Width()
 		if l.Lo < 0 || l.Hi < l.Lo || l.Hi >= w {
@@ -498,15 +517,21 @@ func vbool(b bool) bitvec.Value {
 }
 
 // compile resolves an expression into a node, recording in r (when
-// non-nil) the nets and memories it reads.
+// non-nil) the nets and memories it reads. It computes every width, by
+// the rules HGEN's emitter writes to: a net reads at its declared width
+// and a memory at its word width; a slice [hi:lo] is hi−lo+1 bits; ~ and -
+// keep the operand's width; !, the reduction |, comparisons, && and || are
+// one bit; shifts keep the left operand's width; every other binary
+// operator and the ternary take the wider operand, zero-extending the
+// narrower; a concatenation is the sum of its parts.
 func (s *Sim) compile(e Expr, r *reads) (node, error) {
 	switch e := e.(type) {
 	case *Const:
 		return constant(e.Val), nil
 	case *Ref:
-		slot, ok := s.netSlot[e.Name]
-		if !ok {
-			return node{}, fmt.Errorf("verilog: no net %s", e.Name)
+		slot, err := s.net(e.Name)
+		if err != nil {
+			return node{}, err
 		}
 		if r != nil {
 			r.nets = append(r.nets, slot)
@@ -529,12 +554,23 @@ func (s *Sim) compile(e Expr, r *reads) (node, error) {
 		depth := uint64(len(mem))
 		return node{eval: func() bitvec.Value { return mem[ix().Uint64()%depth] }, width: mem[0].Width()}, nil
 	case *Slice:
+		// The parser reads mem[3] as a bit-select. Of a memory it reads a
+		// word: compile a word read of its own, and leave the module,
+		// which Sims share, as it is.
+		if ref, ok := e.X.(*Ref); ok {
+			if _, isMem := s.memSlot[ref.Name]; isMem {
+				if e.Hi != e.Lo {
+					return node{}, fmt.Errorf("verilog: part-select of memory %s", ref.Name)
+				}
+				return s.compile(&Index{Name: ref.Name, Idx: &Const{Val: bitvec.FromUint64(32, uint64(e.Lo))}}, r)
+			}
+		}
 		x, err := s.compile(e.X, r)
 		if err != nil {
 			return node{}, err
 		}
 		if e.Lo < 0 || e.Hi < e.Lo || e.Hi >= x.width {
-			return node{}, fmt.Errorf("verilog: slice [%d:%d] out of range of %d-bit value", e.Hi, e.Lo, x.width)
+			return node{}, fmt.Errorf("verilog: slice [%d:%d] out of range of %s, %d bits wide", e.Hi, e.Lo, emitExpr(e.X), x.width)
 		}
 		f, hi, lo := x.eval, e.Hi, e.Lo
 		return fold(node{eval: func() bitvec.Value { return f().Slice(hi, lo) }, width: hi - lo + 1}, x), nil
@@ -585,13 +621,14 @@ func (s *Sim) compile(e Expr, r *reads) (node, error) {
 		if err != nil {
 			return node{}, err
 		}
-		cf, af, bf := c.eval, resize(a, e.W), resize(b, e.W)
+		w := max(a.width, b.width)
+		cf, af, bf := c.eval, resize(a, w), resize(b, w)
 		n := node{eval: func() bitvec.Value {
 			if cf().IsZero() {
 				return bf()
 			}
 			return af()
-		}, width: e.W}
+		}, width: w}
 		return fold(n, c, a, b), nil
 	case *ConcatE:
 		if len(e.Parts) == 0 {
@@ -606,6 +643,9 @@ func (s *Sim) compile(e Expr, r *reads) (node, error) {
 			}
 			parts[i] = n
 			width += n.width
+		}
+		if width > bitvec.MaxWidth {
+			return node{}, fmt.Errorf("verilog: concatenation %d bits wide", width)
 		}
 		n := node{eval: func() bitvec.Value {
 			v := parts[0].eval()

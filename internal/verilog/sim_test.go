@@ -230,11 +230,9 @@ func TestOperatorsWide(t *testing.T) {
 	}
 }
 
-// TestConstantConcat checks an all-constant concatenation and the decode
-// shape HGEN emits around it: a 96-bit mask-and-compare against constant
-// {64'h…, 32'h…} operands.
-func TestConstantConcat(t *testing.T) {
-	src := `
+// decodeSrc is the decode shape HGEN emits: a 96-bit mask-and-compare
+// against constant concatenations.
+const decodeSrc = `
 module dec (
   ir,
   k,
@@ -251,7 +249,12 @@ module dec (
   assign miss = ((ir & {64'hf000000000000000, 32'h0000000f}) != {64'h3000000000000000, 32'h00000005});
 endmodule
 `
-	sim, err := verilog.NewSim(parse(t, src))
+
+// TestConstantConcat checks an all-constant concatenation and the decode
+// shape HGEN emits around it: a 96-bit mask-and-compare against constant
+// {64'h…, 32'h…} operands.
+func TestConstantConcat(t *testing.T) {
+	sim, err := verilog.NewSim(parse(t, decodeSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +286,8 @@ endmodule
 	}
 }
 
-// TestNonBlockingSliceLValue checks part-select non-blocking writes to a
-// wide register: both read the pre-edge value and land together.
-func TestNonBlockingSliceLValue(t *testing.T) {
-	src := `
+// nbSliceSrc writes part-selects of a wide register non-blockingly.
+const nbSliceSrc = `
 module nbs (
   clk,
   x,
@@ -305,7 +306,11 @@ module nbs (
   end
 endmodule
 `
-	sim, err := verilog.NewSim(parse(t, src))
+
+// TestNonBlockingSliceLValue checks part-select non-blocking writes to a
+// wide register: both read the pre-edge value and land together.
+func TestNonBlockingSliceLValue(t *testing.T) {
+	sim, err := verilog.NewSim(parse(t, nbSliceSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +336,8 @@ endmodule
 	}
 }
 
-// TestIndexWrap checks that memory indices wrap modulo the depth on a
-// continuous read, a non-blocking write and a blocking write, and that a
-// blocking memory write is visible to the next statement of the block.
-func TestIndexWrap(t *testing.T) {
-	src := `
+// wrapSrc reads and writes memories at indices beyond their depth.
+const wrapSrc = `
 module wrap (
   clk,
   we,
@@ -370,7 +372,12 @@ module wrap (
   end
 endmodule
 `
-	sim, err := verilog.NewSim(parse(t, src))
+
+// TestIndexWrap checks that memory indices wrap modulo the depth on a
+// continuous read, a non-blocking write and a blocking write, and that a
+// blocking memory write is visible to the next statement of the block.
+func TestIndexWrap(t *testing.T) {
+	sim, err := verilog.NewSim(parse(t, wrapSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,10 +466,10 @@ func TestCounterEvents(t *testing.T) {
 	}
 }
 
-// TestElaborationErrors builds modules by hand that NewSim must reject.
-// The first two used to pass NewSim: the undeclared net in a branch that
-// is never taken was never evaluated, and the memory write to a scalar
-// net panicked inside Tick.
+// TestElaborationErrors builds modules that NewSim must reject, by hand or
+// from text that Parse accepts. The first two used to pass NewSim: the
+// undeclared net in a branch that is never taken was never evaluated, and
+// the memory write to a scalar net panicked inside Tick.
 func TestElaborationErrors(t *testing.T) {
 	clk := verilog.Port{Name: "clk", Dir: verilog.In, Width: 1}
 	r := verilog.Net{Name: "r", Width: 8, Reg: true}
@@ -474,6 +481,7 @@ func TestElaborationErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		m    *verilog.Module
+		src  string // parsed when m is nil
 		want string
 	}{
 		{"undeclared net in an untaken branch", &verilog.Module{
@@ -482,39 +490,58 @@ func TestElaborationErrors(t *testing.T) {
 				Cond: &verilog.Const{Val: bitvec.New(1)},
 				Then: []verilog.Stmt{&verilog.BAssign{LHS: &verilog.NetL{Name: "r"}, RHS: &verilog.Ref{Name: "nope", W: 8}}},
 			}),
-		}, "no net nope"},
+		}, "", "no net nope"},
 		{"memory write to a scalar net", &verilog.Module{
 			Ports: []verilog.Port{clk}, Nets: []verilog.Net{r},
 			Always: always(&verilog.NBAssign{LHS: &verilog.IndexL{Name: "r", Idx: k8}, RHS: k8}),
-		}, "r is not a memory"},
+		}, "", "r is not a memory"},
 		{"memory read of a scalar net", &verilog.Module{
 			Ports: []verilog.Port{clk}, Nets: []verilog.Net{r},
 			Assigns: []verilog.Assign{{LHS: &verilog.NetL{Name: "r"}, RHS: &verilog.Index{Name: "r", Idx: k8, W: 8}}},
-		}, "no memory r"},
+		}, "", "no memory r"},
 		{"unknown binary operator", &verilog.Module{
 			Nets:    []verilog.Net{r},
 			Assigns: []verilog.Assign{{LHS: &verilog.NetL{Name: "r"}, RHS: &verilog.Binary{Op: "**", X: k8, Y: k8, W: 8}}},
-		}, `unknown binary operator "**"`},
+		}, "", `unknown binary operator "**"`},
 		{"unknown unary operator", &verilog.Module{
 			Nets:    []verilog.Net{r},
 			Assigns: []verilog.Assign{{LHS: &verilog.NetL{Name: "r"}, RHS: &verilog.Unary{Op: "&", X: k8, W: 1}}},
-		}, `unknown unary operator "&"`},
+		}, "", `unknown unary operator "&"`},
 		{"continuous assignment to a memory", &verilog.Module{
 			Nets:    []verilog.Net{mem},
 			Assigns: []verilog.Assign{{LHS: &verilog.IndexL{Name: "mem", Idx: k8}, RHS: k8}},
-		}, "continuous assignment to a memory"},
+		}, "", "continuous assignment to a memory"},
 		{"undeclared assignment target", &verilog.Module{
 			Ports:  []verilog.Port{clk},
 			Always: always(&verilog.BAssign{LHS: &verilog.NetL{Name: "ghost"}, RHS: k8}),
-		}, "no net ghost"},
+		}, "", "no net ghost"},
 		{"part-select beyond the net", &verilog.Module{
 			Ports: []verilog.Port{clk}, Nets: []verilog.Net{r},
 			Always: always(&verilog.NBAssign{LHS: &verilog.SliceL{Name: "r", Hi: 8, Lo: 4}, RHS: k8}),
-		}, "slice [8:4] out of range of r"},
+		}, "", "slice [8:4] out of range of r"},
+		{"undeclared net read", nil,
+			"module m (\n a\n);\n input a;\n wire y;\n assign y = z;\nendmodule\n",
+			"no net z"},
+		{"slice beyond a port", nil,
+			"module m (\n a\n);\n input [3:0] a;\n wire y;\n assign y = a[9:8];\nendmodule\n",
+			"slice [9:8] out of range of a"},
+		{"memory without an index", nil,
+			"module m (\n c\n);\n input c;\n reg [3:0] mm [0:3];\n wire [3:0] y;\n assign y = mm;\nendmodule\n",
+			"memory mm used without an index"},
+		{"net and memory of one name", nil,
+			"module m (\n a\n);\n input a;\n reg [3:0] a [0:3];\nendmodule\n",
+			"a declared both as a net and as a memory"},
+		{"net wider than a value", &verilog.Module{
+			Nets: []verilog.Net{{Name: "huge", Width: bitvec.MaxWidth + 1}},
+		}, "", "huge declared 65537 bits wide"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := verilog.NewSim(c.m)
+			m := c.m
+			if m == nil {
+				m = parse(t, c.src)
+			}
+			_, err := verilog.NewSim(m)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("NewSim error %v, want one containing %q", err, c.want)
 			}

@@ -179,8 +179,9 @@ func TestSimMemory(t *testing.T) {
 	}
 }
 
-func TestExpressionSemantics(t *testing.T) {
-	src := `
+// exprSrc exercises the bitwise, comparison, shift, concatenation and
+// ternary operators on 8-bit inputs.
+const exprSrc = `
 module exprs (
   a,
   b,
@@ -205,7 +206,9 @@ module exprs (
   assign y5 = ((a > b) ? a : b);
 endmodule
 `
-	m := parse(t, src)
+
+func TestExpressionSemantics(t *testing.T) {
+	m := parse(t, exprSrc)
 	sim, err := verilog.NewSim(m)
 	if err != nil {
 		t.Fatal(err)
@@ -242,13 +245,13 @@ endmodule
 	}
 }
 
+// TestParseErrors covers syntax errors. A module that is well-formed text
+// but names an undeclared net or slices past a net parses; NewSim rejects
+// it (TestElaborationErrors).
 func TestParseErrors(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"no module", "wire x;"},
-		{"undeclared", "module m (\n a\n);\n input a;\n wire y;\n assign y = z;\nendmodule\n"},
 		{"port no dir", "module m (\n a\n);\n wire a;\nendmodule\n"},
-		{"bad slice", "module m (\n a\n);\n input [3:0] a;\n wire y;\n assign y = a[9:8];\nendmodule\n"},
-		{"mem no index", "module m (\n c\n);\n input c;\n reg [3:0] mm [0:3];\n wire [3:0] y;\n assign y = mm;\nendmodule\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -259,8 +262,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMultipleDriversRejected(t *testing.T) {
-	src := `
+// TestParseNumbers checks that a malformed or oversized number is an error
+// on its line. "truncated literal" used to panic, reading past the end of
+// the text, and "depth overflow" used to parse, as a scalar mm: the bound
+// 2^64−1 read as the int −1, so the depth −1+1 was 0.
+func TestParseNumbers(t *testing.T) {
+	head := "module m (\n);\n wire [7:0] y;\n"
+	for _, c := range []struct{ name, src, want string }{
+		{"truncated literal", head + " assign y = 8'", "verilog line 4"},
+		{"depth overflow", "module m (\n);\n reg [7:0] mm [0:18446744073709551615];\nendmodule\n", "verilog line 3"},
+		{"decimal overflow", head + " assign y = 18446744073709551616;\nendmodule\n", "verilog line 4"},
+		{"hex overflow", head + " assign y = 64'h10000000000000000;\nendmodule\n", "verilog line 4"},
+		{"wide literal", head + " assign y = 65'h1;\nendmodule\n", "verilog line 4"},
+		{"zero-width literal", head + " assign y = 0'h1;\nendmodule\n", "verilog line 4"},
+		{"unknown base", head + " assign y = 8'q1;\nendmodule\n", "verilog line 4"},
+		{"bad binary digit", head + " assign y = 4'b102;\nendmodule\n", "verilog line 4"},
+		{"select overflow", head + " assign y = {y[7:1],\n y[2147483648]};\nendmodule\n", "verilog line 5"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := verilog.Parse(c.src)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Parse(%q) = %v, want an error on %s", c.src, err, c.want)
+			}
+		})
+	}
+}
+
+// twoDriverSrc drives one net from two continuous assignments.
+const twoDriverSrc = `
 module m (
   a,
   y
@@ -271,7 +300,9 @@ module m (
   assign y = (!a);
 endmodule
 `
-	m := parse(t, src)
+
+func TestMultipleDriversRejected(t *testing.T) {
+	m := parse(t, twoDriverSrc)
 	if _, err := verilog.NewSim(m); err == nil {
 		t.Fatal("expected multiple-driver error")
 	}
@@ -283,8 +314,8 @@ func TestCountLines(t *testing.T) {
 	}
 }
 
-func TestSliceLValueAssign(t *testing.T) {
-	src := `
+// sliceLSrc drives the two halves of a net with part-select assignments.
+const sliceLSrc = `
 module m (
   a,
   y
@@ -295,7 +326,9 @@ module m (
   assign y[7:4] = (~a);
 endmodule
 `
-	m := parse(t, src)
+
+func TestSliceLValueAssign(t *testing.T) {
+	m := parse(t, sliceLSrc)
 	sim, err := verilog.NewSim(m)
 	if err != nil {
 		t.Fatal(err)
