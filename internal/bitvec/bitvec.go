@@ -7,12 +7,15 @@
 // width in bits and all arithmetic wraps modulo 2^width, exactly as the
 // corresponding hardware datapath would.
 //
-// Values up to 64 bits wide are stored inline (no heap allocation), which
-// keeps the generated simulators fast; wider values use a word slice.
+// Values up to 128 bits wide are stored inline in two words, so no
+// operation on them allocates; that covers every machine word and SPAM's
+// 96-bit instruction word, and keeps the simulators' per-cycle paths off the
+// heap. Wider values keep their words in a heap slice.
 package bitvec
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -25,18 +28,32 @@ const MaxWidth = 1 << 16
 // it is returned by failed operations and is not a valid architectural value.
 // Values are immutable: all operations return new Values.
 type Value struct {
-	width int
-	// small holds the bits when width <= 64; otherwise words holds them
-	// little-endian, 64 per word. Bits at positions >= width are always
-	// zero (canonical form).
-	small uint64
-	words []uint64
+	width int32
+	// lo and hi hold bits 0–63 and 64–127 of a value up to 128 bits wide
+	// (hi is zero up to 64 bits), and wide is empty. A wider value keeps
+	// all of its words in wide, and lo and hi are zero. Bits at positions
+	// >= width are always zero (canonical form), so equal values have
+	// equal fields.
+	lo, hi uint64
+	wide   wideWords
+}
+
+// wideWords points at the little-endian words of a value wider than 128
+// bits; p is nil for narrower values. No operation writes to *p after
+// building it: copies of a value share it. The zero-length func array
+// takes no space and makes Value non-comparable, so == does not compile
+// (it would compare p, not the bits; use Eq). It sits here rather than in
+// Value because the compiler keeps a struct of at most four fields, and at
+// most 32 bytes, in registers.
+type wideWords struct {
+	_ [0]func()
+	p *[]uint64
 }
 
 func wordsFor(width int) int { return (width + 63) / 64 }
 
-// mask64 returns the canonical mask for an inline value of the given width
-// (1..64).
+// mask64 returns the canonical mask for an inline word holding the given
+// number of bits (1..64).
 func mask64(width int) uint64 {
 	if width >= 64 {
 		return ^uint64(0)
@@ -44,113 +61,125 @@ func mask64(width int) uint64 {
 	return (uint64(1) << uint(width)) - 1
 }
 
+func checkWidth(width int) {
+	if width <= 0 || width > MaxWidth {
+		panic(fmt.Sprintf("bitvec: invalid width %d", width))
+	}
+}
+
 // New returns a zero value of the given width. It panics if width is not in
 // [1, MaxWidth]; widths are static properties of an ISDL description and a
 // bad one is a programming error, not a runtime condition.
 func New(width int) Value {
-	if width <= 0 || width > MaxWidth {
-		panic(fmt.Sprintf("bitvec: invalid width %d", width))
+	checkWidth(width)
+	if width <= 128 {
+		return Value{width: int32(width)}
 	}
-	if width <= 64 {
-		return Value{width: width}
-	}
-	return Value{width: width, words: make([]uint64, wordsFor(width))}
+	return wideOf(width, make([]uint64, wordsFor(width)))
 }
 
-// small64 builds an inline value, masking to width.
+// small64 builds a value of width 0..64, masking v to width.
 func small64(width int, v uint64) Value {
-	return Value{width: width, small: v & mask64(width)}
+	return Value{width: int32(width), lo: v & mask64(width)}
+}
+
+// small128 builds a value of width 65..128, masking hi to width.
+func small128(width int, lo, hi uint64) Value {
+	return Value{width: int32(width), lo: lo, hi: hi & mask64(width-64)}
+}
+
+// inline builds a value of width 0..128 from its low two words.
+func inline(width int, lo, hi uint64) Value {
+	if width <= 64 {
+		return small64(width, lo)
+	}
+	return small128(width, lo, hi)
+}
+
+// wideOf makes ws, a new slice of wordsFor(width) words that nothing else
+// holds, the value of a width above 128 bits, zeroing its bits at and above
+// width.
+func wideOf(width int, ws []uint64) Value {
+	if rem := width % 64; rem != 0 {
+		ws[len(ws)-1] &= (1 << uint(rem)) - 1
+	}
+	return Value{width: int32(width), wide: wideWords{p: &ws}}
 }
 
 // FromUint64 returns a value of the given width holding v truncated to width
 // bits.
 func FromUint64(width int, v uint64) Value {
-	if width <= 0 || width > MaxWidth {
-		panic(fmt.Sprintf("bitvec: invalid width %d", width))
-	}
+	checkWidth(width)
 	if width <= 64 {
 		return small64(width, v)
 	}
-	r := New(width)
-	r.words[0] = v
-	return r
+	return FromWords(width, []uint64{v})
 }
 
 // FromInt64 returns a value of the given width holding v sign-extended (or
 // truncated) to width bits.
 func FromInt64(width int, v int64) Value {
-	if width <= 0 || width > MaxWidth {
-		panic(fmt.Sprintf("bitvec: invalid width %d", width))
-	}
+	checkWidth(width)
 	if width <= 64 {
 		return small64(width, uint64(v))
 	}
-	r := New(width)
-	u := uint64(v)
-	for i := range r.words {
-		r.words[i] = u
-		if v >= 0 {
-			u = 0
-		} else {
-			u = ^uint64(0)
-		}
+	ext := uint64(v >> 63) // all ones when v is negative
+	if width <= 128 {
+		return small128(width, uint64(v), ext)
 	}
-	r.canon()
-	return r
+	ws := make([]uint64, wordsFor(width))
+	ws[0] = uint64(v)
+	for i := 1; i < len(ws); i++ {
+		ws[i] = ext
+	}
+	return wideOf(width, ws)
 }
 
 // FromWords returns a value of the given width using the supplied
 // little-endian words. Extra high bits are truncated.
 func FromWords(width int, words []uint64) Value {
-	r := New(width)
-	if r.words == nil {
+	checkWidth(width)
+	if width <= 128 {
+		var lo, hi uint64
 		if len(words) > 0 {
-			r.small = words[0] & mask64(width)
+			lo = words[0]
 		}
-		return r
+		if len(words) > 1 {
+			hi = words[1]
+		}
+		return inline(width, lo, hi)
 	}
-	copy(r.words, words)
-	r.canon()
-	return r
+	ws := make([]uint64, wordsFor(width))
+	copy(ws, words)
+	return wideOf(width, ws)
 }
 
-// canon zeroes bits above width.
-func (v *Value) canon() {
-	if v.width == 0 {
-		return
-	}
-	if v.words == nil {
-		v.small &= mask64(v.width)
-		return
-	}
-	if rem := v.width % 64; rem != 0 {
-		v.words[len(v.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// word returns the i-th 64-bit word.
+// word returns the i-th 64-bit word; words beyond the value read as zero.
 func (v Value) word(i int) uint64 {
-	if v.words == nil {
-		if i == 0 {
-			return v.small
+	if v.wide.p != nil {
+		if i < len(*v.wide.p) {
+			return (*v.wide.p)[i]
 		}
 		return 0
 	}
-	if i < len(v.words) {
-		return v.words[i]
+	switch i {
+	case 0:
+		return v.lo
+	case 1:
+		return v.hi
 	}
 	return 0
 }
 
 // Width reports the width of v in bits.
-func (v Value) Width() int { return v.width }
+func (v Value) Width() int { return int(v.width) }
 
 // IsZero reports whether every bit of v is zero.
 func (v Value) IsZero() bool {
-	if v.words == nil {
-		return v.small == 0
+	if v.wide.p == nil {
+		return v.lo|v.hi == 0
 	}
-	for _, w := range v.words {
+	for _, w := range *v.wide.p {
 		if w != 0 {
 			return false
 		}
@@ -160,7 +189,7 @@ func (v Value) IsZero() bool {
 
 // Bit returns bit i (0 = least significant). Out-of-range bits read as 0.
 func (v Value) Bit(i int) uint {
-	if i < 0 || i >= v.width {
+	if i < 0 || i >= int(v.width) {
 		return 0
 	}
 	return uint(v.word(i/64)>>(uint(i)%64)) & 1
@@ -168,44 +197,38 @@ func (v Value) Bit(i int) uint {
 
 // WithBit returns a copy of v with bit i set to b (b is 0 or 1).
 func (v Value) WithBit(i int, b uint) Value {
-	if i < 0 || i >= v.width {
+	if i < 0 || i >= int(v.width) {
 		return v
 	}
-	r := v.clone()
-	if r.words == nil {
-		if b&1 == 1 {
-			r.small |= 1 << uint(i)
+	m, bit := uint64(1)<<(uint(i)%64), uint64(b&1)<<(uint(i)%64)
+	if v.wide.p == nil {
+		if i < 64 {
+			v.lo = v.lo&^m | bit
 		} else {
-			r.small &^= 1 << uint(i)
+			v.hi = v.hi&^m | bit
 		}
-		return r
-	}
-	if b&1 == 1 {
-		r.words[i/64] |= 1 << (uint(i) % 64)
-	} else {
-		r.words[i/64] &^= 1 << (uint(i) % 64)
-	}
-	return r
-}
-
-func (v Value) clone() Value {
-	if v.words == nil {
 		return v
 	}
-	r := Value{width: v.width, words: make([]uint64, len(v.words))}
-	copy(r.words, v.words)
-	return r
+	ws := make([]uint64, len(*v.wide.p))
+	copy(ws, *v.wide.p)
+	ws[i/64] = ws[i/64]&^m | bit
+	return wideOf(int(v.width), ws)
 }
 
 // Uint64 returns the low 64 bits of v.
-func (v Value) Uint64() uint64 { return v.word(0) }
+func (v Value) Uint64() uint64 {
+	if v.wide.p != nil {
+		return (*v.wide.p)[0]
+	}
+	return v.lo
+}
 
 // Int64 returns the value of v interpreted as a signed two's-complement
 // number, truncated to 64 bits of magnitude.
 func (v Value) Int64() int64 {
 	u := v.Uint64()
 	if v.width < 64 {
-		if v.Bit(v.width-1) == 1 {
+		if v.Bit(int(v.width)-1) == 1 {
 			u |= ^uint64(0) << uint(v.width)
 		}
 	}
@@ -213,19 +236,19 @@ func (v Value) Int64() int64 {
 }
 
 // Sign reports whether the most significant (sign) bit of v is set.
-func (v Value) Sign() bool { return v.Bit(v.width-1) == 1 }
+func (v Value) Sign() bool { return v.Bit(int(v.width)-1) == 1 }
 
 // Eq reports whether v and o have identical width and bits.
 func (v Value) Eq(o Value) bool {
 	if v.width != o.width {
 		return false
 	}
-	if v.words == nil && o.words == nil {
-		return v.small == o.small
+	if v.wide.p == nil {
+		return v.lo == o.lo && v.hi == o.hi
 	}
-	n := wordsFor(v.width)
-	for i := 0; i < n; i++ {
-		if v.word(i) != o.word(i) {
+	ow := *o.wide.p
+	for i, w := range *v.wide.p {
+		if w != ow[i] {
 			return false
 		}
 	}
@@ -235,8 +258,11 @@ func (v Value) Eq(o Value) bool {
 // EqValue reports whether v and o represent the same unsigned number,
 // ignoring width differences.
 func (v Value) EqValue(o Value) bool {
-	n := wordsFor(v.width)
-	if m := wordsFor(o.width); m > n {
+	if v.wide.p == nil && o.wide.p == nil {
+		return v.lo == o.lo && v.hi == o.hi
+	}
+	n := wordsFor(int(v.width))
+	if m := wordsFor(int(o.width)); m > n {
 		n = m
 	}
 	for i := 0; i < n; i++ {
@@ -256,8 +282,8 @@ func sameWidth(a, b Value, op string) {
 // Add returns a+b mod 2^width. Panics if widths differ.
 func (a Value) Add(b Value) Value {
 	sameWidth(a, b, "add")
-	if a.words == nil {
-		return small64(a.width, a.small+b.small)
+	if a.width <= 64 {
+		return small64(int(a.width), a.lo+b.lo)
 	}
 	r, _ := a.AddCarry(b)
 	return r
@@ -266,39 +292,42 @@ func (a Value) Add(b Value) Value {
 // AddCarry returns a+b mod 2^width and the carry out of the top bit.
 func (a Value) AddCarry(b Value) (Value, bool) {
 	sameWidth(a, b, "add")
-	if a.words == nil {
-		s := a.small + b.small
+	w := int(a.width)
+	if w <= 64 {
+		s := a.lo + b.lo
 		var carry bool
-		if a.width == 64 {
-			carry = s < a.small
+		if w == 64 {
+			carry = s < a.lo
 		} else {
-			carry = s>>uint(a.width)&1 == 1
+			carry = s>>uint(w)&1 == 1
 		}
-		return small64(a.width, s), carry
+		return small64(w, s), carry
 	}
-	r := New(a.width)
+	if w <= 128 {
+		lo, c := bits.Add64(a.lo, b.lo, 0)
+		hi, c := bits.Add64(a.hi, b.hi, c)
+		if w < 128 {
+			c = hi >> uint(w-64) & 1
+		}
+		return small128(w, lo, hi), c == 1
+	}
+	aw, bw := *a.wide.p, *b.wide.p
+	ws := make([]uint64, len(aw))
 	var carry uint64
-	for i := range r.words {
-		aw, bw := a.words[i], b.words[i]
-		s := aw + bw
-		c1 := boolToU64(s < aw)
-		s2 := s + carry
-		c2 := boolToU64(s2 < s)
-		r.words[i] = s2
-		carry = c1 | c2
+	for i := range ws {
+		ws[i], carry = bits.Add64(aw[i], bw[i], carry)
 	}
-	if rem := a.width % 64; rem != 0 {
-		carry = (r.words[len(r.words)-1] >> uint(rem)) & 1
+	if rem := w % 64; rem != 0 {
+		carry = ws[len(ws)-1] >> uint(rem) & 1
 	}
-	r.canon()
-	return r, carry == 1
+	return wideOf(w, ws), carry == 1
 }
 
 // Sub returns a-b mod 2^width.
 func (a Value) Sub(b Value) Value {
 	sameWidth(a, b, "sub")
-	if a.words == nil {
-		return small64(a.width, a.small-b.small)
+	if a.width <= 64 {
+		return small64(int(a.width), a.lo-b.lo)
 	}
 	r, _ := a.SubBorrow(b)
 	return r
@@ -308,84 +337,72 @@ func (a Value) Sub(b Value) Value {
 // (i.e. a < b unsigned).
 func (a Value) SubBorrow(b Value) (Value, bool) {
 	sameWidth(a, b, "sub")
-	if a.words == nil {
-		return small64(a.width, a.small-b.small), a.small < b.small
+	w := int(a.width)
+	if w <= 64 {
+		return small64(w, a.lo-b.lo), a.lo < b.lo
 	}
-	r, _ := a.AddCarry(b.Not().Add(one(a.width)))
-	borrow := a.CmpU(b) < 0
-	return r, borrow
+	// Both operands are canonical, so the borrow out of the top word is
+	// a < b.
+	if w <= 128 {
+		lo, c := bits.Sub64(a.lo, b.lo, 0)
+		hi, c := bits.Sub64(a.hi, b.hi, c)
+		return small128(w, lo, hi), c == 1
+	}
+	aw, bw := *a.wide.p, *b.wide.p
+	ws := make([]uint64, len(aw))
+	var borrow uint64
+	for i := range ws {
+		ws[i], borrow = bits.Sub64(aw[i], bw[i], borrow)
+	}
+	return wideOf(w, ws), borrow == 1
 }
-
-func one(width int) Value { return FromUint64(width, 1) }
 
 // Neg returns the two's-complement negation of a.
 func (a Value) Neg() Value {
-	if a.words == nil {
-		return small64(a.width, -a.small)
+	if a.width <= 64 {
+		return small64(int(a.width), -a.lo)
 	}
-	return New(a.width).Sub(a)
+	return New(int(a.width)).Sub(a)
 }
 
 // Mul returns a*b mod 2^width.
 func (a Value) Mul(b Value) Value {
 	sameWidth(a, b, "mul")
-	if a.words == nil {
-		return small64(a.width, a.small*b.small)
+	w := int(a.width)
+	if w <= 64 {
+		return small64(w, a.lo*b.lo)
 	}
-	r := New(a.width)
-	n := len(r.words)
-	for i := 0; i < n; i++ {
-		if a.word(i) == 0 {
+	if w <= 128 {
+		hi, lo := bits.Mul64(a.lo, b.lo)
+		return small128(w, lo, hi+a.hi*b.lo+a.lo*b.hi)
+	}
+	aw, bw := *a.wide.p, *b.wide.p
+	ws := make([]uint64, len(aw))
+	for i, x := range aw {
+		if x == 0 {
 			continue
 		}
 		var carry uint64
-		for j := 0; i+j < n; j++ {
-			hi, lo := mul64(a.word(i), b.word(j))
-			s := r.words[i+j] + lo
-			c := boolToU64(s < lo)
-			s2 := s + carry
-			c2 := boolToU64(s2 < s)
-			r.words[i+j] = s2
-			carry = hi + c + c2
+		for j := 0; i+j < len(ws); j++ {
+			hi, lo := bits.Mul64(x, bw[j])
+			var c1, c2 uint64
+			ws[i+j], c1 = bits.Add64(ws[i+j], lo, 0)
+			ws[i+j], c2 = bits.Add64(ws[i+j], carry, 0)
+			carry = hi + c1 + c2
 		}
 	}
-	r.canon()
-	return r
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	ll := al * bl
-	lh := al * bh
-	hl := ah * bl
-	hh := ah * bh
-	mid := lh + (ll >> 32)
-	midc := boolToU64(mid < lh)
-	mid2 := mid + hl
-	midc += boolToU64(mid2 < mid)
-	lo = (mid2 << 32) | (ll & mask)
-	hi = hh + (mid2 >> 32) + (midc << 32)
-	return hi, lo
-}
-
-func boolToU64(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+	return wideOf(w, ws)
 }
 
 // DivU returns a/b (unsigned). Division by zero yields an all-ones value, the
 // conventional hardware result.
 func (a Value) DivU(b Value) Value {
 	sameWidth(a, b, "div")
-	if a.words == nil {
-		if b.small == 0 {
-			return small64(a.width, ^uint64(0))
+	if a.width <= 64 {
+		if b.lo == 0 {
+			return small64(int(a.width), ^uint64(0))
 		}
-		return small64(a.width, a.small/b.small)
+		return small64(int(a.width), a.lo/b.lo)
 	}
 	q, _ := a.divmod(b)
 	return q
@@ -395,142 +412,170 @@ func (a Value) DivU(b Value) Value {
 // hardware result.
 func (a Value) ModU(b Value) Value {
 	sameWidth(a, b, "mod")
-	if a.words == nil {
-		if b.small == 0 {
+	if a.width <= 64 {
+		if b.lo == 0 {
 			return a
 		}
-		return small64(a.width, a.small%b.small)
+		return small64(int(a.width), a.lo%b.lo)
 	}
 	_, r := a.divmod(b)
 	return r
 }
 
+// divmod is restoring long division, one quotient bit per step.
 func (a Value) divmod(b Value) (q, r Value) {
+	w := int(a.width)
 	if b.IsZero() {
-		return New(a.width).Not(), a.clone()
+		return New(w).Not(), a
 	}
-	q = New(a.width)
-	r = New(a.width)
-	for i := a.width - 1; i >= 0; i-- {
-		r = r.Shl(1)
-		if a.Bit(i) == 1 {
-			r.words[0] |= 1
-		}
+	q, r = New(w), New(w)
+	for i := w - 1; i >= 0; i-- {
+		r = r.Shl(1).WithBit(0, a.Bit(i))
 		if r.CmpU(b) >= 0 {
 			r = r.Sub(b)
-			q.words[i/64] |= 1 << (uint(i) % 64)
+			q = q.WithBit(i, 1)
 		}
 	}
 	return q, r
 }
 
+// bitwise applies f word by word to two values wider than 128 bits.
+func bitwise(a, b Value, f func(x, y uint64) uint64) Value {
+	aw, bw := *a.wide.p, *b.wide.p
+	ws := make([]uint64, len(aw))
+	for i := range ws {
+		ws[i] = f(aw[i], bw[i])
+	}
+	return wideOf(int(a.width), ws)
+}
+
 // And returns the bitwise AND of a and b.
 func (a Value) And(b Value) Value {
 	sameWidth(a, b, "and")
-	if a.words == nil {
-		return Value{width: a.width, small: a.small & b.small}
+	if a.wide.p == nil {
+		return Value{width: a.width, lo: a.lo & b.lo, hi: a.hi & b.hi}
 	}
-	r := New(a.width)
-	for i := range a.words {
-		r.words[i] = a.words[i] & b.words[i]
-	}
-	return r
+	return bitwise(a, b, func(x, y uint64) uint64 { return x & y })
 }
 
 // Or returns the bitwise OR of a and b.
 func (a Value) Or(b Value) Value {
 	sameWidth(a, b, "or")
-	if a.words == nil {
-		return Value{width: a.width, small: a.small | b.small}
+	if a.wide.p == nil {
+		return Value{width: a.width, lo: a.lo | b.lo, hi: a.hi | b.hi}
 	}
-	r := New(a.width)
-	for i := range a.words {
-		r.words[i] = a.words[i] | b.words[i]
-	}
-	return r
+	return bitwise(a, b, func(x, y uint64) uint64 { return x | y })
 }
 
 // Xor returns the bitwise XOR of a and b.
 func (a Value) Xor(b Value) Value {
 	sameWidth(a, b, "xor")
-	if a.words == nil {
-		return Value{width: a.width, small: a.small ^ b.small}
+	if a.wide.p == nil {
+		return Value{width: a.width, lo: a.lo ^ b.lo, hi: a.hi ^ b.hi}
 	}
-	r := New(a.width)
-	for i := range a.words {
-		r.words[i] = a.words[i] ^ b.words[i]
-	}
-	return r
+	return bitwise(a, b, func(x, y uint64) uint64 { return x ^ y })
 }
 
 // Not returns the bitwise complement of a.
 func (a Value) Not() Value {
-	if a.words == nil {
-		return small64(a.width, ^a.small)
+	w := int(a.width)
+	if w <= 64 {
+		return small64(w, ^a.lo)
 	}
-	r := New(a.width)
-	for i := range a.words {
-		r.words[i] = ^a.words[i]
+	if w <= 128 {
+		return small128(w, ^a.lo, ^a.hi)
 	}
-	r.canon()
-	return r
+	ws := make([]uint64, len(*a.wide.p))
+	for i, x := range *a.wide.p {
+		ws[i] = ^x
+	}
+	return wideOf(w, ws)
 }
 
 // Amount returns v's full unsigned value as a shift amount for Shl, ShrL
 // and ShrA. Every amount at or beyond a value's width shifts all of its
 // bits out, so an amount above MaxWidth reads as MaxWidth.
 func (v Value) Amount() int {
-	if v.Uint64() > MaxWidth {
+	if v.Uint64() > MaxWidth || v.hi != 0 {
 		return MaxWidth
 	}
-	for i := 1; i < len(v.words); i++ {
-		if v.words[i] != 0 {
-			return MaxWidth
+	if v.wide.p != nil {
+		for _, w := range (*v.wide.p)[1:] {
+			if w != 0 {
+				return MaxWidth
+			}
 		}
 	}
 	return int(v.Uint64())
 }
 
+// shl128 shifts the 128-bit number hi:lo left by n < 128 bits.
+func shl128(lo, hi uint64, n uint) (uint64, uint64) {
+	if n >= 64 {
+		return 0, lo << (n - 64)
+	}
+	return lo << n, hi<<n | lo>>(64-n)
+}
+
+// shr128 shifts the 128-bit number hi:lo right by n < 128 bits.
+func shr128(lo, hi uint64, n uint) (uint64, uint64) {
+	if n >= 64 {
+		return hi >> (n - 64), 0
+	}
+	return lo>>n | hi<<(64-n), hi >> n
+}
+
 // Shl returns a shifted left by n >= 0 bits; vacated bits are zero.
 func (a Value) Shl(n int) Value {
-	if n >= a.width {
-		return New(a.width)
+	w := int(a.width)
+	if n >= w {
+		return New(w)
 	}
-	if a.words == nil {
-		return small64(a.width, a.small<<uint(n))
+	if w <= 64 {
+		return small64(w, a.lo<<uint(n))
 	}
-	r := New(a.width)
+	if w <= 128 {
+		lo, hi := shl128(a.lo, a.hi, uint(n))
+		return small128(w, lo, hi)
+	}
+	aw := *a.wide.p
+	ws := make([]uint64, len(aw))
 	wordShift, bitShift := n/64, uint(n%64)
-	for i := len(r.words) - 1; i >= wordShift; i-- {
-		w := a.words[i-wordShift] << bitShift
+	for i := len(ws) - 1; i >= wordShift; i-- {
+		x := aw[i-wordShift] << bitShift
 		if bitShift > 0 && i-wordShift-1 >= 0 {
-			w |= a.words[i-wordShift-1] >> (64 - bitShift)
+			x |= aw[i-wordShift-1] >> (64 - bitShift)
 		}
-		r.words[i] = w
+		ws[i] = x
 	}
-	r.canon()
-	return r
+	return wideOf(w, ws)
 }
 
 // ShrL returns a logically shifted right by n >= 0 bits; vacated bits are
 // zero.
 func (a Value) ShrL(n int) Value {
-	if n >= a.width {
-		return New(a.width)
+	w := int(a.width)
+	if n >= w {
+		return New(w)
 	}
-	if a.words == nil {
-		return Value{width: a.width, small: a.small >> uint(n)}
+	if w <= 64 {
+		return Value{width: a.width, lo: a.lo >> uint(n)}
 	}
-	r := New(a.width)
+	if w <= 128 {
+		lo, hi := shr128(a.lo, a.hi, uint(n))
+		return Value{width: a.width, lo: lo, hi: hi}
+	}
+	aw := *a.wide.p
+	ws := make([]uint64, len(aw))
 	wordShift, bitShift := n/64, uint(n%64)
-	for i := 0; i+wordShift < len(a.words); i++ {
-		w := a.words[i+wordShift] >> bitShift
-		if bitShift > 0 && i+wordShift+1 < len(a.words) {
-			w |= a.words[i+wordShift+1] << (64 - bitShift)
+	for i := 0; i+wordShift < len(aw); i++ {
+		x := aw[i+wordShift] >> bitShift
+		if bitShift > 0 && i+wordShift+1 < len(aw) {
+			x |= aw[i+wordShift+1] << (64 - bitShift)
 		}
-		r.words[i] = w
+		ws[i] = x
 	}
-	return r
+	return wideOf(w, ws)
 }
 
 // ShrA returns a arithmetically shifted right by n >= 0 bits; vacated bits
@@ -539,39 +584,43 @@ func (a Value) ShrA(n int) Value {
 	if !a.Sign() {
 		return a.ShrL(n)
 	}
-	if n >= a.width {
-		return New(a.width).Not()
+	w := int(a.width)
+	if n >= w {
+		return New(w).Not()
 	}
-	if a.words == nil {
-		ones := ^(mask64(a.width) >> uint(n))
-		return small64(a.width, a.small>>uint(n)|ones)
+	if w <= 64 {
+		ones := ^(mask64(w) >> uint(n))
+		return small64(w, a.lo>>uint(n)|ones)
 	}
-	r := a.ShrL(n)
-	for i := a.width - n; i < a.width; i++ {
-		r.words[i/64] |= 1 << (uint(i) % 64)
+	return a.ShrL(n).Or(New(w).Not().Shl(w - n))
+}
+
+func cmp64(a, b uint64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
-	return r
+	return 0
 }
 
 // CmpU compares a and b as unsigned numbers: -1 if a<b, 0 if equal, 1 if a>b.
 func (a Value) CmpU(b Value) int {
 	sameWidth(a, b, "cmp")
-	if a.words == nil {
-		switch {
-		case a.small < b.small:
-			return -1
-		case a.small > b.small:
-			return 1
-		}
-		return 0
+	if a.width <= 64 {
+		return cmp64(a.lo, b.lo)
 	}
-	for i := wordsFor(a.width) - 1; i >= 0; i-- {
-		aw, bw := a.word(i), b.word(i)
-		switch {
-		case aw < bw:
-			return -1
-		case aw > bw:
-			return 1
+	if a.wide.p == nil {
+		if a.hi != b.hi {
+			return cmp64(a.hi, b.hi)
+		}
+		return cmp64(a.lo, b.lo)
+	}
+	aw, bw := *a.wide.p, *b.wide.p
+	for i := len(aw) - 1; i >= 0; i-- {
+		if aw[i] != bw[i] {
+			return cmp64(aw[i], bw[i])
 		}
 	}
 	return 0
@@ -593,54 +642,67 @@ func (a Value) CmpS(b Value) int {
 // width hi-lo+1. It panics on an out-of-range slice; slice bounds come from
 // validated ISDL text.
 func (v Value) Slice(hi, lo int) Value {
-	if lo < 0 || hi < lo || hi >= v.width {
+	if lo < 0 || hi < lo || hi >= int(v.width) {
 		panic(fmt.Sprintf("bitvec: slice [%d:%d] of %d-bit value", hi, lo, v.width))
 	}
-	if v.words == nil {
-		return small64(hi-lo+1, v.small>>uint(lo))
+	w := hi - lo + 1
+	if v.width <= 64 {
+		return small64(w, v.lo>>uint(lo))
 	}
-	return v.ShrL(lo).Trunc(hi - lo + 1)
+	if v.wide.p == nil {
+		l, h := shr128(v.lo, v.hi, uint(lo))
+		return inline(w, l, h)
+	}
+	if w <= 128 {
+		i, s := lo/64, uint(lo)%64
+		return inline(w, v.word(i)>>s|v.word(i+1)<<(64-s), v.word(i+1)>>s|v.word(i+2)<<(64-s))
+	}
+	return v.ShrL(lo).Trunc(w)
 }
 
 // Concat returns the concatenation hi:lo with hi in the most significant
 // position; the result width is the sum of the operand widths.
 func (hi Value) Concat(lo Value) Value {
-	w := hi.width + lo.width
+	w := int(hi.width) + int(lo.width)
 	if w <= 64 {
-		return Value{width: w, small: hi.small<<uint(lo.width) | lo.small}
+		return Value{width: int32(w), lo: hi.lo<<uint(lo.width) | lo.lo}
 	}
-	r := New(w)
-	for i := 0; i < wordsFor(lo.width); i++ {
-		r.words[i] = lo.word(i)
+	if w <= 128 {
+		l, h := shl128(hi.lo, hi.hi, uint(lo.width))
+		return Value{width: int32(w), lo: l | lo.lo, hi: h | lo.hi}
 	}
-	shifted := hi.ZeroExt(w).Shl(lo.width)
-	for i := range r.words {
-		r.words[i] |= shifted.word(i)
+	ws := make([]uint64, wordsFor(w))
+	for i := range ws {
+		ws[i] = lo.word(i)
 	}
-	return r
+	off, s := int(lo.width)/64, uint(lo.width)%64
+	for i := 0; i < wordsFor(int(hi.width)); i++ {
+		x := hi.word(i)
+		ws[off+i] |= x << s
+		if off+i+1 < len(ws) {
+			ws[off+i+1] |= x >> (64 - s)
+		}
+	}
+	return wideOf(w, ws)
 }
 
 // Trunc returns the low w bits of v. If w >= v.Width() the value is returned
 // zero-extended (Trunc doubles as a width adjuster in either direction).
 func (v Value) Trunc(w int) Value {
-	if w == v.width {
+	if w == int(v.width) {
 		return v
 	}
 	if w <= 64 {
-		return small64(w, v.word(0))
+		return small64(w, v.Uint64())
 	}
-	r := New(w)
-	n := wordsFor(w)
-	if v.words != nil {
-		if n > len(v.words) {
-			n = len(v.words)
-		}
-		copy(r.words, v.words[:n])
-	} else {
-		r.words[0] = v.small
+	if w <= 128 {
+		return small128(w, v.word(0), v.word(1))
 	}
-	r.canon()
-	return r
+	ws := make([]uint64, wordsFor(w))
+	for i := range ws {
+		ws[i] = v.word(i)
+	}
+	return wideOf(w, ws)
 }
 
 // ZeroExt returns v zero-extended to width w (w >= v.Width(); otherwise it
@@ -650,20 +712,16 @@ func (v Value) ZeroExt(w int) Value { return v.Trunc(w) }
 // SignExt returns v sign-extended to width w (w >= v.Width(); otherwise it
 // truncates).
 func (v Value) SignExt(w int) Value {
-	if w <= v.width {
+	if w <= int(v.width) {
 		return v.Trunc(w)
 	}
 	if !v.Sign() {
 		return v.ZeroExt(w)
 	}
 	if w <= 64 {
-		return small64(w, v.small|^mask64(v.width))
+		return small64(w, v.lo|^mask64(int(v.width)))
 	}
-	r := v.ZeroExt(w)
-	for i := v.width; i < w; i++ {
-		r.words[i/64] |= 1 << (uint(i) % 64)
-	}
-	return r
+	return v.ZeroExt(w).Or(New(w).Not().Shl(int(v.width)))
 }
 
 // String renders v as a width-annotated hexadecimal literal, e.g. 8'h3f.
@@ -671,7 +729,7 @@ func (v Value) String() string {
 	if v.width == 0 {
 		return "0'h0"
 	}
-	digits := (v.width + 3) / 4
+	digits := (int(v.width) + 3) / 4
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d'h", v.width)
 	started := false
@@ -688,9 +746,10 @@ func (v Value) String() string {
 
 // BitString renders v as a binary string, most significant bit first.
 func (v Value) BitString() string {
-	b := make([]byte, v.width)
-	for i := 0; i < v.width; i++ {
-		b[v.width-1-i] = '0' + byte(v.Bit(i))
+	n := int(v.width)
+	b := make([]byte, n)
+	for i := 0; i < n; i++ {
+		b[n-1-i] = '0' + byte(v.Bit(i))
 	}
 	return string(b)
 }
@@ -704,20 +763,20 @@ func ParseBits(s string) (Value, error) {
 	if len(s) > MaxWidth {
 		return Value{}, fmt.Errorf("bitvec: bit string longer than %d", MaxWidth)
 	}
-	r := New(len(s))
+	var two [2]uint64
+	ws := two[:]
+	if len(s) > 128 {
+		ws = make([]uint64, wordsFor(len(s)))
+	}
 	for i, c := range s {
 		switch c {
 		case '0':
 		case '1':
 			pos := len(s) - 1 - i
-			if r.words == nil {
-				r.small |= 1 << uint(pos)
-			} else {
-				r.words[pos/64] |= 1 << (uint(pos) % 64)
-			}
+			ws[pos/64] |= 1 << (uint(pos) % 64)
 		default:
 			return Value{}, fmt.Errorf("bitvec: invalid bit character %q", c)
 		}
 	}
-	return r, nil
+	return FromWords(len(s), ws), nil
 }

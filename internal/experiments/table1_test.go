@@ -18,6 +18,7 @@ import (
 	"repro/internal/suite"
 	"repro/internal/tech"
 	"repro/internal/verilog"
+	"repro/internal/xsim"
 )
 
 // table1FIR resolves the Table 1 FIR workload and elaborates its
@@ -157,6 +158,52 @@ func TestTable1VerilogEvents(t *testing.T) {
 		if v.Uint64() != want {
 			t.Errorf("%s[%d] = %#x, want %#x", out.Storage, out.Base+i, v.Uint64(), want)
 		}
+	}
+}
+
+// TestTable1Allocations pins both Table 1 simulators off the heap: one
+// Tick of the FIR program on SPAM's Verilog, after 50 warm-up ticks, and
+// one whole ILS Load+Run allocate nothing. SPAM's 96-bit instruction word
+// fits a bitvec.Value's two inline words, so slicing and decoding it
+// allocates no more than a 32-bit word does.
+func TestTable1Allocations(t *testing.T) {
+	d, p, mod := table1FIR(t)
+	hw, err := verilog.NewSim(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cosim.LoadProgram(hw, p); err != nil {
+		t.Fatal(err)
+	}
+	tick := func() {
+		if err := hw.Tick("clk"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		tick()
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("Verilog Tick: %v allocations, want 0", n)
+	}
+	if h, err := hw.Get("halted"); err != nil || !h.IsZero() {
+		t.Fatalf("model halted during the measured ticks (%v)", err)
+	}
+
+	ils := xsim.New(d)
+	run := func() {
+		if err := ils.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := ils.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(5, run); n != 0 {
+		t.Errorf("ILS Load+Run: %v allocations, want 0", n)
+	}
+	if ils.Cycle() != 2743 {
+		t.Errorf("ILS cycles = %d, want 2743", ils.Cycle())
 	}
 }
 

@@ -161,14 +161,15 @@ func TestWideLiteralFormat(t *testing.T) {
 }
 
 // TestWideLiteralLex checks sized literals across the 64-bit word
-// boundary: the digits beyond 64 bits land in further words, and digits
-// beyond the width are truncated as they are below 64 bits.
+// boundary: the digits beyond 64 bits land in further words. A value that
+// needs more bits than the width is an error, as it is below 64 bits
+// (TestSizedLiteralFits); zero digits beyond the width are not.
 func TestWideLiteralLex(t *testing.T) {
 	for _, c := range []struct{ lit, want string }{
 		{"96'h123456789abcdef0fedcba98", "96'h123456789abcdef0fedcba98"},
 		{"0x00000000000000010000000000000002", "128'h10000000000000002"},
 		{"96'b1" + strings.Repeat("0", 95), "96'h800000000000000000000000"},
-		{"96'h1ffffffffffffffffffffffff", "96'hffffffffffffffffffffffff"},
+		{"96'h0ffffffffffffffffffffffff", "96'hffffffffffffffffffffffff"},
 	} {
 		d, err := isdl.Parse(wideToy(t, "trunc("+c.lit+", 96)"))
 		if err != nil {
@@ -176,6 +177,31 @@ func TestWideLiteralLex(t *testing.T) {
 		}
 		if text := isdl.Format(d); !strings.Contains(text, c.want) {
 			t.Errorf("%s: Format has no %q", c.lit, c.want)
+		}
+	}
+	for _, lit := range []string{"96'h1ffffffffffffffffffffffff", "96'b1" + strings.Repeat("0", 96)} {
+		if _, err := isdl.Parse(wideToy(t, "trunc("+lit+", 96)")); err == nil || !strings.Contains(err.Error(), "does not fit in 96 bits") {
+			t.Errorf("%s: Parse = %v, want a does-not-fit error", lit, err)
+		}
+	}
+}
+
+// TestSizedLiteralFits: a sized literal whose value does not fit its width
+// is an error at its position, where the lexer once dropped the high digits
+// and read another constant (8'h1ff as 8'hff). Leading zero digits beyond
+// the width are legal.
+func TestSizedLiteralFits(t *testing.T) {
+	d, err := isdl.Parse(wideToy(t, "zext(8'h0ff, 96)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := isdl.Format(d); !strings.Contains(text, "zext(8'hff, 96)") {
+		t.Errorf("Format has no %q", "zext(8'hff, 96)")
+	}
+	for _, lit := range []string{"8'h1ff", "4'b10000", "8'd256"} {
+		_, err := isdl.Parse(wideToy(t, "zext("+lit+", 96)"))
+		if err == nil || !strings.Contains(err.Error(), "literal "+lit+" does not fit") {
+			t.Errorf("%s: Parse = %v, want a does-not-fit error", lit, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package isdl
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bitvec"
@@ -163,8 +164,9 @@ func (l *lexer) next() (lexToken, error) {
 //	4'b1010    sized binary
 //
 // Hexadecimal and binary literals may be of any width up to
-// bitvec.MaxWidth; decimal literals are limited to 64 bits. Digits beyond
-// a sized literal's width are truncated.
+// bitvec.MaxWidth; decimal literals are limited to 64 bits. A sized
+// literal whose value needs more bits than its width is an error; leading
+// zero digits beyond the width are not (8'h0ff is 8'hff).
 func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 	start := l.off
 	for l.off < len(l.src) && isDigit(l.src[l.off]) {
@@ -190,6 +192,7 @@ func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 		}
 		digits := l.src[ds:l.off]
 		var v uint64
+		var words []uint64
 		switch base {
 		case 'd':
 			if width > 64 {
@@ -197,14 +200,17 @@ func (l *lexer) lexNumber(p Pos) (lexToken, error) {
 			}
 			v, err = parseDecimal(digits)
 		case 'h':
-			v, _, err = parseDigits(digits, 4)
+			v, words, err = parseDigits(digits, 4)
 		case 'b':
-			v, _, err = parseDigits(digits, 1)
+			v, words, err = parseDigits(digits, 1)
 		default:
 			return lexToken{}, &lexError{p, fmt.Sprintf("unknown literal base %q", base)}
 		}
 		if err != nil {
 			return lexToken{}, &lexError{p, err.Error()}
+		}
+		if bitLen(v, words) > int(width) {
+			return lexToken{}, &lexError{p, fmt.Sprintf("literal %s does not fit in %d bits", l.src[start:l.off], width)}
 		}
 		return lexToken{Kind: lexNumber, Text: l.src[start:l.off], Pos: p, NumVal: v, NumWidth: int(width)}, nil
 	}
@@ -256,6 +262,17 @@ func parseDecimal(s string) (uint64, error) {
 		v = nv
 	}
 	return v, nil
+}
+
+// bitLen returns the number of bits a literal's value needs, its highest
+// set bit plus one. words, when not nil, holds the whole value.
+func bitLen(v uint64, words []uint64) int {
+	for i := len(words) - 1; i >= 0; i-- {
+		if words[i] != 0 {
+			return 64*i + bits.Len64(words[i])
+		}
+	}
+	return bits.Len64(v)
 }
 
 // parseDigits reads hexadecimal (4 bits a digit) or binary (1 bit a digit)

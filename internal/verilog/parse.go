@@ -128,6 +128,9 @@ func sizedLiteral(width, spec string) (uint64, int, error) {
 		return 0, 0, fmt.Errorf("missing or unknown base")
 	}
 	v, err := parseUint(spec[1:], base)
+	if err == nil && v>>w != 0 {
+		err = fmt.Errorf("value does not fit in %d bits", w)
+	}
 	return v, int(w), err
 }
 

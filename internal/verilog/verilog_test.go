@@ -278,6 +278,9 @@ func TestParseNumbers(t *testing.T) {
 		{"unknown base", head + " assign y = 8'q1;\nendmodule\n", "verilog line 4"},
 		{"bad binary digit", head + " assign y = 4'b102;\nendmodule\n", "verilog line 4"},
 		{"select overflow", head + " assign y = {y[7:1],\n y[2147483648]};\nendmodule\n", "verilog line 5"},
+		{"hex value too wide", head + " assign y =\n 8'h1ff;\nendmodule\n", "verilog line 5"},
+		{"binary value too wide", head + " assign y = 4'b10000;\nendmodule\n", "verilog line 4"},
+		{"decimal value too wide", head + " assign y = 8'd256;\nendmodule\n", "verilog line 4"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := verilog.Parse(c.src)
@@ -285,6 +288,19 @@ func TestParseNumbers(t *testing.T) {
 				t.Fatalf("Parse(%q) = %v, want an error on %s", c.src, err, c.want)
 			}
 		})
+	}
+}
+
+// TestSizedLiteralLeadingZeros: zero digits beyond a literal's width are
+// legal; only a value that needs more bits than the width is an error
+// (TestParseNumbers).
+func TestSizedLiteralLeadingZeros(t *testing.T) {
+	s, err := verilog.NewSim(parse(t, "module m (\n  y\n);\n  output [7:0] y;\n  assign y = 8'h0ff;\nendmodule\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if y, err := s.Get("y"); err != nil || y.Uint64() != 0xff {
+		t.Fatalf("y = %v (%v), want 8'hff", y, err)
 	}
 }
 
