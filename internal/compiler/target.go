@@ -371,7 +371,7 @@ func (t *Target) classifyOp(op *isdl.Operation) {
 		case *isdl.Binary:
 			a, okA := t.classifyOperand(rhs.X, op.Params)
 			b, okB := t.classifyOperand(rhs.Y, op.Params)
-			if okA && okB && benignSideEffects(t.D, op) {
+			if okA && okB && benignSideEffects(op) {
 				t.Bins[rhs.Op] = append(t.Bins[rhs.Op], &MachBin{Op: op, Sym: rhs.Op, Dst: dst, A: a, B: b})
 			}
 			return
@@ -379,7 +379,7 @@ func (t *Target) classifyOp(op *isdl.Operation) {
 			// A register-file read is a register move (mv Rd, Rs), not a
 			// load — machines whose only untyped move is the reg-reg form
 			// (no addi to synthesize one) need it classified.
-			if src, ok := t.classifyOperand(rhs, op.Params); ok && src.DirectReg && benignSideEffects(t.D, op) {
+			if src, ok := t.classifyOperand(rhs, op.Params); ok && src.DirectReg && benignSideEffects(op) {
 				t.Movs = append(t.Movs, &MachMov{Op: op, Dst: dst, Src: src})
 				return
 			}
@@ -499,31 +499,30 @@ func (t *Target) classifyBranch(op *isdl.Operation, ifs *isdl.If) {
 // benignSideEffects reports whether the operation's side effects touch only
 // control registers (condition flags). Flag updates do not disturb compiled
 // code, which never reads them.
-func benignSideEffects(d *isdl.Description, op *isdl.Operation) bool {
+func benignSideEffects(op *isdl.Operation) bool {
 	for _, s := range op.SideEffect {
 		asg, ok := s.(*isdl.Assign)
 		if !ok {
 			return false
 		}
-		if !writesControlReg(d, asg.LHS) {
+		if !writesControlReg(asg.LHS) {
 			return false
 		}
 	}
 	return true
 }
 
-func writesControlReg(d *isdl.Description, e isdl.Expr) bool {
+func writesControlReg(e isdl.Expr) bool {
 	switch e := e.(type) {
 	case *isdl.Ref:
 		if e.Storage != nil {
 			return e.Storage.Kind == isdl.StControlRegister
 		}
 		if e.AliasTo != nil {
-			st, ok := d.StorageByName[e.AliasTo.Target]
-			return ok && st.Kind == isdl.StControlRegister
+			return e.AliasTo.Storage.Kind == isdl.StControlRegister
 		}
 	case *isdl.SliceE:
-		return writesControlReg(d, e.X)
+		return writesControlReg(e.X)
 	}
 	return false
 }

@@ -142,8 +142,9 @@ func CheckConstraints(d *isdl.Description, sel []*isdl.Operation) error {
 
 // FetchWord assembles the instruction image at address pc from an
 // instruction-memory read function: MaxSize consecutive words concatenated
-// little-endian (word 0 in the low bits). Reads past the end of memory wrap,
-// matching the address truncation of the state package.
+// little-endian (word 0 in the low bits). read returns the word at an
+// address; the simulators resolve it with isdl.Storage.Addr, so reads past
+// the end of memory wrap.
 func FetchWord(d *isdl.Description, read func(addr int) bitvec.Value, pc int) bitvec.Value {
 	n := d.MaxSize()
 	img := read(pc)

@@ -2,7 +2,6 @@ package gensim
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -62,7 +61,6 @@ type opGen struct {
 
 type gen struct {
 	d        *isdl.Description
-	sid      map[string]int
 	pcSid    int
 	imSid    int
 	haltSid  int // -1 when no halt storage
@@ -71,9 +69,6 @@ type gen struct {
 	ops      []*opGen
 	opOf     map[*isdl.Operation]*opGen
 	aliasIdx map[*isdl.Alias]int
-	// pushBad maps sids of non-stack push targets; their pushTo cases fault
-	// at commit time with the interpreter's "not a stack" message.
-	pushBad map[int]string
 
 	// methods collects generated method bodies; emitted memoizes them and
 	// tmp numbers statement temporaries.
@@ -84,14 +79,6 @@ type gen struct {
 
 func (g *gen) unsupported(format string, args ...any) error {
 	return &UnsupportedError{Reason: fmt.Sprintf(format, args...)}
-}
-
-// genWrap mirrors state.wrapIndex for generation-time constant indices.
-func genWrap(idx, depth int) int {
-	if idx < 0 {
-		idx = -idx
-	}
-	return idx % depth
 }
 
 func maskU(w int) uint64 {
@@ -109,27 +96,22 @@ func hexU(v uint64) string { return fmt.Sprintf("%#x", v) }
 func Generate(d *isdl.Description) (string, error) {
 	g := &gen{
 		d:        d,
-		sid:      map[string]int{},
 		haltSid:  -1,
 		maxSize:  d.MaxSize(),
 		opOf:     map[*isdl.Operation]*opGen{},
 		aliasIdx: map[*isdl.Alias]int{},
-		pushBad:  map[int]string{},
 		emitted:  map[string]bool{},
-	}
-	for i, st := range d.Storage {
-		g.sid[st.Name] = i
 	}
 	pc, im := d.PC(), d.InstructionMemory()
 	if pc == nil || im == nil {
 		return "", g.unsupported("description lacks a program counter or instruction memory")
 	}
-	g.pcSid, g.imSid = g.sid[pc.Name], g.sid[im.Name]
+	g.pcSid, g.imSid = pc.Index, im.Index
 	if pc.Width > 64 {
 		return "", g.unsupported("program counter %s is %d bits wide (max 64)", pc.Name, pc.Width)
 	}
 	if hlt, ok := d.StorageByName["HLT"]; ok {
-		g.haltSid = g.sid[hlt.Name]
+		g.haltSid = hlt.Index
 	}
 	g.imgW = im.Width * g.maxSize
 	for i, a := range d.Aliases {
@@ -178,7 +160,6 @@ func Generate(d *isdl.Description) (string, error) {
 	if err := g.emitOps(w); err != nil {
 		return "", err
 	}
-	// After ops: push targets (including non-stack faults) are now known.
 	g.emitStacks(w)
 	sb.WriteString(w.sb.String())
 	for _, m := range g.methods {
@@ -265,7 +246,8 @@ func (g *gen) emitHaltCheck(w *cw) {
 }
 
 // emitStacks writes push/pop methods per stack storage plus the pushTo
-// commit dispatcher. Error strings match internal/state exactly.
+// commit dispatcher. Error strings match internal/state exactly. sem
+// admits only stacks as push and pop targets.
 func (g *gen) emitStacks(w *cw) {
 	var stacks []int
 	for i, st := range g.d.Storage {
@@ -302,23 +284,12 @@ func (g *gen) emitStacks(w *cw) {
 	}
 	w.ln("func (m *mach) pushTo(sid int, v uint64) {")
 	w.in()
-	if len(stacks)+len(g.pushBad) > 0 {
+	if len(stacks) > 0 {
 		w.ln("switch sid {")
 		for _, sid := range stacks {
 			w.ln("case %d:", sid)
 			w.in()
 			w.ln("m.push%d(v)", sid)
-			w.out()
-		}
-		bad := make([]int, 0, len(g.pushBad))
-		for sid := range g.pushBad {
-			bad = append(bad, sid)
-		}
-		sort.Ints(bad)
-		for _, sid := range bad {
-			w.ln("case %d:", sid)
-			w.in()
-			w.ln("panic(&simErr{m.curPC, %q})", fmt.Sprintf("state: %s is not a stack", g.pushBad[sid]))
 			w.out()
 		}
 		w.ln("}")
@@ -432,7 +403,7 @@ func (g *gen) emitDecode(w *cw) error {
 	w.in()
 	w.ln("var img [imgWs]uint64")
 	// Fetch: maxSize consecutive instruction words concatenated
-	// little-endian, each address wrapped (decode.FetchWord + Handle.Get).
+	// little-endian, each address under isdl.Storage.Addr (xsim.fetch).
 	elemWords := (im.Width + 63) / 64
 	for k := 0; k < g.maxSize; k++ {
 		for j := 0; j < elemWords; j++ {
@@ -442,9 +413,9 @@ func (g *gen) emitDecode(w *cw) error {
 			}
 			var srcExpr string
 			if elemWords == 1 {
-				srcExpr = fmt.Sprintf("m.st[imSid][wrapIdx(pc+%d, %d)]", k, im.Depth)
+				srcExpr = fmt.Sprintf("m.st[imSid][wrapIdx(uint64(pc+%d), %d)]", k, im.Depth)
 			} else {
-				srcExpr = fmt.Sprintf("m.st[imSid][wrapIdx(pc+%d, %d)*%d+%d]", k, im.Depth, elemWords, j)
+				srcExpr = fmt.Sprintf("m.st[imSid][wrapIdx(uint64(pc+%d), %d)*%d+%d]", k, im.Depth, elemWords, j)
 			}
 			dstBit := k*im.Width + j*64
 			wl, off := dstBit/64, dstBit%64
@@ -745,14 +716,4 @@ func paramsHaveSide(params []paramLoc) bool {
 		}
 	}
 	return false
-}
-
-// sortedStorageNames is used by tests and debugging helpers.
-func (g *gen) sortedStorageNames() []string {
-	names := make([]string, 0, len(g.sid))
-	for n := range g.sid {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -166,23 +166,17 @@ func reindent(body string, indent int) string {
 	return out
 }
 
-// emitRead appends one read to out: a fixed element, or a decode-time
-// index compiled over the argument array and wrapped like the
-// interpreter's.
+// emitRead appends one read to out: a fixed element, or the address of a
+// decode-time index compiled over the argument array.
 func (g *gen) emitRead(w *cw, r isdl.Read) error {
-	sid := g.sid[r.Storage]
 	if r.Index == nil {
-		w.ln("out = addr(out, %d, %d)", sid, r.Elem)
+		w.ln("out = addr(out, %d, %d)", r.Storage.Index, r.Elem)
 		return nil
 	}
-	idx, err := g.expr(r.Index, r.Scope.(*scope))
+	addr, err := g.addr(r.Storage, r.Index, r.Scope.(*scope))
 	if err != nil {
 		return err
 	}
-	if r.Depth > 0 {
-		w.ln("out = addr(out, %d, int(%s)%%%d)", sid, idx, r.Depth)
-	} else {
-		w.ln("out = addr(out, %d, int(%s))", sid, idx)
-	}
+	w.ln("out = addr(out, %d, %s)", r.Storage.Index, addr)
 	return nil
 }

@@ -2,6 +2,7 @@ package gensim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/isdl"
@@ -115,7 +116,7 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 			if e.Storage.Width > 64 {
 				return "", g.unsupported("storage %s is %d bits wide", e.Storage.Name, e.Storage.Width)
 			}
-			return fmt.Sprintf("m.rd(%d, 0, %d)", g.sid[e.Storage.Name], e.Storage.Depth), nil
+			return fmt.Sprintf("m.rd(%d, 0)", e.Storage.Index), nil
 		case e.AliasTo != nil:
 			name, err := g.aliasMethod(e.AliasTo)
 			if err != nil {
@@ -151,11 +152,11 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 		}
 		// The index expression evaluates (and counts its reads) before the
 		// element read, exactly like eval's Index case.
-		idx, err := g.expr(e.Idx, sc)
+		addr, err := g.addr(e.Storage, e.Idx, sc)
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("m.rd(%d, int(%s), %d)", g.sid[e.Storage.Name], idx, e.Storage.Depth), nil
+		return fmt.Sprintf("m.rd(%d, %s)", e.Storage.Index, addr), nil
 
 	case *isdl.SliceE:
 		x, err := g.expr(e.X, sc)
@@ -191,7 +192,7 @@ func (g *gen) expr(e isdl.Expr, sc *scope) (string, error) {
 
 	case *isdl.Call:
 		if e.Def == nil {
-			return g.pop(e)
+			return pop(e), nil
 		}
 		ops := e.Operands()
 		xs, ws := make([]string, len(ops)), make([]int, len(ops))
@@ -300,33 +301,24 @@ func resize(x string, fw, tw int) string {
 	return x
 }
 
-// pop compiles a pop call (a value; push is only a statement).
-func (g *gen) pop(e *isdl.Call) (string, error) {
-	ref, ok := e.Args[0].(*isdl.Ref)
-	if !ok {
-		return "", g.unsupported("pop target form")
+// addr compiles an index value into an address of st under
+// isdl.Storage.Addr; a literal index becomes its address at generation
+// time.
+func (g *gen) addr(st *isdl.Storage, idx isdl.Expr, sc *scope) (string, error) {
+	x, err := g.expr(idx, sc)
+	if err != nil {
+		return "", err
 	}
-	st, ok := g.d.StorageByName[ref.Name]
-	if !ok {
-		return "", g.unsupported("pop of unknown storage %s", ref.Name)
+	if lit, ok := idx.(*isdl.Lit); ok {
+		return strconv.Itoa(st.Addr(lit.Val.Uint64())), nil
 	}
-	sid := g.sid[st.Name]
-	if st.Kind != isdl.StStack {
-		name := fmt.Sprintf("popbad%d", sid)
-		if !g.emitted[name] {
-			g.emitted[name] = true
-			w := &cw{}
-			w.ln("func (m *mach) %s() uint64 {", name)
-			w.in()
-			w.ln("panic(&simErr{m.curPC, %q})", fmt.Sprintf("state: %s is not a stack", st.Name))
-			w.out()
-			w.ln("}")
-			w.ln("")
-			g.methods = append(g.methods, w.sb.String())
-		}
-		return "m." + name + "()", nil
-	}
-	return fmt.Sprintf("m.pop%d()", sid), nil
+	return fmt.Sprintf("wrapIdx(%s, %d)", x, st.Depth), nil
+}
+
+// pop compiles a pop call (a value; push is only a statement). sem
+// resolved its target to a stack.
+func pop(e *isdl.Call) string {
+	return fmt.Sprintf("m.pop%d()", e.Args[0].(*isdl.Ref).Storage.Index)
 }
 
 // loc compiles an lvalue to a wr expression (evalLoc).
@@ -335,19 +327,15 @@ func (g *gen) loc(e isdl.Expr, sc *scope) (string, error) {
 	case *isdl.Ref:
 		switch {
 		case e.Storage != nil:
-			return fmt.Sprintf("wr{sid: %d, idx: 0, hi: -1, lo: -1}", g.sid[e.Storage.Name]), nil
+			return fmt.Sprintf("wr{sid: %d, idx: 0, hi: -1, lo: -1}", e.Storage.Index), nil
 		case e.AliasTo != nil:
 			a := e.AliasTo
-			st, ok := g.d.StorageByName[a.Target]
-			if !ok {
-				return "", g.unsupported("alias %s targets unknown storage %s", a.Name, a.Target)
-			}
 			hi, lo := -1, -1
 			if a.Sliced {
 				hi, lo = a.Hi, a.Lo
 			}
-			// The write index stays raw (evalLoc does not wrap); apply wraps.
-			return fmt.Sprintf("wr{sid: %d, idx: %d, hi: %d, lo: %d}", g.sid[st.Name], int(a.Index), hi, lo), nil
+			// sem checked that the alias index is an address.
+			return fmt.Sprintf("wr{sid: %d, idx: %d, hi: %d, lo: %d}", a.Storage.Index, a.Index, hi, lo), nil
 		case e.Param != nil:
 			pl := sc.find(e.Param)
 			if pl == nil {
@@ -367,11 +355,11 @@ func (g *gen) loc(e isdl.Expr, sc *scope) (string, error) {
 		if e.Storage == nil {
 			return "", g.unsupported("unresolved indexed lvalue %s", e.Name)
 		}
-		idx, err := g.expr(e.Idx, sc)
+		addr, err := g.addr(e.Storage, e.Idx, sc)
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("wr{sid: %d, idx: int(%s), hi: -1, lo: -1}", g.sid[e.Storage.Name], idx), nil
+		return fmt.Sprintf("wr{sid: %d, idx: %s, hi: -1, lo: -1}", e.Storage.Index, addr), nil
 	case *isdl.SliceE:
 		base, err := g.loc(e.X, sc)
 		if err != nil {
@@ -426,18 +414,6 @@ func (g *gen) stmts(list []isdl.Stmt, sc *scope, w *cw) error {
 			}
 			switch call.Fn {
 			case "push":
-				ref, ok := call.Args[0].(*isdl.Ref)
-				if !ok {
-					return g.unsupported("push target form")
-				}
-				st, ok := g.d.StorageByName[ref.Name]
-				if !ok {
-					return g.unsupported("push to unknown storage %s", ref.Name)
-				}
-				sid := g.sid[st.Name]
-				if st.Kind != isdl.StStack {
-					g.pushBad[sid] = st.Name
-				}
 				v, err := g.expr(call.Args[1], sc)
 				if err != nil {
 					return err
@@ -445,14 +421,10 @@ func (g *gen) stmts(list []isdl.Stmt, sc *scope, w *cw) error {
 				n := g.tmp
 				g.tmp++
 				w.ln("v%d := uint64(%s)", n, v)
-				w.ln("ph.pushes = append(ph.pushes, pushOp{sid: %d, val: v%d})", sid, n)
+				w.ln("ph.pushes = append(ph.pushes, pushOp{sid: %d, val: v%d})", call.Args[0].(*isdl.Ref).Storage.Index, n)
 			case "pop":
 				// A pop statement pops at exec time and drops the value.
-				x, err := g.pop(call)
-				if err != nil {
-					return err
-				}
-				w.ln("_ = %s", x)
+				w.ln("_ = %s", pop(call))
 			}
 			// Other builtins in statement position are ignored (execStmts).
 		}
@@ -522,13 +494,10 @@ func (g *gen) locMethod(sc *scope, pl *paramLoc) (string, error) {
 	return name, nil
 }
 
-// aliasMethod emits (once) the counted read of an alias: element fetch with
-// the gen-time wrapped index plus the optional bit slice.
+// aliasMethod emits (once) the counted read of an alias: element fetch at
+// the alias's address plus the optional bit slice.
 func (g *gen) aliasMethod(a *isdl.Alias) (string, error) {
-	st, ok := g.d.StorageByName[a.Target]
-	if !ok {
-		return "", g.unsupported("alias %s targets unknown storage %s", a.Name, a.Target)
-	}
+	st := a.Storage
 	if st.Width > 64 {
 		return "", g.unsupported("storage %s is %d bits wide", st.Name, st.Width)
 	}
@@ -537,8 +506,7 @@ func (g *gen) aliasMethod(a *isdl.Alias) (string, error) {
 		return name, nil
 	}
 	g.emitted[name] = true
-	sid := g.sid[st.Name]
-	idx := genWrap(int(a.Index), st.Depth)
+	sid, idx := st.Index, a.Index
 	w := &cw{}
 	w.ln("// %s reads alias %s = %s.", name, a.Name, a.Target)
 	w.ln("func (m *mach) %s() uint64 {", name)

@@ -7,7 +7,7 @@ package gensim
 // half (storage tables, decode, per-operation methods).
 //
 // Replication contract (enforced by the differential gauntlet): every
-// counter increment, evaluation order, wrap rule and error string below
+// counter increment, evaluation order, address rule and error string below
 // matches internal/xsim + internal/state semantics bit for bit.
 const runtimeTemplate = `// Code generated by repro gensim v@GENV@ for machine @MACHINE@. DO NOT EDIT.
 package main
@@ -31,8 +31,8 @@ const (
 )
 
 // wr is one collected state update: a bit range of one storage location.
-// hi -1 means the whole element. Indices are stored raw (unwrapped), as the
-// interpreter does; apply wraps at commit time.
+// hi -1 means the whole element. idx is an address: the generated code
+// applies wrapIdx where it computes an index.
 type wr struct {
 	sid, idx, hi, lo int
 	val              uint64
@@ -130,21 +130,19 @@ func newMach() *mach {
 	return m
 }
 
-// wrapIdx mirrors state.wrapIndex: absolute value, then modulo depth.
-func wrapIdx(i, d int) int {
-	if uint(i) < uint(d) {
-		return i
+// wrapIdx is isdl.Storage.Addr: the index value, unsigned, modulo the
+// depth d.
+func wrapIdx(v uint64, d int) int {
+	if v < uint64(d) {
+		return int(v)
 	}
-	if i < 0 {
-		i = -i
-	}
-	return i % d
+	return int(v % uint64(d))
 }
 
-// rd is a counted storage read (eval's stats.Reads++ then Handle.Get).
-func (m *mach) rd(sid, i, d int) uint64 {
+// rd is a counted read of address i (eval's stats.Reads++ then Handle.Get).
+func (m *mach) rd(sid, i int) uint64 {
 	m.reads++
-	return m.st[sid][wrapIdx(i, d)]
+	return m.st[sid][i]
 }
 
 func b2u(b bool) uint64 {
@@ -243,13 +241,11 @@ func addr(out []rloc, sid, idx int) []rloc {
 	return append(out, rloc{sid: sid, idx: idx})
 }
 
-// apply commits one write: wrap the index, splice or replace, count it, and
-// invalidate self-modified instruction decodes (xsim.applyWrite + the IM
-// watch).
+// apply commits one write: splice or replace, count it, and invalidate
+// self-modified instruction decodes (xsim.applyWrite + the IM watch).
 func (m *mach) apply(w wr) {
 	inf := &stInfo[w.sid]
-	i := wrapIdx(w.idx, inf.depth)
-	old := m.st[w.sid][i]
+	old := m.st[w.sid][w.idx]
 	var nv uint64
 	if w.hi >= 0 {
 		nv = old
@@ -260,10 +256,10 @@ func (m *mach) apply(w wr) {
 	} else {
 		nv = w.val & inf.mask
 	}
-	m.st[w.sid][i] = nv
+	m.st[w.sid][w.idx] = nv
 	m.writes++
 	if w.sid == imSid && old != nv {
-		m.invalidate(i)
+		m.invalidate(w.idx)
 	}
 }
 
@@ -525,7 +521,7 @@ func parseHex(s string) ([]uint64, error) {
 // setElem stores canonical words into element idx of a storage.
 func (m *mach) setElem(sid, idx int, ws []uint64) {
 	inf := &stInfo[sid]
-	base := wrapIdx(idx, inf.depth) * inf.words
+	base := idx * inf.words
 	for j := 0; j < inf.words; j++ {
 		var w uint64
 		if j < len(ws) {

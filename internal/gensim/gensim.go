@@ -31,8 +31,14 @@ import (
 )
 
 // GeneratorVersion tags the emitted code shape; it is part of the build
-// fingerprint, so bumping it invalidates every cached binary.
-const GeneratorVersion = 4
+// fingerprint, so bumping it invalidates every cached binary. A change to
+// the generated text must bump it: TestGeneratedSourceDigest fails until
+// the version is bumped and generatedDigest updated.
+const GeneratorVersion = 5
+
+// generatedDigest is the SHA-256 of Generate's output for the zoo
+// machines at GeneratorVersion (TestGeneratedSourceDigest).
+const generatedDigest = "59bb0a51cc6b566a220507cbf5c443e19a08c995f97077146f11583f4501348b"
 
 // ProtoVersion is the stdin/stdout protocol version; the handshake rejects
 // a mismatched child binary.

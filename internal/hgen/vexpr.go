@@ -23,7 +23,7 @@ func (e *venv) expr(x isdl.Expr) (verilog.Expr, error) {
 			return &verilog.Ref{Name: "s_" + x.Storage.Name, W: x.Storage.Width}, nil
 		case x.AliasTo != nil:
 			a := x.AliasTo
-			st := g.d.StorageByName[a.Target]
+			st := a.Storage
 			var base verilog.Expr
 			if a.Indexed {
 				base = &verilog.Index{Name: "s_" + a.Target, Idx: constE(bitvec.FromUint64(max(1, addrBitsFor(st.Depth)), a.Index)), W: st.Width}

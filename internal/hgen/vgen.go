@@ -460,8 +460,7 @@ func (e *venv) aliasTargets(a *isdl.Alias, guard verilog.Expr) ([]target, error)
 	name := "s_" + a.Target
 	base := target{guard: guard}
 	if a.Indexed {
-		st := e.g.d.StorageByName[a.Target]
-		idx := &verilog.Const{Val: bitvec.FromUint64(max(1, addrBitsFor(st.Depth)), a.Index)}
+		idx := &verilog.Const{Val: bitvec.FromUint64(max(1, addrBitsFor(a.Storage.Depth)), a.Index)}
 		base.apply = func(g *vgen, v verilog.Expr) []verilog.Stmt {
 			return []verilog.Stmt{&verilog.BAssign{LHS: &verilog.IndexL{Name: name, Idx: idx}, RHS: v}}
 		}

@@ -320,12 +320,24 @@ type Storage struct {
 	Index int
 }
 
+// Addr returns the element an index value v selects: v's low 64 bits,
+// read unsigned, modulo Depth. Hardware address decoders ignore the high
+// bits, and every simulator resolves an index through this one rule.
+func (s *Storage) Addr(v uint64) int {
+	if v < uint64(s.Depth) {
+		return int(v)
+	}
+	return int(v % uint64(s.Depth))
+}
+
 // Alias names an arbitrary sub-part of the processor state: an element of an
 // addressed storage and/or a bit range.
 type Alias struct {
-	Name    string
-	Pos     Pos
-	Target  string // storage name
+	Name   string
+	Pos    Pos
+	Target string // storage name, as written
+	// Storage is the target, resolved by the semantic pass.
+	Storage *Storage
 	Indexed bool
 	Index   uint64
 	Sliced  bool

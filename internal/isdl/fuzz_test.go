@@ -66,7 +66,7 @@ func structure(d *isdl.Description) string {
 	}
 	for _, a := range d.Aliases {
 		al := *a
-		al.Pos = isdl.Pos{}
+		al.Pos, al.Storage = isdl.Pos{}, nil // Target names the storage
 		fmt.Fprintf(&sb, "alias %+v\n", al)
 	}
 	names = names[:0]

@@ -393,6 +393,33 @@ func TestAliasResolution(t *testing.T) {
 	if w := d.AliasWidth(rz); w != 8 {
 		t.Fatalf("RZ width %d", w)
 	}
+	if a.Storage != d.StorageByName["CC"] || rz.Storage != d.StorageByName["RF"] {
+		t.Fatalf("alias targets resolved to %v and %v", a.Storage, rz.Storage)
+	}
+}
+
+// TestStorageAddr pins the address rule every simulator shares: an index
+// value's low 64 bits, read unsigned, modulo the depth. 2^63 and 2^64-1
+// are negative as signed integers; they still select an element in range.
+func TestStorageAddr(t *testing.T) {
+	values := []uint64{0, 0, 0, 1 << 63, ^uint64(0)} // 0, depth-1, depth, 2^63, 2^64-1
+	for _, c := range []struct {
+		depth int
+		want  []int
+	}{
+		{1, []int{0, 0, 0, 0, 0}},
+		{4, []int{0, 3, 0, 0, 3}},
+		{100, []int{0, 99, 0, 8, 15}},
+		{256, []int{0, 255, 0, 0, 255}},
+	} {
+		st := &isdl.Storage{Name: "M", Depth: c.depth}
+		values[1], values[2] = uint64(c.depth-1), uint64(c.depth)
+		for i, v := range values {
+			if got := st.Addr(v); got != c.want[i] {
+				t.Errorf("depth %d: Addr(%#x) = %d, want %d", c.depth, v, got, c.want[i])
+			}
+		}
+	}
 }
 
 func TestOperationDefaults(t *testing.T) {

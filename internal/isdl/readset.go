@@ -23,16 +23,15 @@ type ReadScope interface {
 
 // Read is one storage location an operation instance may read.
 type Read struct {
-	Storage string
+	Storage *Storage
 	// Elem is the element read when Index is nil: 0 for a register, an
 	// alias's index, or -1 for any element (stacks, pop, runtime indices).
 	Elem int
 	// Index, when non-nil, is an element index known at decode time: an
-	// expression over the parameters Scope binds. Its value, wrapped
-	// modulo Depth when Depth > 0, is the element read.
+	// expression over the parameters Scope binds. Storage.Addr of its
+	// value is the element read.
 	Index Expr
 	Scope ReadScope
-	Depth int
 }
 
 // Reads calls visit for each read of the operation instance sc binds: the
@@ -118,18 +117,18 @@ func (b binding) expr(e Expr, visit func(Read)) {
 			if e.Storage.Kind == StStack {
 				elem = -1
 			}
-			visit(Read{Storage: e.Storage.Name, Elem: elem})
+			visit(Read{Storage: e.Storage, Elem: elem})
 		case e.AliasTo != nil:
-			visit(Read{Storage: e.AliasTo.Target, Elem: int(e.AliasTo.Index)})
+			visit(Read{Storage: e.AliasTo.Storage, Elem: int(e.AliasTo.Index)})
 		case e.Param != nil && e.Param.NT != nil:
 			opt, sub := b.chosen(e.Param)
 			sub.expr(opt.Value, visit)
 		}
 	case *Index:
 		b.expr(e.Idx, visit)
-		r := Read{Storage: e.Storage.Name, Elem: -1}
+		r := Read{Storage: e.Storage, Elem: -1}
 		if b.decodeTime(e.Idx) {
-			r.Index, r.Scope, r.Depth = e.Idx, b.sc, e.Storage.Depth
+			r.Index, r.Scope = e.Idx, b.sc
 		}
 		visit(r)
 	case *SliceE:
@@ -141,9 +140,7 @@ func (b binding) expr(e Expr, visit func(Read)) {
 		b.expr(e.Y, visit)
 	case *Call:
 		if e.Fn == "pop" {
-			if ref, ok := e.Args[0].(*Ref); ok {
-				visit(Read{Storage: ref.Name, Elem: -1})
-			}
+			visit(Read{Storage: e.Args[0].(*Ref).Storage, Elem: -1})
 			return
 		}
 		for _, a := range e.Operands() {

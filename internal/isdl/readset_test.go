@@ -139,15 +139,12 @@ func (b binding) value(e isdl.Expr) bitvec.Value {
 func renderRead(r isdl.Read) string {
 	elem := r.Elem
 	if r.Index != nil {
-		elem = int(r.Scope.(binding).value(r.Index).Uint64())
-		if r.Depth > 0 {
-			elem %= r.Depth
-		}
+		elem = r.Storage.Addr(r.Scope.(binding).value(r.Index).Uint64())
 	}
 	if elem < 0 {
-		return r.Storage + "[*]"
+		return r.Storage.Name + "[*]"
 	}
-	return fmt.Sprintf("%s[%d]", r.Storage, elem)
+	return fmt.Sprintf("%s[%d]", r.Storage.Name, elem)
 }
 
 func TestOperationReads(t *testing.T) {

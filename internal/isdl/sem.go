@@ -84,6 +84,7 @@ func checkStorage(d *Description) error {
 		if a.Sliced && (a.Lo < 0 || a.Hi >= st.Width) {
 			return semErr(a.Pos, "alias %s: bit range [%d:%d] exceeds width %d", a.Name, a.Hi, a.Lo, st.Width)
 		}
+		a.Storage = st
 	}
 	return nil
 }
@@ -123,7 +124,7 @@ func (d *Description) AliasWidth(a *Alias) int {
 	if a.Sliced {
 		return a.Hi - a.Lo + 1
 	}
-	return d.StorageByName[a.Target].Width
+	return a.Storage.Width
 }
 
 // ---------------------------------------------------- non-terminal résolution --

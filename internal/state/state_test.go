@@ -24,14 +24,6 @@ func TestGetSetWidthTruncation(t *testing.T) {
 	}
 }
 
-func TestAddressWrap(t *testing.T) {
-	s := newToy(t)
-	s.Set("RF", 8+2, bitvec.FromUint64(8, 7)) // depth 8: wraps to 2
-	if got := s.Get("RF", 2).Uint64(); got != 7 {
-		t.Fatalf("RF[2] = %d", got)
-	}
-}
-
 func TestMonitors(t *testing.T) {
 	s := newToy(t)
 	var events []state.ChangeEvent
@@ -80,19 +72,20 @@ func TestIndexedWatch(t *testing.T) {
 
 func TestStack(t *testing.T) {
 	s := newToy(t)
+	stk, _ := s.Handle("STK")
 	for i := 0; i < 16; i++ {
-		if err := s.Push("STK", bitvec.FromUint64(8, uint64(i))); err != nil {
+		if err := stk.Push(bitvec.FromUint64(8, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Push("STK", bitvec.FromUint64(8, 99)); err == nil {
+	if err := stk.Push(bitvec.FromUint64(8, 99)); err == nil {
 		t.Fatal("expected overflow")
 	}
 	if got := s.StackDepth("STK"); got != 16 {
 		t.Fatalf("depth %d", got)
 	}
 	for i := 15; i >= 0; i-- {
-		v, err := s.Pop("STK")
+		v, err := stk.Pop()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,10 +93,11 @@ func TestStack(t *testing.T) {
 			t.Fatalf("pop = %d, want %d", v.Uint64(), i)
 		}
 	}
-	if _, err := s.Pop("STK"); err == nil {
+	if _, err := stk.Pop(); err == nil {
 		t.Fatal("expected underflow")
 	}
-	if err := s.Push("RF", bitvec.FromUint64(8, 0)); err == nil {
+	rf, _ := s.Handle("RF")
+	if err := rf.Push(bitvec.FromUint64(8, 0)); err == nil {
 		t.Fatal("push to non-stack should fail")
 	}
 }

@@ -16,7 +16,8 @@ import (
 // chosen at elaboration, and each subexpression whose operands are all
 // constants is evaluated there once. Anything the module gets wrong (an
 // undeclared net, a memory without an index, a slice out of range, an
-// unknown operator) is an error from NewSim, not a late failure in Tick.
+// unknown operator, a combinational loop) is an error from NewSim, not a
+// late failure in Tick.
 //
 // Elaboration changes the cost of an event, not which events happen. The
 // schedule is the classic event-driven HDL execution model whose per-cycle
@@ -121,15 +122,19 @@ func NewSim(m *Module) (*Sim, error) {
 	s.memFanout = make([][]int, len(s.mems))
 
 	driven := map[string]bool{}
+	targets := make([]string, len(m.Assigns)) // the net each assignment drives
 	for i := range m.Assigns {
 		a := &m.Assigns[i]
-		if nl, ok := a.LHS.(*NetL); ok {
-			if driven[nl.Name] {
-				return nil, fmt.Errorf("verilog: net %s has multiple whole-net drivers", nl.Name)
+		switch l := a.LHS.(type) {
+		case *NetL:
+			if driven[l.Name] {
+				return nil, fmt.Errorf("verilog: net %s has multiple whole-net drivers", l.Name)
 			}
-			driven[nl.Name] = true
-		}
-		if _, ok := a.LHS.(*IndexL); ok {
+			driven[l.Name] = true
+			targets[i] = l.Name
+		case *SliceL:
+			targets[i] = l.Name
+		case *IndexL:
 			return nil, fmt.Errorf("verilog: continuous assignment to a memory")
 		}
 		var r reads
@@ -150,6 +155,9 @@ func NewSim(m *Module) (*Sim, error) {
 			s.memFanout[slot] = addFanout(s.memFanout[slot], i)
 		}
 	}
+	if net := s.loop(targets); net != "" {
+		return nil, fmt.Errorf("verilog: combinational loop through net %s", net)
+	}
 	for _, al := range m.Always {
 		run, err := s.compileStmts(al.Stmts)
 		if err != nil {
@@ -166,6 +174,43 @@ func NewSim(m *Module) (*Sim, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// loop returns a net on a cycle of continuous assignments, or "" if there
+// is none. An assignment leads to every assignment that reads the net it
+// drives (targets[i]). settle would spend its whole event budget on such a
+// cycle before reporting it, so NewSim rejects it.
+func (s *Sim) loop(targets []string) string {
+	const (
+		unseen = iota
+		open   // on the current path
+		closed // no cycle through it
+	)
+	mark := make([]byte, len(targets))
+	var visit func(i int) string
+	visit = func(i int) string {
+		mark[i] = open
+		for _, j := range s.netFanout[s.netSlot[targets[i]]] {
+			if mark[j] == open {
+				return targets[i]
+			}
+			if mark[j] == unseen {
+				if net := visit(j); net != "" {
+					return net
+				}
+			}
+		}
+		mark[i] = closed
+		return ""
+	}
+	for i := range targets {
+		if mark[i] == unseen {
+			if net := visit(i); net != "" {
+				return net
+			}
+		}
+	}
+	return ""
 }
 
 // declare gives a net or memory declaration its slot. A name declared

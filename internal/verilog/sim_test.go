@@ -422,6 +422,28 @@ func TestIndexWrap(t *testing.T) {
 	}
 }
 
+// TestCombinationalLoop: an assignment that reads the net it drives has
+// no fixpoint to settle to, so NewSim rejects it and names the net, rather
+// than spending settle's whole event budget on it. The part-select
+// assignments of sliceLSrc drive one net twice without reading it and
+// still elaborate.
+func TestCombinationalLoop(t *testing.T) {
+	src := strings.Replace(counterSrc, "assign next = (cnt + 8'h01);", "assign next = (next + 8'h01);", 1)
+	_, err := verilog.NewSim(parse(t, src))
+	if err == nil || !strings.Contains(err.Error(), "combinational loop through net next") {
+		t.Fatalf("NewSim: %v, want a loop through next", err)
+	}
+	// A longer cycle: next feeds count, which feeds next.
+	src = strings.Replace(counterSrc, "assign next = (cnt + 8'h01);", "assign next = (count + 8'h01);", 1)
+	src = strings.Replace(src, "assign count = cnt;", "assign count = next;", 1)
+	if _, err := verilog.NewSim(parse(t, src)); err == nil || !strings.Contains(err.Error(), "combinational loop through net") {
+		t.Fatalf("NewSim: %v, want a loop", err)
+	}
+	if _, err := verilog.NewSim(parse(t, sliceLSrc)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCounterEvents pins Events() on counterSrc. Elaboration evaluates
 // each of the three continuous assignments once. An enabled tick is one
 // non-blocking assignment plus one re-evaluation of each assignment that

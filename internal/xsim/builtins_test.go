@@ -390,21 +390,32 @@ func snapshotReader(snap map[string][]bitvec.Value) reader {
 	return func(st string, i int) (bitvec.Value, error) { return snap[st][i], nil }
 }
 
-// runAOT runs p on the aot backend. It skips the test on a host without
-// a Go toolchain and fails it if the backend falls back anywhere else.
-func runAOT(t *testing.T, d *isdl.Description, p *asm.Program) reader {
+// newEngine builds an engine of backend b. For aot it skips the test on
+// a host without a Go toolchain and fails it if the backend falls back
+// anywhere else.
+func newEngine(t *testing.T, d *isdl.Description, b xsim.Backend) xsim.Engine {
 	t.Helper()
-	if _, err := osexec.LookPath("go"); err != nil || os.Getenv("REPRO_GENSIM_DISABLE") != "" {
-		t.Skip("aot backend unavailable")
+	if b == xsim.BackendAOT {
+		if _, err := osexec.LookPath("go"); err != nil || os.Getenv("REPRO_GENSIM_DISABLE") != "" {
+			t.Skip("aot backend unavailable")
+		}
 	}
-	eng, info, err := xsim.NewEngine(d, xsim.BackendAOT)
+	eng, info, err := xsim.NewEngine(d, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	if info.Used != xsim.BackendAOT {
-		t.Fatalf("aot fell back to %s: %s", info.Used, info.FallbackReason)
+	if info.Used != b {
+		eng.Close()
+		t.Fatalf("%s fell back to %s: %s", b, info.Used, info.FallbackReason)
 	}
+	return eng
+}
+
+// runAOT runs p on the aot backend (see newEngine).
+func runAOT(t *testing.T, d *isdl.Description, p *asm.Program) reader {
+	t.Helper()
+	eng := newEngine(t, d, xsim.BackendAOT)
+	defer eng.Close()
 	if err := eng.Load(p); err != nil {
 		t.Fatal(err)
 	}
@@ -631,6 +642,127 @@ func TestShiftAmountUnsigned(t *testing.T) {
 				}
 				if got.Uint64() != w {
 					t.Errorf("R[%d] = %s, want 8'h%x", i, got, w)
+				}
+			}
+		})
+	}
+}
+
+// interlockOps extend the toy machine with a port write of latency 3 and
+// a port read, both through an 8-bit port number into the 4-deep MMIO.
+const interlockOps = `  op outl (p: UIMM8) "," (v: GPR)
+    Encode { I[23:20] = 0xe; I[13] = 0b0; I[12] = 0b0; I[7:0] = p; I[19:17] = v; }
+    Action { MMIO[p] <- RF[v]; }
+    Timing { Latency = 3; Usage = 1; }
+  op inp (d: GPR) "," (p: UIMM8)
+    Encode { I[23:20] = 0xe; I[13] = 0b0; I[12] = 0b1; I[19:17] = d; I[7:0] = p; }
+    Action { RF[d] <- MMIO[p]; }
+`
+
+// indexSource reads and writes memories through the 64-bit index values
+// X[0] = 2^64-1 and X[1] = 2^63, which are negative as signed integers.
+const indexSource = `
+Machine index;
+Format 8;
+
+Section Storage
+
+InstructionMemory IMEM width 8 depth 4;
+ProgramCounter PC width 2;
+ControlRegister HLT width 1;
+RegFile X width 64 depth 2;
+DataMemory M width 8 depth 256;
+DataMemory H width 8 depth 100;
+RegFile R width 8 depth 2;
+
+Section Instruction_Set
+
+Field EX:
+  op index
+    Encode { I[7:0] = 0b00000000; }
+    Action { R[0] <- M[X[0]]; R[1] <- H[X[1]]; H[X[1]] <- 0b10100101; }
+  op halt
+    Encode { I[7:0] = 0b00000001; }
+    Action { HLT <- 0b1; }
+`
+
+// TestAddressRule pins isdl.Storage.Addr on every backend: an index
+// value's low 64 bits, read unsigned, modulo the depth, wherever an index
+// is computed (element reads, write destinations, the interlock's read
+// sets and its pending write-backs).
+func TestAddressRule(t *testing.T) {
+	t.Run("interlock", func(t *testing.T) {
+		d, err := isdl.Parse(strings.Replace(machines.ToySource, "  op halt\n", interlockOps+"  op halt\n", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// outl 5 writes MMIO[1] three cycles late, so inp, which reads
+		// MMIO[1], must wait for it exactly as it does after outl 1.
+		for _, port := range []int{1, 5} {
+			p, err := asm.Assemble(d, fmt.Sprintf("mv R1, #7\noutl %d, R1\ninp R2, 1\nhalt", port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range xsim.Backends() {
+				t.Run(fmt.Sprintf("%s/outl_%d", b, port), func(t *testing.T) {
+					eng := newEngine(t, d, b)
+					defer eng.Close()
+					if err := eng.Load(p); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					st := eng.Stats()
+					r2 := eng.Snapshot()["RF"][2].Uint64()
+					if r2 != 7 || st.DataStalls != 2 || st.Cycles != 6 {
+						t.Errorf("R2 = %d, %d data stalls, %d cycles; want 7, 2, 6", r2, st.DataStalls, st.Cycles)
+					}
+				})
+			}
+		}
+	})
+	d, err := isdl.Parse(indexSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asm.Assemble(d, "index\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ramp := func(n int) []bitvec.Value {
+		out := make([]bitvec.Value, n)
+		for i := range out {
+			out[i] = bitvec.FromUint64(8, uint64(i))
+		}
+		return out
+	}
+	p.Data = []asm.DataInit{
+		{Storage: "X", Values: []bitvec.Value{bitvec.FromUint64(64, ^uint64(0)), bitvec.FromUint64(64, 1<<63)}},
+		{Storage: "M", Values: ramp(256)},
+		{Storage: "H", Values: ramp(100)},
+	}
+	for _, b := range []struct {
+		name string
+		run  func(*testing.T, *isdl.Description, *asm.Program) reader
+	}{{"interp", runInterp}, {"aot", runAOT}, {"verilog", runVerilog}} {
+		t.Run(b.name, func(t *testing.T) {
+			read := b.run(t, d, p)
+			for _, c := range []struct {
+				storage string
+				i       int
+				want    uint64
+			}{
+				{"R", 0, 255},  // M[(2^64-1) mod 256]
+				{"R", 1, 8},    // H[2^63 mod 100], read before the write
+				{"H", 8, 0xa5}, // written through 2^63
+			} {
+				got, err := read(c.storage, c.i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Uint64() != c.want {
+					t.Errorf("%s[%d] = %d, want %d", c.storage, c.i, got.Uint64(), c.want)
 				}
 			}
 		})

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bitvec"
+	"repro/internal/isdl"
 	"repro/internal/state"
 	"repro/internal/traceprof"
 )
@@ -218,9 +219,9 @@ func (s *Session) Execute(line string) error {
 		}
 		idx := -1
 		if len(args) == 2 {
-			v, err := strconv.Atoi(args[1])
+			_, v, err := s.storageIndex(args[0], args[1])
 			if err != nil {
-				return fmt.Errorf("bad index %q", args[1])
+				return err
 			}
 			idx = v
 		}
@@ -246,13 +247,9 @@ func (s *Session) Execute(line string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("usage: set <storage> <index> <value>")
 		}
-		st, ok := s.Sim.d.StorageByName[args[0]]
-		if !ok {
-			return fmt.Errorf("unknown storage %s", args[0])
-		}
-		idx, err := strconv.Atoi(args[1])
+		st, idx, err := s.storageIndex(args[0], args[1])
 		if err != nil {
-			return fmt.Errorf("bad index %q", args[1])
+			return err
 		}
 		v, err := s.addr(args[2]) // reuse numeric/symbol parsing
 		if err != nil {
@@ -413,24 +410,26 @@ func (s *Session) examine(args []string) error {
 	if len(args) < 1 || len(args) > 3 {
 		return fmt.Errorf("usage: x <storage> [index [count]]")
 	}
-	st, ok := s.Sim.d.StorageByName[args[0]]
-	if !ok {
-		return fmt.Errorf("unknown storage %s", args[0])
-	}
-	idx, count := 0, 1
+	index := "0"
 	if len(args) >= 2 {
-		v, err := strconv.Atoi(args[1])
-		if err != nil {
-			return fmt.Errorf("bad index %q", args[1])
-		}
-		idx = v
+		index = args[1]
 	}
+	st, idx, err := s.storageIndex(args[0], index)
+	if err != nil {
+		return err
+	}
+	count := 1
 	if len(args) == 3 {
 		v, err := strconv.Atoi(args[2])
 		if err != nil {
 			return fmt.Errorf("bad count %q", args[2])
 		}
 		count = v
+	}
+	if count > 1 {
+		if err := checkIndex(st, idx+count-1); err != nil {
+			return err
+		}
 	}
 	for i := 0; i < count; i++ {
 		v := s.Sim.State().Get(st.Name, idx+i)
@@ -439,6 +438,28 @@ func (s *Session) examine(args []string) error {
 		} else {
 			fmt.Fprintf(s.Out, "%s = %s (%d)\n", st.Name, v, v.Uint64())
 		}
+	}
+	return nil
+}
+
+// storageIndex resolves a storage name and an element index typed by the
+// user. State indexes addresses directly, so an index outside
+// 0..Depth-1 is an error, never a wrapped access.
+func (s *Session) storageIndex(name, index string) (*isdl.Storage, int, error) {
+	st, ok := s.Sim.d.StorageByName[name]
+	if !ok {
+		return nil, 0, fmt.Errorf("unknown storage %s", name)
+	}
+	idx, err := strconv.Atoi(index)
+	if err != nil {
+		return nil, 0, fmt.Errorf("bad index %q", index)
+	}
+	return st, idx, checkIndex(st, idx)
+}
+
+func checkIndex(st *isdl.Storage, idx int) error {
+	if idx < 0 || idx >= st.Depth {
+		return fmt.Errorf("%s index %d outside 0..%d", st.Name, idx, st.Depth-1)
 	}
 	return nil
 }

@@ -255,3 +255,19 @@ func TestMMIODeviceHook(t *testing.T) {
 		t.Fatalf("MMIO[1] = %d", got)
 	}
 }
+
+// TestSessionIndexRange: an index typed at the command line must be an
+// address of the storage. State indexes directly, so x, set and watch
+// reject anything outside 0..depth-1 instead of wrapping it.
+func TestSessionIndexRange(t *testing.T) {
+	s, out := newSession(t, "halt")
+	for _, cmd := range []string{"x RF 9", "x RF 6 3", "set RF 8 1", "set RF -1 5", "watch RF 8"} {
+		if err := s.Execute(cmd); err == nil || !strings.Contains(err.Error(), "RF index") || !strings.Contains(err.Error(), "outside 0..7") {
+			t.Errorf("%s: err = %v, want the range 0..7", cmd, err)
+		}
+	}
+	exec(t, s, "set RF 7 1", "x RF 0 8", "watch RF 7")
+	if !strings.Contains(out.String(), "RF[7] = 8'h1 (1)") {
+		t.Fatalf("output: %q", out.String())
+	}
+}

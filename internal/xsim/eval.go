@@ -6,7 +6,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/decode"
 	"repro/internal/isdl"
-	"repro/internal/state"
 )
 
 // This file interprets the RTL of decoded operations against processor
@@ -19,7 +18,11 @@ import (
 // Everything static is resolved at decode time, the way generated
 // simulators bind operands when they disassemble the program: arguments are
 // bound by parameter position, storage handles are indexed by
-// isdl.Storage.Index, and no name is looked up while an operation executes.
+// isdl.Storage.Index (sem resolved every storage, alias and stack
+// reference), and no name is looked up while an operation executes. An
+// index value becomes an address through isdl.Storage.Addr where it is
+// computed, so write destinations, read sets and pending write-backs all
+// hold addresses.
 // Operators evaluate through the operator-table entry (internal/isdl/ops.go)
 // each expression node points at. Runtime faults (stack overflow/underflow, malformed RTL) are rare, so the
 // evaluator reports them by panicking with *RuntimeError; Step recovers.
@@ -66,21 +69,20 @@ func (ev *env) param(p *isdl.Param) int {
 	return -1
 }
 
-// loc is a write destination: a bit range of one storage location. h is the
-// resolved handle for writes from the evaluator (zero in read-set entries,
-// which are only compared field-wise).
+// loc is a write destination or a read-set entry: a bit range of one
+// storage element. addr is an address under isdl.Storage.Addr; -1 in a
+// read set stands for every element.
 type loc struct {
-	storage string
-	index   int
-	hi, lo  int // -1,-1 = whole element
-	h       state.Handle
+	st     *isdl.Storage
+	addr   int
+	hi, lo int // -1,-1 = whole element
 }
 
 func (l loc) String() string {
 	if l.hi >= 0 {
-		return fmt.Sprintf("%s[%d][%d:%d]", l.storage, l.index, l.hi, l.lo)
+		return fmt.Sprintf("%s[%d][%d:%d]", l.st.Name, l.addr, l.hi, l.lo)
 	}
-	return fmt.Sprintf("%s[%d]", l.storage, l.index)
+	return fmt.Sprintf("%s[%d]", l.st.Name, l.addr)
 }
 
 // write is one collected state update.
@@ -91,7 +93,7 @@ type write struct {
 
 // pushOp is a deferred stack push (applied in the write half of a phase).
 type pushOp struct {
-	stack string
+	stack *isdl.Storage
 	val   bitvec.Value
 }
 
@@ -132,7 +134,7 @@ func (ev *env) execStmts(stmts []isdl.Stmt, ph *phase) {
 			call := s.X.(*isdl.Call)
 			switch call.Fn {
 			case "push":
-				ph.pushes = append(ph.pushes, pushOp{stack: call.Args[0].(*isdl.Ref).Name, val: ev.eval(call.Args[1])})
+				ph.pushes = append(ph.pushes, pushOp{stack: call.Args[0].(*isdl.Ref).Storage, val: ev.eval(call.Args[1])})
 			case "pop":
 				ev.eval(call)
 			}
@@ -148,17 +150,18 @@ func (sim *Simulator) commit(ph *phase) {
 		sim.applyWrite(&ph.writes[i])
 	}
 	for i := range ph.pushes {
-		if err := sim.st.Push(ph.pushes[i].stack, ph.pushes[i].val); err != nil {
+		if err := sim.stH[ph.pushes[i].stack.Index].Push(ph.pushes[i].val); err != nil {
 			sim.fault("%s", err.Error())
 		}
 	}
 }
 
 func (sim *Simulator) applyWrite(w *write) {
+	h := sim.stH[w.loc.st.Index]
 	if w.loc.hi >= 0 {
-		w.loc.h.SetBits(w.loc.index, w.loc.hi, w.loc.lo, w.val)
+		h.SetBits(w.loc.addr, w.loc.hi, w.loc.lo, w.val)
 	} else {
-		w.loc.h.Set(w.loc.index, w.val)
+		h.Set(w.loc.addr, w.val)
 	}
 	sim.stats.Writes++
 }
@@ -170,10 +173,10 @@ func (ev *env) evalLoc(e isdl.Expr) loc {
 	case *isdl.Ref:
 		switch {
 		case e.Storage != nil:
-			return loc{storage: e.Storage.Name, index: 0, hi: -1, lo: -1, h: ev.sim.stH[e.Storage.Index]}
+			return loc{st: e.Storage, hi: -1, lo: -1}
 		case e.AliasTo != nil:
 			a := e.AliasTo
-			l := loc{storage: a.Target, index: int(a.Index), hi: -1, lo: -1, h: ev.sim.aliasH[a]}
+			l := loc{st: a.Storage, addr: int(a.Index), hi: -1, lo: -1}
 			if a.Sliced {
 				l.hi, l.lo = a.Hi, a.Lo
 			}
@@ -184,7 +187,7 @@ func (ev *env) evalLoc(e isdl.Expr) loc {
 		}
 	case *isdl.Index:
 		idx := ev.eval(e.Idx)
-		return loc{storage: e.Storage.Name, index: int(idx.Uint64()), hi: -1, lo: -1, h: ev.sim.stH[e.Storage.Index]}
+		return loc{st: e.Storage, addr: e.Storage.Addr(idx.Uint64()), hi: -1, lo: -1}
 	case *isdl.SliceE:
 		base := ev.evalLoc(e.X)
 		if base.hi >= 0 {
@@ -213,7 +216,7 @@ func (ev *env) eval(e isdl.Expr) bitvec.Value {
 		case e.AliasTo != nil:
 			a := e.AliasTo
 			ev.sim.stats.Reads++
-			v := ev.sim.aliasH[a].Get(int(a.Index))
+			v := ev.sim.stH[a.Storage.Index].Get(int(a.Index))
 			if a.Sliced {
 				v = v.Slice(a.Hi, a.Lo)
 			}
@@ -231,7 +234,7 @@ func (ev *env) eval(e isdl.Expr) bitvec.Value {
 	case *isdl.Index:
 		idx := ev.eval(e.Idx)
 		ev.sim.stats.Reads++
-		return ev.sim.stH[e.Storage.Index].Get(int(idx.Uint64()))
+		return ev.sim.stH[e.Storage.Index].Get(e.Storage.Addr(idx.Uint64()))
 
 	case *isdl.SliceE:
 		return ev.eval(e.X).Slice(e.Hi, e.Lo)
@@ -251,7 +254,7 @@ func (ev *env) eval(e isdl.Expr) bitvec.Value {
 		if e.Def == nil {
 			// pop: push has no value, so the semantic pass admits it
 			// only as a statement.
-			v, err := ev.sim.st.Pop(e.Args[0].(*isdl.Ref).Name)
+			v, err := ev.sim.stH[e.Args[0].(*isdl.Ref).Storage.Index].Pop()
 			if err != nil {
 				ev.sim.fault("%s", err.Error())
 			}

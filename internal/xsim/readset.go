@@ -24,12 +24,9 @@ func (ev *env) Option(i int) (*isdl.Option, isdl.ReadScope) {
 func readSet(op *isdl.Operation, ev *env) []loc {
 	var out []loc
 	op.Reads(ev, func(r isdl.Read) {
-		l := loc{storage: r.Storage, index: r.Elem, hi: -1, lo: -1}
+		l := loc{st: r.Storage, addr: r.Elem, hi: -1, lo: -1}
 		if r.Index != nil {
-			l.index = int(r.Scope.(*env).eval(r.Index).Uint64())
-			if r.Depth > 0 {
-				l.index %= r.Depth
-			}
+			l.addr = r.Storage.Addr(r.Scope.(*env).eval(r.Index).Uint64())
 		}
 		if !slices.Contains(out, l) {
 			out = append(out, l)

@@ -152,7 +152,6 @@ type Simulator struct {
 	// isdl.Storage.Index; haltH is the storage that halts the machine when
 	// non-zero (invalid when there is none).
 	stH       []state.Handle
-	aliasH    map[*isdl.Alias]state.Handle
 	pcH       state.Handle
 	imH       state.Handle
 	haltH     state.Handle
@@ -201,10 +200,6 @@ func New(d *isdl.Description) *Simulator {
 	sim.stH = make([]state.Handle, len(d.Storage))
 	for _, st := range d.Storage {
 		sim.stH[st.Index], _ = sim.st.Handle(st.Name)
-	}
-	sim.aliasH = make(map[*isdl.Alias]state.Handle, len(d.Aliases))
-	for _, a := range d.Aliases {
-		sim.aliasH[a], _ = sim.st.Handle(a.Target)
 	}
 	sim.pcH = sim.stH[d.PC().Index]
 	sim.imH = sim.stH[d.InstructionMemory().Index]
@@ -413,8 +408,9 @@ func (sim *Simulator) fetch(pc int) (*instInfo, error) {
 		return ii, nil
 	}
 	sim.perf.decodeMisses++
+	im := sim.d.InstructionMemory()
 	img := decode.FetchWord(sim.d, func(a int) bitvec.Value {
-		return sim.imH.Get(a)
+		return sim.imH.Get(im.Addr(uint64(a)))
 	}, pc)
 	inst, err := decode.Instruction(sim.d, img)
 	if err != nil {
@@ -602,7 +598,7 @@ func (sim *Simulator) commitWithLatency(ph *phase, latency int, issue uint64) {
 	imm := phase{pushes: ph.pushes}
 	for i := range ph.writes {
 		w := &ph.writes[i]
-		if w.loc.h == sim.pcH {
+		if w.loc.st.Kind == isdl.StProgramCounter {
 			imm.writes = append(imm.writes, *w)
 			continue
 		}
@@ -635,10 +631,7 @@ func (sim *Simulator) commitPendingBefore(issue uint64) {
 func instReads(ii *instInfo, l *loc) bool {
 	for i := range ii.ops {
 		for _, r := range ii.ops[i].reads {
-			if r.storage != l.storage {
-				continue
-			}
-			if r.index < 0 || r.index == l.index {
+			if r.st == l.st && (r.addr < 0 || r.addr == l.addr) {
 				return true
 			}
 		}
