@@ -19,12 +19,11 @@
 //	                                  zoo machine with reference checking
 //	paper -suite -suite-filter dsp    only workloads tagged "dsp"
 //	paper -suite -suite-json f.json   also write the report as JSON
-//	paper -suite -suite-backend aot   select the xsim backend
 //	paper -gauntlet -gauntlet-n 25 -seed 1
 //	                                  differential fuzz gauntlet: random
 //	                                  machine × registry kernel across
-//	                                  interp/aot/cosim; byte-
-//	                                  identical rerun for a fixed seed
+//	                                  interp/cosim; byte-identical
+//	                                  rerun for a fixed seed
 //	paper -gauntlet -seed-replay S    replay one trial from a divergence
 //	                                  report's printed seed
 //	paper -gauntlet -gauntlet-json f.json  write the full report as JSON
@@ -46,7 +45,6 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/experiments"
 	"repro/internal/suite"
-	"repro/internal/xsim"
 )
 
 // The accepted -table and -ablation values.
@@ -58,7 +56,7 @@ var (
 // The flags each run mode reads besides its own -suite or -gauntlet.
 var (
 	tableFlags    = []string{"table", "ablation", "budget", "cosim-workers"}
-	suiteFlags    = []string{"suite-filter", "suite-json", "suite-backend"}
+	suiteFlags    = []string{"suite-filter", "suite-json"}
 	gauntletFlags = []string{"gauntlet-n", "seed", "seed-replay", "gauntlet-json", "gauntlet-no-cosim"}
 )
 
@@ -118,7 +116,6 @@ func main() {
 	suiteRun := flag.Bool("suite", false, "run the benchmark suite (registry workloads × machine zoo) and skip the tables")
 	suiteFilter := flag.String("suite-filter", "", "restrict the suite to workloads with this tag (or this exact name)")
 	suiteJSON := flag.String("suite-json", "", "also write the suite report as JSON here")
-	suiteBackend := flag.String("suite-backend", "", "xsim backend for the suite: interp | aot (default interp)")
 
 	gauntlet := flag.Bool("gauntlet", false, "run the differential fuzz gauntlet and skip the tables")
 	gauntletN := flag.Int("gauntlet-n", 10, "gauntlet trial count")
@@ -145,7 +142,7 @@ func main() {
 	}
 
 	if *suiteRun {
-		if err := runSuite(*suiteFilter, *suiteBackend, *suiteJSON); err != nil {
+		if err := runSuite(*suiteFilter, *suiteJSON); err != nil {
 			fatal(err)
 		}
 		return
@@ -196,12 +193,12 @@ func main() {
 
 // runSuite runs the registry workloads across the zoo and renders the
 // report; the filter matches a tag first, then an exact workload name.
-func runSuite(filter, backend, jsonPath string) error {
+func runSuite(filter, jsonPath string) error {
 	f := suite.Filter{Tag: filter}
 	if filter != "" && len(suite.All(f)) == 0 {
 		f = suite.Filter{Name: filter}
 	}
-	rep, err := experiments.RunSuite(f, experiments.SuiteOptions{Backend: xsim.Backend(backend)})
+	rep, err := experiments.RunSuite(f)
 	if err != nil {
 		return err
 	}

@@ -78,7 +78,7 @@ func TestCheckFlags(t *testing.T) {
 		{"", false, false, ""},
 		{"table ablation budget cosim-workers", false, false, ""},
 		{"suite", true, false, ""},
-		{"suite suite-filter suite-json suite-backend", true, false, ""},
+		{"suite suite-filter suite-json", true, false, ""},
 		{"gauntlet gauntlet-n seed gauntlet-json", false, true, ""},
 		{"gauntlet gauntlet-n seed-replay gauntlet-no-cosim", false, true, ""},
 		{"suite gauntlet", false, false, ""}, // both given as =false
@@ -93,7 +93,7 @@ func TestCheckFlags(t *testing.T) {
 		{"table seed", false, false, "a table run does not use -seed"},
 		{"seed-replay", false, false, "a table run does not use -seed-replay"},
 		{"budget gauntlet-n gauntlet-no-cosim", false, false, "a table run does not use -gauntlet-n -gauntlet-no-cosim"},
-		{"suite-filter suite-backend", false, false, "a table run does not use -suite-filter -suite-backend"},
+		{"suite-filter suite-json", false, false, "a table run does not use -suite-filter -suite-json"},
 	} {
 		set := map[string]bool{}
 		for _, name := range strings.Fields(tc.set) {

@@ -1,7 +1,7 @@
 // Package atomicfile is the one home of the temp+fsync+rename atomic
 // write pattern used everywhere a file must never be observed half
-// written: stage-cache persistence (internal/core), the gensim build
-// cache (internal/gensim) and the directory blob store (internal/blob).
+// written: stage-cache persistence (internal/core) and the directory blob
+// store (internal/blob).
 // A crash or kill mid-write leaves either the old file or the new one —
 // never a truncated file that would poison the next reader.
 package atomicfile

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/machines"
 	"repro/internal/suite"
-	"repro/internal/xsim"
 )
 
 // This file is the experiments layer's view of the suite registry (ROADMAP
@@ -17,12 +16,6 @@ import (
 // report that cmd/paper renders (-suite) or serializes (-suite-json). The
 // table and ablation runners resolve their machines and workloads through
 // the same zoo and registry.
-
-// SuiteOptions configures a suite run.
-type SuiteOptions struct {
-	// Backend selects the xsim backend (empty: interp).
-	Backend xsim.Backend
-}
 
 // SuiteRow is one (workload, machine) cell of the suite report.
 type SuiteRow struct {
@@ -38,7 +31,6 @@ type SuiteRow struct {
 	// successful RunSuite returns — a failed check aborts the run).
 	Verified bool `json:"verified"`
 
-	Backend      string  `json:"backend,omitempty"`
 	Cycles       uint64  `json:"cycles,omitempty"`
 	Instructions uint64  `json:"instructions,omitempty"`
 	DataStalls   uint64  `json:"data_stalls,omitempty"`
@@ -48,7 +40,6 @@ type SuiteRow struct {
 
 // SuiteReport is the full suite run.
 type SuiteReport struct {
-	Backend     string     `json:"backend"`
 	Machines    []string   `json:"machines"`
 	Workloads   []string   `json:"workloads"`
 	Rows        []SuiteRow `json:"rows"`
@@ -61,20 +52,16 @@ type SuiteReport struct {
 // cannot target become unsupported rows; any real failure — a fault, a
 // timeout, a reference mismatch — aborts with an error, because a suite
 // that silently drops failing measurements is worse than none.
-func RunSuite(f suite.Filter, o SuiteOptions) (*SuiteReport, error) {
+func RunSuite(f suite.Filter) (*SuiteReport, error) {
 	ms := machines.ZooNames()
 	ws := suite.All(f)
-	backend, err := xsim.ParseBackend(string(o.Backend))
-	if err != nil {
-		return nil, err
-	}
-	rep := &SuiteReport{Backend: string(backend), Machines: ms, Workloads: suite.Names(f)}
+	rep := &SuiteReport{Machines: ms, Workloads: suite.Names(f)}
 	for _, w := range ws {
 		for _, m := range ms {
 			if w.Machine != "" && w.Machine != m {
 				continue // asm workload pinned elsewhere
 			}
-			res, err := suite.Run(w, m, suite.Options{Backend: backend})
+			res, err := suite.Run(w, m)
 			if err != nil {
 				var u *suite.Unsupported
 				if errors.As(err, &u) {
@@ -90,7 +77,6 @@ func RunSuite(f suite.Filter, o SuiteOptions) (*SuiteReport, error) {
 			rep.Rows = append(rep.Rows, SuiteRow{
 				Workload: w.Name, Machine: m, Tags: w.Tags,
 				Supported: true, Verified: true,
-				Backend:      string(res.BackendUsed),
 				Cycles:       res.Cycles,
 				Instructions: res.Instructions,
 				DataStalls:   res.DataStalls,
@@ -111,8 +97,8 @@ func unwrapNote(u *suite.Unsupported) string {
 // Render formats the suite report as the evaluation table.
 func (r *SuiteReport) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Benchmark suite: %d workloads × %d machines (backend %s)\n\n",
-		len(r.Workloads), len(r.Machines), r.Backend)
+	fmt.Fprintf(&sb, "Benchmark suite: %d workloads × %d machines\n\n",
+		len(r.Workloads), len(r.Machines))
 	fmt.Fprintf(&sb, "  %-14s %-8s %10s %10s %10s %10s %9s  %s\n",
 		"workload", "machine", "cycles", "instrs", "data-st", "struct-st", "MIPS", "ref")
 	for _, row := range r.Rows {

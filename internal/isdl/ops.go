@@ -6,8 +6,8 @@ import "repro/internal/bitvec"
 // (§2.1.3): how each is written, how the semantic pass types it, what it
 // computes and which circuit HGEN maps it to. The parser, the semantic
 // pass, the read-set walk, the interpreter (internal/xsim) and HGEN's node
-// extraction read the table; the simulator generator (internal/gensim) and
-// HGEN's Verilog writer keep only their emission, one case per entry.
+// extraction read the table; HGEN's Verilog writer keeps only its emission,
+// one case per entry.
 // push and pop are stack effects, not operators, and stay outside it.
 
 // Form is how an operator is written.

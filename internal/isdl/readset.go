@@ -6,9 +6,7 @@ import "slices"
 // locations its action, its side effect and its chosen options' side
 // effects may read. The interlock of §3.3.3 stalls an instruction while a
 // pending latency-delayed write-back targets one of them. The interpreter
-// (internal/xsim) and the simulator generator (internal/gensim) both take
-// their read sets from Reads, so the two backends stall alike by
-// construction.
+// (internal/xsim) takes its read sets from Reads.
 //
 // An index known at decode time gives per-element precision; any other
 // index reads the whole storage (element -1), which can only over-stall,

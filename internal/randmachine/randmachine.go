@@ -2,9 +2,9 @@
 // ISDL machine descriptions and random programs for them. It exists to
 // drive property tests across the whole generated-tool pipeline: for any
 // machine the generator can produce, parsing must succeed, Format must be a
-// fixpoint, assembly must invert disassembly (Axiom 1), and the interp and
-// aot simulator backends must agree. The space covers varying word widths,
-// register-file shapes, immediate widths, operand non-terminals and
+// fixpoint, assembly must invert disassembly (Axiom 1), and the simulator
+// and the synthesized Verilog must agree. The space covers varying word
+// widths, register-file shapes, immediate widths, operand non-terminals and
 // operation mixes.
 package randmachine
 

@@ -210,12 +210,16 @@ func (s *State) PC() bitvec.Value { return s.Get(s.desc.PC().Name, 0) }
 func (s *State) SetPC(v bitvec.Value) { s.Set(s.desc.PC().Name, 0, v) }
 
 // Watch registers a monitor on the named storage; index -1 watches every
-// location. It returns an id for Unwatch. Watching an unknown storage is an
-// error so batch scripts get a diagnostic instead of silence.
+// location. It returns an id for Unwatch. Watching an unknown storage or an
+// index outside 0..Depth-1 (other than -1) is an error, so batch scripts get
+// a diagnostic instead of a monitor that can never fire.
 func (s *State) Watch(storage string, index int, fn ChangeFunc) (int, error) {
 	st, ok := s.desc.StorageByName[storage]
 	if !ok {
 		return 0, fmt.Errorf("state: unknown storage %s", storage)
+	}
+	if index < -1 || index >= st.Depth {
+		return 0, fmt.Errorf("state: %s index %d outside 0..%d", storage, index, st.Depth-1)
 	}
 	s.nextID++
 	e := &s.elems[st.Index]

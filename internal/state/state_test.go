@@ -1,6 +1,7 @@
 package state_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -67,6 +68,18 @@ func TestIndexedWatch(t *testing.T) {
 	}
 	if _, err := s.Watch("NOPE", -1, nil); err == nil {
 		t.Fatal("Watch on unknown storage should fail")
+	}
+	// RF has 8 elements: an index outside 0..7 other than -1 (every
+	// element) names no location, so its monitor could never fire.
+	for _, idx := range []int{-2, 8, 9} {
+		if _, err := s.Watch("RF", idx, nil); err == nil || err.Error() != fmt.Sprintf("state: RF index %d outside 0..7", idx) {
+			t.Errorf("Watch(RF, %d): err = %v, want the range 0..7", idx, err)
+		}
+	}
+	for _, idx := range []int{-1, 7} {
+		if _, err := s.Watch("RF", idx, nil); err != nil {
+			t.Errorf("Watch(RF, %d): %v", idx, err)
+		}
 	}
 }
 

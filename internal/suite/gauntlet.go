@@ -20,8 +20,8 @@ import (
 // The differential fuzz gauntlet: each trial generates a random compilable
 // machine (randmachine ForCompiler, optionally timing-perturbed), compiles
 // a registry kernel for it, and runs the program through every layer of the
-// generated-tool pipeline — the golden kernel interpreter, the two xsim
-// backends, and the synthesized Verilog model — demanding bit-identical
+// generated-tool pipeline — the golden kernel interpreter, the xsim
+// simulator and the synthesized Verilog model — demanding bit-identical
 // architectural results. Any disagreement is a Divergence carrying the
 // trial's seed, and RunTrial(seed) reproduces the whole trial from that
 // seed alone: the report prints everything needed to replay a failure on
@@ -55,8 +55,8 @@ type Divergence struct {
 	Seed   int64  `json:"seed"`
 	Kernel string `json:"kernel"`
 	// Leg names the comparison that disagreed: "golden" (interp vs the
-	// kernel interpreter), "aot" (vs interp), "synth"
-	// (hardware generation failed), "cosim" (Verilog vs interp).
+	// kernel interpreter), "synth" (hardware generation failed) or
+	// "cosim" (Verilog vs interp).
 	Leg    string `json:"leg"`
 	Detail string `json:"detail"`
 }
@@ -75,7 +75,6 @@ type Trial struct {
 
 	Cycles       uint64 `json:"cycles"`
 	Instructions uint64 `json:"instructions"`
-	AOTUsed      string `json:"aot_used"`
 
 	Divergences []Divergence `json:"divergences,omitempty"`
 	// Err records an infrastructure failure (generation, compilation, a
@@ -107,7 +106,7 @@ func TrialSeed(base int64, i int) int64 {
 
 // RunGauntlet runs N trials and aggregates the report. Trials run
 // sequentially: determinism (byte-identical reruns) is the point of the
-// exercise, and the aot leg already parallelizes its builds internally.
+// exercise.
 func RunGauntlet(o GauntletOptions) *GauntletReport {
 	r := &GauntletReport{N: o.N, Seed: o.Seed, Cosim: !o.NoCosim}
 	for i := 0; i < o.N; i++ {
@@ -165,20 +164,15 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 		})
 	}
 
-	// Reference leg: the interp backend, compared against the golden
-	// kernel interpreter's output region.
-	interp, _, err := xsim.NewEngine(d, xsim.BackendInterp)
-	if err != nil {
-		tr.Err = err.Error()
-		return tr
-	}
-	defer interp.Close()
-	if err := runEngine(interp, prog); err != nil {
+	// Reference leg: the simulator, compared against the golden kernel
+	// interpreter's output region.
+	interp := xsim.New(d)
+	if err := runSim(interp, prog); err != nil {
 		tr.Err = fmt.Sprintf("interp: %v", err)
 		return tr
 	}
-	wantStats := interp.Stats()
-	tr.Cycles, tr.Instructions = wantStats.Cycles, wantStats.Instructions
+	st := interp.Stats()
+	tr.Cycles, tr.Instructions = st.Cycles, st.Instructions
 	got, err := extractRegion(interp, d, out)
 	if err != nil {
 		tr.Err = fmt.Sprintf("interp: %v", err)
@@ -188,28 +182,6 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 		diverge("golden", err.Error())
 	}
 	want := interp.Snapshot()
-
-	// aot leg: the generated simulator must match interp bit for bit. On
-	// a fallback the leg would repeat the reference leg, so it is skipped.
-	aot, info, err := xsim.NewEngine(d, xsim.BackendAOT)
-	if err != nil {
-		tr.Err = err.Error()
-		return tr
-	}
-	tr.AOTUsed = string(info.Used)
-	if info.Used == xsim.BackendAOT {
-		if err := runEngine(aot, prog); err != nil {
-			diverge("aot", err.Error())
-		} else {
-			if d := diffStats(wantStats, aot.Stats()); d != "" {
-				diverge("aot", d)
-			}
-			if d := diffSnapshots(want, aot.Snapshot()); d != "" {
-				diverge("aot", d)
-			}
-		}
-	}
-	aot.Close()
 
 	// Hardware leg: synthesize, then run the event-driven Verilog model to
 	// halt and demand the same final architectural state.
@@ -225,49 +197,20 @@ func RunTrial(trial int, seed int64, o GauntletOptions) Trial {
 	return tr
 }
 
-func runEngine(eng xsim.Engine, prog *asm.Program) error {
-	if err := eng.Load(prog); err != nil {
+func runSim(sim *xsim.Simulator, prog *asm.Program) error {
+	if err := sim.Load(prog); err != nil {
 		return fmt.Errorf("load: %w", err)
 	}
-	if err := eng.Run(DefaultLimit); err != nil {
+	if err := sim.Run(DefaultLimit); err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
-	if err := eng.Err(); err != nil {
+	if err := sim.Err(); err != nil {
 		return fmt.Errorf("faulted: %w", err)
 	}
-	if !eng.Halted() {
+	if !sim.Halted() {
 		return fmt.Errorf("did not halt within %d instructions", int64(DefaultLimit))
 	}
 	return nil
-}
-
-// diffStats reports the first architectural-statistics disagreement, or "".
-func diffStats(a, b xsim.Stats) string {
-	type f struct {
-		name string
-		a, b uint64
-	}
-	for _, x := range []f{
-		{"cycles", a.Cycles, b.Cycles},
-		{"instructions", a.Instructions, b.Instructions},
-		{"data stalls", a.DataStalls, b.DataStalls},
-		{"struct stalls", a.StructStalls, b.StructStalls},
-		{"reads", a.Reads, b.Reads},
-		{"writes", a.Writes, b.Writes},
-	} {
-		if x.a != x.b {
-			return fmt.Sprintf("stats: %s %d vs %d (interp)", x.name, x.b, x.a)
-		}
-	}
-	if len(a.OpCounts) != len(b.OpCounts) {
-		return fmt.Sprintf("stats: %d op counters vs %d (interp)", len(b.OpCounts), len(a.OpCounts))
-	}
-	for op, n := range a.OpCounts {
-		if b.OpCounts[op] != n {
-			return fmt.Sprintf("stats: op %s count %d vs %d (interp)", op, b.OpCounts[op], n)
-		}
-	}
-	return ""
 }
 
 // diffSnapshots reports the first storage disagreement, or "".
@@ -384,8 +327,8 @@ func depthOf(st *isdl.Storage) int {
 func (r *GauntletReport) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "differential gauntlet: %d trials, seed %d, cosim %v\n\n", r.N, r.Seed, r.Cosim)
-	fmt.Fprintf(&sb, "%5s  %20s  %-9s  %3s/%2s  %3s  %8s  %8s  %-8s  %s\n",
-		"trial", "seed", "kernel", "w", "rw", "nt", "cycles", "instrs", "aot", "status")
+	fmt.Fprintf(&sb, "%5s  %20s  %-9s  %3s/%2s  %3s  %8s  %8s  %s\n",
+		"trial", "seed", "kernel", "w", "rw", "nt", "cycles", "instrs", "status")
 	for _, t := range r.Trials {
 		status := "ok"
 		if t.Err != "" {
@@ -397,13 +340,13 @@ func (r *GauntletReport) Render() string {
 		if t.UseNT {
 			nt = "nt"
 		}
-		fmt.Fprintf(&sb, "%5d  %20d  %-9s  %3d/%2d  %3s  %8d  %8d  %-8s  %s\n",
+		fmt.Fprintf(&sb, "%5d  %20d  %-9s  %3d/%2d  %3s  %8d  %8d  %s\n",
 			t.Trial, t.Seed, t.Kernel, t.WordWidth, t.RegWidth, nt,
-			t.Cycles, t.Instructions, t.AOTUsed, status)
+			t.Cycles, t.Instructions, status)
 	}
 	sb.WriteString("\n")
 	if r.Clean() {
-		fmt.Fprintf(&sb, "all %d trials agree across interp/aot%s\n",
+		fmt.Fprintf(&sb, "all %d trials agree across interp%s\n",
 			r.N, map[bool]string{true: "/cosim", false: ""}[r.Cosim])
 		return sb.String()
 	}

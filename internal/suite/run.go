@@ -5,17 +5,10 @@ import (
 	"time"
 
 	"repro/internal/asm"
-	_ "repro/internal/gensim" // registers the aot backend Options.Backend selects
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/xsim"
 )
-
-// Options configures one workload run.
-type Options struct {
-	// Backend selects the xsim backend (empty: interp).
-	Backend xsim.Backend
-}
 
 // DefaultLimit is the per-run instruction bound: generous for every seeded
 // kernel (the largest needs a few thousand instructions) while keeping a
@@ -27,10 +20,6 @@ type Result struct {
 	Workload string   `json:"workload"`
 	Machine  string   `json:"machine"`
 	Tags     []string `json:"tags,omitempty"`
-
-	Backend        xsim.Backend `json:"backend"`
-	BackendUsed    xsim.Backend `json:"backend_used"`
-	FallbackReason string       `json:"fallback_reason,omitempty"`
 
 	Cycles       uint64 `json:"cycles"`
 	Instructions uint64 `json:"instructions"`
@@ -50,7 +39,7 @@ type Result struct {
 // the workload on its pinned machine (asm workloads) or on the named zoo
 // machine. Incompatible combinations return *Unsupported; any other error —
 // including a reference mismatch — is a real failure.
-func Run(w *Workload, machine string, o Options) (*Result, error) {
+func Run(w *Workload, machine string) (*Result, error) {
 	if w.Machine != "" && machine != "" && machine != w.Machine {
 		return nil, &Unsupported{Workload: w.Name, Machine: machine,
 			Err: fmt.Errorf("asm workload pinned to machine %s", w.Machine)}
@@ -65,38 +54,34 @@ func Run(w *Workload, machine string, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunOn(w, d, machine, o)
+	return RunOn(w, d, machine)
 }
 
-// RunOn is Run against an already-parsed description (the gauntlet's entry
-// point, where the machine is randomly generated rather than a zoo member).
-func RunOn(w *Workload, d *isdl.Description, machine string, o Options) (*Result, error) {
+// RunOn is Run against an already-parsed description, such as a randomly
+// generated machine rather than a zoo member.
+func RunOn(w *Workload, d *isdl.Description, machine string) (*Result, error) {
 	prog, out, ref, err := Prepare(w, d)
 	if err != nil {
 		return nil, err
 	}
 
-	eng, info, err := xsim.NewEngine(d, o.Backend)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	if err := eng.Load(prog); err != nil {
+	sim := xsim.New(d)
+	if err := sim.Load(prog); err != nil {
 		return nil, fmt.Errorf("suite: %s on %s: load: %w", w.Name, machine, err)
 	}
 	start := time.Now()
-	if err := eng.Run(DefaultLimit); err != nil {
+	if err := sim.Run(DefaultLimit); err != nil {
 		return nil, fmt.Errorf("suite: %s on %s: run: %w", w.Name, machine, err)
 	}
 	elapsed := time.Since(start)
-	if err := eng.Err(); err != nil {
+	if err := sim.Err(); err != nil {
 		return nil, fmt.Errorf("suite: %s on %s: faulted: %w", w.Name, machine, err)
 	}
-	if !eng.Halted() {
+	if !sim.Halted() {
 		return nil, fmt.Errorf("suite: %s on %s: did not halt within %d instructions", w.Name, machine, int64(DefaultLimit))
 	}
 
-	got, err := extractRegion(eng, d, out)
+	got, err := extractRegion(sim, d, out)
 	if err != nil {
 		return nil, fmt.Errorf("suite: %s on %s: %w", w.Name, machine, err)
 	}
@@ -105,21 +90,18 @@ func RunOn(w *Workload, d *isdl.Description, machine string, o Options) (*Result
 			w.Name, machine, out.Storage, out.Base, err)
 	}
 
-	st := eng.Stats()
+	st := sim.Stats()
 	res := &Result{
-		Workload:       w.Name,
-		Machine:        machine,
-		Tags:           w.Tags,
-		Backend:        info.Requested,
-		BackendUsed:    info.Used,
-		FallbackReason: info.FallbackReason,
-		Cycles:         st.Cycles,
-		Instructions:   st.Instructions,
-		DataStalls:     st.DataStalls,
-		StructStalls:   st.StructStalls,
-		Out:            got,
-		Ref:            ref,
-		Elapsed:        elapsed,
+		Workload:     w.Name,
+		Machine:      machine,
+		Tags:         w.Tags,
+		Cycles:       st.Cycles,
+		Instructions: st.Instructions,
+		DataStalls:   st.DataStalls,
+		StructStalls: st.StructStalls,
+		Out:          got,
+		Ref:          ref,
+		Elapsed:      elapsed,
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		res.MIPS = float64(st.Instructions) / s / 1e6
@@ -129,8 +111,8 @@ func RunOn(w *Workload, d *isdl.Description, machine string, o Options) (*Result
 
 // Prepare builds the workload's assembled program, resolved output region
 // and reference output for the machine, without running anything — shared
-// by Run, the gauntlet (which runs several engines over one program) and
-// the benchmarks.
+// by Run, the gauntlet (which runs the simulator and the Verilog model over
+// one program) and the benchmarks.
 func Prepare(w *Workload, d *isdl.Description) (*asm.Program, Out, []uint64, error) {
 	if w.Asm != nil {
 		p, err := asm.Assemble(d, w.Asm())
@@ -162,9 +144,9 @@ func Prepare(w *Workload, d *isdl.Description) (*asm.Program, Out, []uint64, err
 	return lk.Program, out, ref, nil
 }
 
-// extractRegion reads the output region from the engine's final state.
-func extractRegion(eng xsim.Engine, d *isdl.Description, out Out) ([]uint64, error) {
-	snap := eng.Snapshot()
+// extractRegion reads the output region from the simulator's final state.
+func extractRegion(sim *xsim.Simulator, d *isdl.Description, out Out) ([]uint64, error) {
+	snap := sim.Snapshot()
 	vals, ok := snap[out.Storage]
 	if !ok {
 		return nil, fmt.Errorf("no storage %s in snapshot", out.Storage)

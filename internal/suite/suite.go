@@ -1,8 +1,8 @@
 // Package suite is the workload registry behind the paper's evaluation:
 // named kernels with per-workload reference outputs, runnable on every
-// machine in the zoo (internal/machines.Zoo) and on every xsim backend,
-// plus the differential fuzz gauntlet that cross-checks the whole
-// generated-tool pipeline on random machines.
+// machine in the zoo (internal/machines.Zoo), plus the differential fuzz
+// gauntlet that cross-checks the whole generated-tool pipeline on random
+// machines.
 //
 // A workload is either portable kernel-language source (compiled by the
 // retargetable compiler for any classifiable machine; arrays live in the
@@ -13,7 +13,7 @@
 // expected vector or the golden kernel interpreter (ref.go).
 //
 //	suite.Register(suite.Workload{Name: "dot", Kernel: src, Tags: []string{"dsp"}})
-//	res, err := suite.Run(w, "riscv5", suite.Options{Backend: xsim.BackendAOT})
+//	res, err := suite.Run(w, "riscv5")
 //
 // The experiments layer consumes the registry through RunSuite; cmd/paper
 // renders it with -suite and fuzzes it with -gauntlet.

@@ -3,32 +3,12 @@ package suite_test
 import (
 	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/machines"
 	"repro/internal/suite"
-	"repro/internal/xsim"
 )
-
-// TestMain points the aot build cache at a scratch dir so test runs
-// don't pollute the user cache but still reuse binaries across tests, and
-// removes it afterwards (os.Exit skips deferred calls).
-func TestMain(m *testing.M) {
-	dir := ""
-	if os.Getenv("REPRO_GENSIM_CACHE") == "" {
-		if d, err := os.MkdirTemp("", "suite-test-cache-*"); err == nil {
-			dir = d
-			os.Setenv("REPRO_GENSIM_CACHE", dir)
-		}
-	}
-	code := m.Run()
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-	os.Exit(code)
-}
 
 func TestRegistry(t *testing.T) {
 	w, err := suite.Get("dot")
@@ -77,8 +57,9 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 // TestReferencePinned pins the golden interpreter's outputs for the
-// registry kernels on a 32-bit machine: these are the values every
-// simulator backend is checked against, so they must never drift.
+// registry kernels on a 32-bit machine: these are the values the
+// simulator and the Verilog model are checked against, so they must never
+// drift.
 func TestReferencePinned(t *testing.T) {
 	d, err := machines.ByName("riscv5")
 	if err != nil {
@@ -129,49 +110,38 @@ func TestReferencePinned(t *testing.T) {
 }
 
 // TestSuiteAcrossBackends runs every registered workload on every zoo
-// machine under every xsim backend, demanding either a clean
-// Unsupported classification or a reference-verified run. This is the
-// per-kernel regression matrix of the suite registry. Where a toolchain
-// can build the aot simulators, every run must use the backend it asked
-// for. This file does not import gensim, so if suite stopped registering
-// aot the aot column would silently become a second interp column; this
-// check fails instead.
+// machine, demanding either a clean Unsupported classification or a
+// reference-verified run. This is the per-kernel regression matrix of the
+// suite registry; the simulator is its one backend.
 func TestSuiteAcrossBackends(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full workload × machine × backend matrix is not -short")
+		t.Skip("full workload × machine matrix is not -short")
 	}
-	_, err := exec.LookPath("go")
-	exact := err == nil && os.Getenv("REPRO_GENSIM_DISABLE") == ""
 	verified := 0
-	for _, backend := range xsim.Backends() {
-		for _, w := range suite.All(suite.Filter{}) {
-			for _, m := range machines.ZooNames() {
-				if w.Machine != "" && w.Machine != m {
-					continue // asm workload pinned to one machine
-				}
-				res, err := suite.Run(w, m, suite.Options{Backend: backend})
-				if err != nil {
-					var u *suite.Unsupported
-					if errors.As(err, &u) {
-						continue // a clean can't-target classification
-					}
-					t.Errorf("%s on %s (%s): %v", w.Name, m, backend, err)
-					continue
-				}
-				if res.Out == nil || len(res.Out) != len(res.Ref) {
-					t.Errorf("%s on %s (%s): malformed result", w.Name, m, backend)
-				}
-				if exact && res.BackendUsed != backend {
-					t.Errorf("%s on %s: ran on %s, want %s (%s)", w.Name, m, res.BackendUsed, backend, res.FallbackReason)
-				}
-				verified++
+	for _, w := range suite.All(suite.Filter{}) {
+		for _, m := range machines.ZooNames() {
+			if w.Machine != "" && w.Machine != m {
+				continue // asm workload pinned to one machine
 			}
+			res, err := suite.Run(w, m)
+			if err != nil {
+				var u *suite.Unsupported
+				if errors.As(err, &u) {
+					continue // a clean can't-target classification
+				}
+				t.Errorf("%s on %s: %v", w.Name, m, err)
+				continue
+			}
+			if res.Out == nil || len(res.Out) != len(res.Ref) {
+				t.Errorf("%s on %s: malformed result", w.Name, m)
+			}
+			verified++
 		}
 	}
-	// 37 supported pairs per backend as of the registry's seeding; the
-	// floor only guards against the matrix silently collapsing.
-	if want := 37 * len(xsim.Backends()); verified < want {
-		t.Errorf("only %d verified runs across backends, want >= %d", verified, want)
+	// 37 supported pairs as of the registry's seeding; the floor only
+	// guards against the matrix silently collapsing.
+	if verified < 37 {
+		t.Errorf("only %d verified runs, want >= 37", verified)
 	}
 }
 
@@ -183,14 +153,14 @@ func TestUnsupportedClassification(t *testing.T) {
 		{"crc", "risc32"}, // register-only shifts mask their amount operand
 		{"mulhw", "spam"}, // mul targets ACC, not the register file
 	} {
-		_, err := suite.Run(mustGet(t, c.workload), c.machine, suite.Options{})
+		_, err := suite.Run(mustGet(t, c.workload), c.machine)
 		var u *suite.Unsupported
 		if !errors.As(err, &u) {
 			t.Errorf("%s on %s: err = %v, want Unsupported", c.workload, c.machine, err)
 		}
 	}
 	// A workload pinned to one machine must refuse to run elsewhere.
-	if _, err := suite.Run(mustGet(t, "fir16.spam"), "toy", suite.Options{}); err == nil {
+	if _, err := suite.Run(mustGet(t, "fir16.spam"), "toy"); err == nil {
 		t.Error("fir16.spam ran on toy")
 	}
 }

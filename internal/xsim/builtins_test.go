@@ -5,8 +5,6 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
-	"os"
-	osexec "os/exec"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bitvec"
 	"repro/internal/cosim"
-	"repro/internal/gensim"
 	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/machines"
@@ -24,9 +21,9 @@ import (
 )
 
 // This file checks the operator table (isdl.Operators) against an oracle
-// outside it: every entry runs on the interpreter, on the aot backend and
-// on HGEN's Verilog, and each result is compared with a value computed
-// from math/big alone, never from bitvec or the table.
+// outside it: every entry runs on the interpreter and on HGEN's Verilog,
+// and each result is compared with a value computed from math/big alone,
+// never from bitvec or the table.
 
 // oracleWidths are the operand widths of the matrix: the edges of one and
 // two 64-bit words, and a few random widths on either side of 64 bits.
@@ -61,15 +58,6 @@ func (p probe) resultWidth() int {
 		return p.args * p.w
 	}
 	return p.w
-}
-
-// widest is the widest value the probe reads or writes.
-func (p probe) widest() int {
-	m := max(p.w, p.resultWidth())
-	if p.op.Width == isdl.Shift {
-		m = max(m, amountWidth(p.w))
-	}
-	return m
 }
 
 // cases is the number of operand cases: all pairs of the oracleN operands
@@ -383,49 +371,8 @@ func runInterp(t *testing.T, d *isdl.Description, p *asm.Program) reader {
 	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	return snapshotReader(sim.Snapshot())
-}
-
-func snapshotReader(snap map[string][]bitvec.Value) reader {
+	snap := sim.Snapshot()
 	return func(st string, i int) (bitvec.Value, error) { return snap[st][i], nil }
-}
-
-// newEngine builds an engine of backend b. For aot it skips the test on
-// a host without a Go toolchain and fails it if the backend falls back
-// anywhere else.
-func newEngine(t *testing.T, d *isdl.Description, b xsim.Backend) xsim.Engine {
-	t.Helper()
-	if b == xsim.BackendAOT {
-		if _, err := osexec.LookPath("go"); err != nil || os.Getenv("REPRO_GENSIM_DISABLE") != "" {
-			t.Skip("aot backend unavailable")
-		}
-	}
-	eng, info, err := xsim.NewEngine(d, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Used != b {
-		eng.Close()
-		t.Fatalf("%s fell back to %s: %s", b, info.Used, info.FallbackReason)
-	}
-	return eng
-}
-
-// runAOT runs p on the aot backend (see newEngine).
-func runAOT(t *testing.T, d *isdl.Description, p *asm.Program) reader {
-	t.Helper()
-	eng := newEngine(t, d, xsim.BackendAOT)
-	defer eng.Close()
-	if err := eng.Load(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.Halted() || eng.Err() != nil {
-		t.Fatalf("aot run: halted %v, err %v", eng.Halted(), eng.Err())
-	}
-	return snapshotReader(eng.Snapshot())
 }
 
 // runVerilog synthesizes d with HGEN and runs p on the generated Verilog
@@ -502,9 +449,8 @@ func checkProbes(t *testing.T, backend string, probes []probe, pr *asm.Program, 
 }
 
 // TestOperatorMatrix checks every entry of the operator table at the
-// oracle widths on every backend. The interpreter and the Verilog run one
-// machine per width; the aot backend, which is limited to 64-bit values,
-// runs the probes that fit in a few machines, to bound its go builds.
+// oracle widths on the interpreter and on the Verilog, one machine per
+// width.
 func TestOperatorMatrix(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	type machine struct {
@@ -513,16 +459,10 @@ func TestOperatorMatrix(t *testing.T) {
 		probes []probe
 	}
 	var perWidth []machine
-	var narrow []probe
 	for _, w := range oracleWidths() {
 		probes := probesAt(w)
 		d, p := oracleMachine(t, rnd, probes)
 		perWidth = append(perWidth, machine{d, p, probes})
-		for _, pb := range probes {
-			if pb.widest() <= 64 {
-				narrow = append(narrow, pb)
-			}
-		}
 	}
 	t.Run("interp", func(t *testing.T) {
 		for _, m := range perWidth {
@@ -534,26 +474,14 @@ func TestOperatorMatrix(t *testing.T) {
 			checkProbes(t, "verilog", m.probes, m.p, runVerilog(t, m.d, m.p))
 		}
 	})
-	t.Run("aot", func(t *testing.T) {
-		const perMachine = 150 // opcodes 0..253 stay free of halt and nop
-		for len(narrow) > 0 {
-			n := min(perMachine, len(narrow))
-			d, p := oracleMachine(t, rnd, narrow[:n])
-			checkProbes(t, "aot", narrow[:n], p, runAOT(t, d, p))
-			narrow = narrow[n:]
-		}
-	})
 }
 
-// TestOperatorEmitters walks the operator table: every entry must have a
-// gensim emitter and an HGEN emitter whose Verilog the simulator accepts.
+// TestOperatorEmitters walks the operator table: every entry must have an
+// HGEN emitter whose Verilog the simulator accepts.
 func TestOperatorEmitters(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	for _, p := range probesAt(8) {
 		d, _ := oracleMachine(t, rnd, []probe{p})
-		if _, err := gensim.Generate(d); err != nil {
-			t.Errorf("gensim: %s: %v", p.rtl(), err)
-		}
 		r, err := hgen.Synthesize(d, tech.LSI10K(), hgen.DefaultOptions())
 		if err != nil {
 			t.Errorf("hgen: %s: %v", p.rtl(), err)
@@ -570,19 +498,11 @@ func TestOperatorEmitters(t *testing.T) {
 }
 
 // shiftMachine shifts 8'h81 left, right and arithmetically right by the
-// 64-bit amount 2^64-1 and, when wide, left by the 72-bit amount 2^64. It
-// returns the expected results R[0], R[1], ...
-func shiftMachine(t *testing.T, wide bool) (*isdl.Description, *asm.Program, []uint64) {
+// 64-bit amount 2^64-1, and left by the 72-bit amount 2^64. It returns the
+// expected results R[0], R[1], ...
+func shiftMachine(t *testing.T) (*isdl.Description, *asm.Program, []uint64) {
 	t.Helper()
-	storage := ""
-	action := "R[0] <- X[0] << S[0]; R[1] <- X[0] >> S[0]; R[2] <- asr(X[0], S[0]);"
-	want := []uint64{0, 0, 0xff}
-	if wide {
-		storage = "RegFile L width 72 depth 1;"
-		action += " R[3] <- X[0] << L[0];"
-		want = append(want, 0)
-	}
-	d, err := isdl.Parse(fmt.Sprintf(`
+	d, err := isdl.Parse(`
 Machine shifts;
 Format 8;
 
@@ -594,18 +514,18 @@ ControlRegister HLT width 1;
 RegFile X width 8 depth 1;
 RegFile S width 64 depth 1;
 RegFile R width 8 depth 4;
-%s
+RegFile L width 72 depth 1;
 
 Section Instruction_Set
 
 Field EX:
   op shift
     Encode { I[7:0] = 0b00000000; }
-    Action { %s }
+    Action { R[0] <- X[0] << S[0]; R[1] <- X[0] >> S[0]; R[2] <- asr(X[0], S[0]); R[3] <- X[0] << L[0]; }
   op halt
     Encode { I[7:0] = 0b00000001; }
     Action { HLT <- 0b1; }
-`, storage, action))
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,24 +536,21 @@ Field EX:
 	p.Data = []asm.DataInit{
 		{Storage: "X", Values: []bitvec.Value{bitvec.FromUint64(8, 0x81)}},
 		{Storage: "S", Values: []bitvec.Value{bitvec.FromUint64(64, ^uint64(0))}},
+		{Storage: "L", Values: []bitvec.Value{bitvec.FromWords(72, []uint64{0, 1})}},
 	}
-	if wide {
-		p.Data = append(p.Data, asm.DataInit{Storage: "L", Values: []bitvec.Value{bitvec.FromWords(72, []uint64{0, 1})}})
-	}
-	return d, p, want
+	return d, p, []uint64{0, 0, 0xff, 0}
 }
 
-// TestShiftAmountUnsigned pins the shift rule on every backend: the
-// amount is the operand's full unsigned value, so an amount of 2^63 or
-// more, or one wider than 64 bits, shifts every bit out.
+// TestShiftAmountUnsigned pins the shift rule on the interpreter and the
+// Verilog: the amount is the operand's full unsigned value, so an amount
+// of 2^63 or more, or one wider than 64 bits, shifts every bit out.
 func TestShiftAmountUnsigned(t *testing.T) {
 	for _, b := range []struct {
 		name string
-		wide bool // the backend takes values wider than 64 bits
 		run  func(*testing.T, *isdl.Description, *asm.Program) reader
-	}{{"interp", true, runInterp}, {"aot", false, runAOT}, {"verilog", true, runVerilog}} {
+	}{{"interp", runInterp}, {"verilog", runVerilog}} {
 		t.Run(b.name, func(t *testing.T) {
-			d, p, want := shiftMachine(t, b.wide)
+			d, p, want := shiftMachine(t)
 			read := b.run(t, d, p)
 			for i, w := range want {
 				got, err := read("R", i)
@@ -686,10 +603,10 @@ Field EX:
     Action { HLT <- 0b1; }
 `
 
-// TestAddressRule pins isdl.Storage.Addr on every backend: an index
-// value's low 64 bits, read unsigned, modulo the depth, wherever an index
-// is computed (element reads, write destinations, the interlock's read
-// sets and its pending write-backs).
+// TestAddressRule pins isdl.Storage.Addr on the interpreter and the
+// Verilog: an index value's low 64 bits, read unsigned, modulo the depth,
+// wherever an index is computed (element reads, write destinations, the
+// interlock's read sets and its pending write-backs).
 func TestAddressRule(t *testing.T) {
 	t.Run("interlock", func(t *testing.T) {
 		d, err := isdl.Parse(strings.Replace(machines.ToySource, "  op halt\n", interlockOps+"  op halt\n", 1))
@@ -703,23 +620,20 @@ func TestAddressRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, b := range xsim.Backends() {
-				t.Run(fmt.Sprintf("%s/outl_%d", b, port), func(t *testing.T) {
-					eng := newEngine(t, d, b)
-					defer eng.Close()
-					if err := eng.Load(p); err != nil {
-						t.Fatal(err)
-					}
-					if err := eng.Run(0); err != nil {
-						t.Fatal(err)
-					}
-					st := eng.Stats()
-					r2 := eng.Snapshot()["RF"][2].Uint64()
-					if r2 != 7 || st.DataStalls != 2 || st.Cycles != 6 {
-						t.Errorf("R2 = %d, %d data stalls, %d cycles; want 7, 2, 6", r2, st.DataStalls, st.Cycles)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("interp/outl_%d", port), func(t *testing.T) {
+				sim := xsim.New(d)
+				if err := sim.Load(p); err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.Run(0); err != nil {
+					t.Fatal(err)
+				}
+				st := sim.Stats()
+				r2 := sim.Snapshot()["RF"][2].Uint64()
+				if r2 != 7 || st.DataStalls != 2 || st.Cycles != 6 {
+					t.Errorf("R2 = %d, %d data stalls, %d cycles; want 7, 2, 6", r2, st.DataStalls, st.Cycles)
+				}
+			})
 		}
 	})
 	d, err := isdl.Parse(indexSource)
@@ -745,7 +659,7 @@ func TestAddressRule(t *testing.T) {
 	for _, b := range []struct {
 		name string
 		run  func(*testing.T, *isdl.Description, *asm.Program) reader
-	}{{"interp", runInterp}, {"aot", runAOT}, {"verilog", runVerilog}} {
+	}{{"interp", runInterp}, {"verilog", runVerilog}} {
 		t.Run(b.name, func(t *testing.T) {
 			read := b.run(t, d, p)
 			for _, c := range []struct {

@@ -152,7 +152,7 @@ func (s *Session) Execute(line string) error {
 		limit := int64(0)
 		if len(args) == 1 {
 			n, err := strconv.ParseInt(args[0], 10, 64)
-			if err != nil {
+			if err != nil || n < 1 {
 				return fmt.Errorf("bad limit %q", args[0])
 			}
 			limit = n
@@ -217,13 +217,13 @@ func (s *Session) Execute(line string) error {
 		if len(args) < 1 || len(args) > 2 {
 			return fmt.Errorf("usage: watch <storage> [index]")
 		}
-		idx := -1
+		idx := -1 // every element
 		if len(args) == 2 {
-			_, v, err := s.storageIndex(args[0], args[1])
+			v, err := strconv.Atoi(args[1])
 			if err != nil {
-				return err
+				return fmt.Errorf("bad index %q", args[1])
 			}
-			idx = v
+			idx = v // State.Watch checks the range
 		}
 		id, err := s.Sim.State().Watch(args[0], idx, func(ev state.ChangeEvent) {
 			fmt.Fprintf(s.Out, "watch: %s\n", ev)
@@ -421,7 +421,7 @@ func (s *Session) examine(args []string) error {
 	count := 1
 	if len(args) == 3 {
 		v, err := strconv.Atoi(args[2])
-		if err != nil {
+		if err != nil || v < 1 {
 			return fmt.Errorf("bad count %q", args[2])
 		}
 		count = v
@@ -467,11 +467,11 @@ func checkIndex(st *isdl.Storage, idx int) error {
 const helpText = `commands:
   load <file.xbin>          load a program image
   source <script>           run a batch command file
-  run [n] | step [n]        execute (n instructions)
+  run [n] | step [n]        execute (n >= 1 instructions)
   break/unbreak <addr|sym>  manage breakpoints; breaks lists them
   attach <addr> <command>   run a command whenever addr is reached
   watch <storage> [idx]     print state changes; unwatch <id>
-  x <storage> [idx [n]]     examine state
+  x <storage> [idx [n]]     examine state (n >= 1 elements)
   set <storage> <idx> <v>   modify state
   pc | setpc <addr|sym>     program counter
   disasm [addr [n]]         disassemble

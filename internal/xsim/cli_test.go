@@ -257,8 +257,9 @@ func TestMMIODeviceHook(t *testing.T) {
 }
 
 // TestSessionIndexRange: an index typed at the command line must be an
-// address of the storage. State indexes directly, so x, set and watch
-// reject anything outside 0..depth-1 instead of wrapping it.
+// address of the storage. State indexes directly, so x and set reject
+// anything outside 0..depth-1 instead of wrapping it, and watch anything
+// but -1 (every element), through State.Watch.
 func TestSessionIndexRange(t *testing.T) {
 	s, out := newSession(t, "halt")
 	for _, cmd := range []string{"x RF 9", "x RF 6 3", "set RF 8 1", "set RF -1 5", "watch RF 8"} {
@@ -269,5 +270,18 @@ func TestSessionIndexRange(t *testing.T) {
 	exec(t, s, "set RF 7 1", "x RF 0 8", "watch RF 7")
 	if !strings.Contains(out.String(), "RF[7] = 8'h1 (1)") {
 		t.Fatalf("output: %q", out.String())
+	}
+	// A count below 1 is an error, as step's is, not a command that
+	// prints nothing (x) or runs without a limit (run).
+	for cmd, want := range map[string]string{
+		"x RF 0 0":  `bad count "0"`,
+		"x RF 0 -3": `bad count "-3"`,
+		"run 0":     `bad limit "0"`,
+		"run -5":    `bad limit "-5"`,
+		"step 0":    `bad step count "0"`,
+	} {
+		if err := s.Execute(cmd); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", cmd, err, want)
+		}
 	}
 }

@@ -62,8 +62,7 @@ func (sim *Simulator) Perf() PerfReport {
 // duration in integer nanoseconds. A non-positive duration (a Run too short
 // for the clock to advance, or a clock stepping backwards) leaves the rates
 // at zero, and any non-finite result of the division is clamped to zero —
-// the report must marshal as JSON, which rejects +Inf/NaN. All backends
-// (and the gensim subprocess report) share this derivation.
+// the report must marshal as JSON, which rejects +Inf/NaN.
 func (p *PerfReport) DeriveRates(runNs int64) {
 	if runNs <= 0 {
 		p.RunSeconds, p.MIPS, p.SimCyclesPerSec = 0, 0, 0

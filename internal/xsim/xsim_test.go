@@ -4,37 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"maps"
-	"os"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
-	_ "repro/internal/gensim" // links the aot backend
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/state"
 	"repro/internal/xsim"
 )
-
-// TestMain points the aot build cache at a scratch dir so test runs
-// don't pollute the user cache but still reuse binaries across tests, and
-// removes it afterwards (os.Exit skips deferred calls).
-func TestMain(m *testing.M) {
-	dir := ""
-	if os.Getenv("REPRO_GENSIM_CACHE") == "" {
-		if d, err := os.MkdirTemp("", "xsim-test-cache-*"); err == nil {
-			dir = d
-			os.Setenv("REPRO_GENSIM_CACHE", dir)
-		}
-	}
-	code := m.Run()
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-	os.Exit(code)
-}
 
 // runToy assembles src for the toy machine, runs it to completion and
 // returns the simulator.
@@ -255,8 +235,8 @@ func TestCycleAccounting(t *testing.T) {
 	}
 }
 
-// TestDataStallIgnoresCostStall pins the interlock rule both backends
-// run: a consumer at issue distance d waits Latency−d cycles, whatever
+// TestDataStallIgnoresCostStall pins the interlock rule the simulator
+// runs: a consumer at issue distance d waits Latency−d cycles, whatever
 // the producer's Cost Stall says (only HGEN's pipeline inference and
 // traceprof's cycle weights read Stall). With mul's Stall = 0 the
 // dependent add still waits the two bubbles of "mul use next" above.
@@ -271,30 +251,21 @@ func TestDataStallIgnoresCostStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range xsim.Backends() {
-		t.Run(string(b), func(t *testing.T) {
-			eng, info, err := xsim.NewEngine(d, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if info.Used != b {
-				t.Skipf("%s backend unavailable: %s", b, info.FallbackReason)
-			}
-			if err := eng.Load(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Run(1000); err != nil || !eng.Halted() {
-				t.Fatalf("run: err %v, halted %v", err, eng.Halted())
-			}
-			if got := eng.Cycle(); got != 6 {
-				t.Errorf("cycles = %d, want 6", got)
-			}
-			if got := eng.Stats().DataStalls; got != 2 {
-				t.Errorf("data stalls = %d, want 2", got)
-			}
-		})
-	}
+	t.Run("interp", func(t *testing.T) {
+		sim := xsim.New(d)
+		if err := sim.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(1000); err != nil || !sim.Halted() {
+			t.Fatalf("run: err %v, halted %v", err, sim.Halted())
+		}
+		if got := sim.Cycle(); got != 6 {
+			t.Errorf("cycles = %d, want 6", got)
+		}
+		if got := sim.Stats().DataStalls; got != 2 {
+			t.Errorf("data stalls = %d, want 2", got)
+		}
+	})
 }
 
 // TestLatencyValueCorrect verifies delayed write-back still yields correct
@@ -838,25 +809,5 @@ Field F:
 	// One cycle per instruction regardless of width.
 	if got := sim.Cycle(); got != 5 {
 		t.Fatalf("cycles = %d, want 5", got)
-	}
-}
-
-// TestParseBackend: the empty name selects the interp default, and a name
-// outside interp/aot — including the removed closure-compiled core's
-// "compiled" — is rejected with an error naming the valid choices.
-func TestParseBackend(t *testing.T) {
-	for in, want := range map[string]xsim.Backend{"": xsim.BackendInterp, "interp": xsim.BackendInterp, "aot": xsim.BackendAOT} {
-		if got, err := xsim.ParseBackend(in); err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"compiled", "jit"} {
-		_, err := xsim.ParseBackend(in)
-		if err == nil || !strings.Contains(err.Error(), "interp") || !strings.Contains(err.Error(), "aot") {
-			t.Errorf("ParseBackend(%q) error = %v, want one naming interp and aot", in, err)
-		}
-	}
-	if got := xsim.Backends(); len(got) != 2 || got[0] != xsim.BackendInterp || got[1] != xsim.BackendAOT {
-		t.Errorf("Backends() = %v, want [interp aot]", got)
 	}
 }
