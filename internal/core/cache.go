@@ -8,8 +8,9 @@ package core
 // text (isdl.Format output, so formatting differences never split
 // equivalent architectures), kernel and workload label; and the hardware
 // model, keyed by canonical ISDL alone, because it does not depend on the
-// application (a kernel-only change reuses it). Parse, compile, assemble
-// and simulate run every time; their runs are counted as misses, so the
+// application (a kernel-only change reuses it). The build of the
+// candidate's description (parse or derive), compile, assemble and
+// simulate run every time; their runs are counted as misses, so the
 // per-stage metrics still cover the whole pipeline.
 
 import (
@@ -26,8 +27,10 @@ import (
 type Stage uint8
 
 const (
-	// StageParse is ISDL parsing + canonicalization. Not memoized (the
-	// artifact would be a mutable AST); every run counts as a miss.
+	// StageParse builds the candidate's description and key: it parses
+	// and canonicalizes user text, or derives an explorer move from its
+	// source's description (isdl.Derive). Not memoized (the artifact
+	// would be a mutable AST); every run counts as a miss.
 	StageParse Stage = iota
 	// StageCompile is the retargetable compiler: (description, kernel) →
 	// assembly text. Not memoized; every run counts as a miss.

@@ -149,12 +149,17 @@ func TestEvaluationShape(t *testing.T) {
 }
 
 // TestEvaluateErrors: a text that is no description fails as a
-// *core.ParseError, and a workload that faults fails its evaluation.
-// (The non-halting case is TestRunSimulationLimit.)
+// *core.ParseError with its prefix, and a workload that faults fails its
+// evaluation. (The non-halting case is TestRunSimulationLimit.)
 func TestEvaluateErrors(t *testing.T) {
-	var perr *core.ParseError
-	if _, _, err := (&core.Pipeline{Cache: core.NewStageCache(nil, nil)}).EvaluateKernel("garbage", "", "w", nil); !errors.As(err, &perr) {
-		t.Errorf("bad ISDL: err = %v, want a *core.ParseError", err)
+	for _, src := range []string{"garbage", "Machine broken;"} {
+		var perr *core.ParseError
+		_, _, err := (&core.Pipeline{Cache: core.NewStageCache(nil, nil)}).EvaluateKernel(src, "", "w", nil)
+		if !errors.As(err, &perr) {
+			t.Errorf("%q: err = %v, want a *core.ParseError", src, err)
+		} else if !strings.HasPrefix(err.Error(), "core: parse ISDL: ") {
+			t.Errorf("%q: parse error message %q lost its prefix", src, err)
+		}
 	}
 	d := machines.Toy()
 	p, err := asm.Assemble(d, ".word 0xe00000")

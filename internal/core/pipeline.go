@@ -3,14 +3,17 @@ package core
 // The staged evaluation pipeline. The paper's Figure 1 loop regenerates
 // every tool from one ISDL description per candidate:
 //
-//	Parse → CompileKernel → Assemble → Simulate ┐
-//	                      Synthesize ───────────┴→ Combine
+//	Parse or derive → CompileKernel → Assemble → Simulate ┐
+//	                                Synthesize ───────────┴→ Combine
 //
-// Each stage is a pure function of its inputs. The Pipeline memoizes the
-// two artifacts that are ever reused (see cache.go and docs/PIPELINE.md):
-// the whole evaluation, so a repeated candidate costs one parse, and the
-// synthesis figures, so a kernel-only change skips synthesis. With a
-// store attached, both are shared across processes and runs.
+// The first stage builds the candidate's description: it parses user text,
+// or derives an explorer move from its parent's description
+// (isdl.Derive). Each stage is a pure function of its inputs. The Pipeline
+// memoizes the two artifacts that are ever reused (see cache.go and
+// docs/PIPELINE.md): the whole evaluation, so a repeated candidate costs
+// one build, and the synthesis figures, so a kernel-only change skips
+// synthesis. With a store attached, both are shared across processes and
+// runs.
 
 import (
 	"fmt"
@@ -32,11 +35,12 @@ type SynthArtifact struct {
 	EnergyPerInstrPJ float64
 }
 
-// ParseError reports an ISDL text that failed to parse. Every later
-// pipeline failure is a property of a valid description and the workload;
-// a ParseError says the text is no description at all, which lets the
-// explorer drop a mutation that produced one instead of reporting it as an
-// infeasible candidate.
+// ParseError reports a candidate that is no description at all: an ISDL
+// text that failed to parse, or a description derived from a valid one
+// (isdl.Derive) that failed the semantic checks. Every later pipeline
+// failure is a property of a valid description and the workload; a
+// ParseError lets the explorer drop a mutation that produced no
+// description instead of reporting it as an infeasible candidate.
 type ParseError struct{ Err error }
 
 func (e *ParseError) Error() string { return "core: parse ISDL: " + e.Err.Error() }
@@ -62,35 +66,52 @@ type Pipeline struct {
 // parent in the exported trace (the explorer passes its per-candidate
 // span, served its job span); a nil parent starts them at the root.
 //
-// The whole evaluation is memoized under (canonical ISDL, kernel,
-// workload label) and the synthesis figures under the canonical ISDL
-// alone, and cached reports that the cache answered the evaluation key,
-// from memory or from the store, so no stage after Parse ran. Parse
-// errors are returned unmemoized, as a *ParseError (an unparsable text
-// has no canonical form to key by); all later deterministic failures are
-// memoized under the evaluation key, so an infeasible candidate is
-// rejected once per cache lifetime.
+// The source is parsed and keyed by its canonical form, isdl.Format of
+// the parsed description, so formatting differences never split one
+// architecture; see EvaluateBuild for the rest.
 func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string, parent *obs.Span) (ev *Evaluation, cached bool, err error) {
-	// Parse + canonicalize. Never memoized: the artifact would be a mutable
-	// AST, which stages deliberately do not share across candidates.
+	return p.EvaluateBuild(func() (*isdl.Description, string, error) {
+		d, err := isdl.Parse(isdlSrc)
+		if err != nil {
+			return nil, "", err
+		}
+		return d, isdl.Format(d), nil
+	}, kernel, workload, parent)
+}
+
+// EvaluateBuild runs the full pipeline for the candidate build makes.
+// build returns the candidate's description and its key: canonical ISDL
+// text of that description, which EvaluateKernel computes and an explorer
+// move already holds. Running build is the parse stage. A build that
+// fails is returned as a *ParseError.
+//
+// The whole evaluation is memoized under (key, kernel, workload label)
+// and the synthesis figures under the key alone, and cached reports that
+// the cache answered the evaluation key, from memory or from the store,
+// so no stage after the build ran. Build errors are returned unmemoized
+// (a text that is no description has no canonical form to key by); all
+// later deterministic failures are memoized under the evaluation key, so
+// an infeasible candidate is rejected once per cache lifetime.
+func (p *Pipeline) EvaluateBuild(build func() (*isdl.Description, string, error), kernel, workload string, parent *obs.Span) (ev *Evaluation, cached bool, err error) {
+	// Never memoized: the artifact would be a mutable AST, which stages
+	// deliberately do not share across candidates.
 	p.Cache.countRun(StageParse)
 	start := time.Now()
-	d, err := isdl.Parse(isdlSrc)
+	d, key, err := build()
 	p.Obs.Histogram("stage.parse.ns").Observe(time.Since(start))
 	if err != nil {
 		return nil, false, &ParseError{Err: err}
 	}
-	canonical := isdl.Format(d)
 
-	return memo(p.Cache, StageCombine, StageKey(StageCombine, canonical, kernel, workload), func() (*Evaluation, error) {
-		return p.runStages(d, canonical, kernel, workload, parent)
+	return memo(p.Cache, StageCombine, StageKey(StageCombine, key, kernel, workload), func() (*Evaluation, error) {
+		return p.runStages(d, key, kernel, workload, parent)
 	})
 }
 
-// runStages is the post-parse pipeline. Compile, assemble and simulate
+// runStages is the pipeline after the build. Compile, assemble and simulate
 // are not memoized: the evaluation key already answers every repeat that
 // could reach them.
-func (p *Pipeline) runStages(d *isdl.Description, canonical, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
+func (p *Pipeline) runStages(d *isdl.Description, key, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
 	asmText, err := stageRun(p, parent, StageCompile, func() (string, error) {
 		return compiler.Compile(d, kernel)
 	})
@@ -112,7 +133,7 @@ func (p *Pipeline) runStages(d *isdl.Description, canonical, kernel, workload st
 
 	// Synthesize: independent of the workload, so a kernel change reuses
 	// the synthesis figures.
-	synthArt, _, err := memo(p.Cache, StageSynthesize, StageKey(StageSynthesize, canonical), func() (SynthArtifact, error) {
+	synthArt, _, err := memo(p.Cache, StageSynthesize, StageKey(StageSynthesize, key), func() (SynthArtifact, error) {
 		return stageRun(p, parent, StageSynthesize, func() (SynthArtifact, error) {
 			return synthesize(d, p.Obs)
 		})

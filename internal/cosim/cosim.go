@@ -1,6 +1,6 @@
 // Package cosim fans independent event-driven Verilog simulations across a
 // bounded worker pool — the Table 1 measurement's slow side, parallelized
-// with the same discipline as explore.evaluateAll: jobs are handed to
+// with the same discipline as explore's worker pool: jobs are handed to
 // workers in index order and results are reduced in index order, so the
 // outcome is bit-identical to the sequential loop no matter how the workers
 // interleave.

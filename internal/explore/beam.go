@@ -79,11 +79,11 @@ func (b Beam) run(e *engine) (*Result, error) {
 		// Union of all frontier members' neighbours, deduplicated, in
 		// frontier order then move order — a fixed order every Workers
 		// setting reduces in.
-		srcs := make([]string, len(frontier))
+		srcs := make([]source, len(frontier))
 		for i, f := range frontier {
-			srcs[i] = f.src
+			srcs[i] = source{action: f.action, src: f.src}
 		}
-		moves, err := e.expand(iterSpan, srcs, seen)
+		moves, outs, err := e.expand(iterSpan, srcs, seen)
 		if err != nil {
 			iterSpan.End()
 			return nil, err
@@ -94,7 +94,6 @@ func (b Beam) run(e *engine) (*Result, error) {
 			iterSpan.End()
 			break
 		}
-		outs := e.evaluateAll(moves, iterSpan)
 		var scored []beamCand
 		// Reduce in move order, exactly like the hill climb.
 		for i, mv := range moves {

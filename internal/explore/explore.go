@@ -19,14 +19,17 @@
 //	        explore.WithRestarts(3, 1),
 //	        explore.WithWorkers(8)).Run()
 //
-// Candidates are materialized as ISDL text (isdl.Format) and re-parsed, so
-// every mutation passes the full semantic validation — exactly the paper's
-// flow, where the architecture synthesis system outputs an ISDL description
-// and every tool is regenerated from it. Changes happen at the granularity
-// of a single operation definition, the fine grain §4.1 argues
-// parameterized-architecture systems cannot reach. Whatever the strategy
-// and worker count, results are bit-identical: candidates are evaluated by
-// a bounded pool but reduced in move order.
+// Each candidate is an ISDL description: its parent's description with one
+// edit applied, derived by the worker that evaluates it (isdl.Derive) and
+// checked by the same semantic pass as a parsed text — the paper's flow,
+// where the architecture synthesis system outputs an ISDL description and
+// every tool is regenerated from it. Its canonical ISDL text (isdl.Format)
+// deduplicates candidates, keys their evaluation and is what a run
+// reports. Changes happen at the granularity of a single operation
+// definition, the fine grain §4.1 argues parameterized-architecture
+// systems cannot reach. Whatever the strategy and worker count, results
+// are bit-identical: candidates are evaluated by a bounded pool but
+// reduced in move order.
 package explore
 
 import (
@@ -144,100 +147,114 @@ type Event struct {
 	Line string
 }
 
-// move is one candidate mutation.
+// edit changes a description in place and returns the function that
+// restores it exactly. neighbours applies each edit to a source's
+// description, prints the result and undoes it; a worker applies the same
+// edit to its own copy of that description (isdl.Derive). An edit finds
+// what it changes by position, so it means the same on the source and on
+// the copy.
+type edit func(d *isdl.Description) (undo func())
+
+// move is one candidate mutation of a source description.
 type move struct {
 	action string
-	src    string
+	// src is the mutated description's canonical ISDL text (isdl.Format
+	// output), so equal architectures reached through different paths
+	// compare equal as strings. It deduplicates candidates, keys their
+	// evaluation and becomes FinalSource.
+	src  string
+	edit edit
 }
 
-// neighbours generates the mutation set of a description. Every move's
-// src is canonical ISDL text (isdl.Format of the mutated description), so
-// equal architectures reached through different paths compare equal as
-// strings.
-//
-// src is parsed once: each move mutates that one description, formats it
-// and undoes the mutation before the next move. Moves are not re-parsed
-// here; a text that no longer parses is caught by the worker's own
-// pipeline parse (evaluateAll) and dropped without an event.
-func neighbours(src string) ([]move, error) {
-	d, err := isdl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
+// neighbours generates the mutation set of d. Each move's edit is applied
+// to d, d is formatted, and the edit is undone before the next move, so d
+// is unchanged when neighbours returns. Moves are not validated here: an
+// edit whose result is no valid description fails the worker's derive
+// (expand) and is dropped without an event.
+func neighbours(d *isdl.Description) []move {
 	var out []move
-	add := func(action string) {
-		out = append(out, move{action: action, src: isdl.Format(d)})
+	add := func(action string, ed edit) {
+		undo := ed(d)
+		out = append(out, move{action: action, src: isdl.Format(d), edit: ed})
+		undo()
 	}
 
 	// Remove one operation (never a nop: the assembler and scheduler fill
-	// empty VLIW slots with it). removeOp gives the field a new Ops slice,
-	// so ranging over the original one stays valid.
-	for _, f := range d.Fields {
+	// empty VLIW slots with it).
+	for fi, f := range d.Fields {
 		if len(f.Ops) == 1 {
 			continue
 		}
 		for oi, op := range f.Ops {
-			if op.Name == "nop" {
-				continue
+			if op.Name != "nop" {
+				add("remove "+op.QualName(), removeOp(fi, oi))
 			}
-			undo := removeOp(d, f, oi)
-			add("remove " + op.QualName())
-			undo()
 		}
 	}
 
 	// Halve each data memory.
-	for _, st := range d.Storage {
+	for si, st := range d.Storage {
 		if st.Kind == isdl.StDataMemory && st.Depth >= 64 {
-			depth := st.Depth
-			st.Depth /= 2
-			add(fmt.Sprintf("halve %s depth", st.Name))
-			st.Depth = depth
+			add(fmt.Sprintf("halve %s depth", st.Name), halveDepth(si))
 		}
 	}
 
 	// Retime multi-cycle operations: one pipeline stage fewer (deeper
 	// cycle) or one more (shorter cycle, more stalls).
-	for _, f := range d.Fields {
-		for _, op := range f.Ops {
-			if op.Timing.Latency <= 1 {
-				continue
+	for fi, f := range d.Fields {
+		for oi, op := range f.Ops {
+			if op.Timing.Latency > 1 {
+				add("shorten "+op.QualName()+" pipeline", retime(fi, oi, -1))
+				add("deepen "+op.QualName()+" pipeline", retime(fi, oi, 1))
 			}
-			timing, costs := op.Timing, op.Costs
-			op.Timing.Latency--
-			if op.Costs.Stall > 0 {
-				op.Costs.Stall--
-			}
-			add("shorten " + op.QualName() + " pipeline")
-			op.Timing, op.Costs = timing, costs
-			op.Timing.Latency++
-			op.Costs.Stall++
-			add("deepen " + op.QualName() + " pipeline")
-			op.Timing, op.Costs = timing, costs
 		}
 	}
-	return out, nil
+	return out
 }
 
-// removeOp deletes operation oi from field f, dropping any constraint that
-// mentions it, and returns the function that restores d exactly. It builds
-// new Ops and Constraints slices instead of editing the old ones in place,
-// so the undo only has to put the old slices back.
-func removeOp(d *isdl.Description, f *isdl.Field, oi int) (undo func()) {
-	ops, cons := f.Ops, d.Constraints
-	op := ops[oi]
-	f.Ops = make([]*isdl.Operation, 0, len(ops)-1)
-	f.Ops = append(append(f.Ops, ops[:oi]...), ops[oi+1:]...)
-	delete(f.ByName, op.Name)
-	d.Constraints = nil
-	for _, c := range cons {
-		if !mentionsOp(c.Expr, f.Name, op.Name) {
-			d.Constraints = append(d.Constraints, c)
+// removeOp deletes operation oi of field fi, dropping any constraint that
+// mentions it. It builds new Ops and Constraints slices instead of editing
+// the old ones in place, so the undo only has to put the old slices back.
+func removeOp(fi, oi int) edit {
+	return func(d *isdl.Description) func() {
+		f := d.Fields[fi]
+		ops, cons := f.Ops, d.Constraints
+		op := ops[oi]
+		f.Ops = make([]*isdl.Operation, 0, len(ops)-1)
+		f.Ops = append(append(f.Ops, ops[:oi]...), ops[oi+1:]...)
+		delete(f.ByName, op.Name)
+		d.Constraints = nil
+		for _, c := range cons {
+			if !mentionsOp(c.Expr, f.Name, op.Name) {
+				d.Constraints = append(d.Constraints, c)
+			}
+		}
+		return func() {
+			f.Ops, d.Constraints = ops, cons
+			f.ByName[op.Name] = op
 		}
 	}
-	return func() {
-		f.Ops, d.Constraints = ops, cons
-		f.ByName[op.Name] = op
+}
+
+// halveDepth halves the depth of storage si.
+func halveDepth(si int) edit {
+	return func(d *isdl.Description) func() {
+		st := d.Storage[si]
+		depth := st.Depth
+		st.Depth /= 2
+		return func() { st.Depth = depth }
+	}
+}
+
+// retime moves operation oi of field fi by delta pipeline stages: its
+// Latency and its Stall change by delta, and Stall stays at least 0.
+func retime(fi, oi, delta int) edit {
+	return func(d *isdl.Description) func() {
+		op := d.Fields[fi].Ops[oi]
+		timing, costs := op.Timing, op.Costs
+		op.Timing.Latency += delta
+		op.Costs.Stall = max(op.Costs.Stall+delta, 0)
+		return func() { op.Timing, op.Costs = timing, costs }
 	}
 }
 

@@ -177,14 +177,14 @@ func (p Pareto) run(e *engine) (*Result, error) {
 		// Expand the frontier; when everything so far violates the
 		// constraints there is no frontier yet, so probe from the base —
 		// its neighbourhood is the only ground not yet ruled out.
-		srcs := make([]string, 0, len(frontier))
+		srcs := make([]source, 0, len(frontier))
 		for _, f := range frontier {
-			srcs = append(srcs, f.src)
+			srcs = append(srcs, source{action: f.action, src: f.src})
 		}
 		if len(srcs) == 0 {
-			srcs = []string{e.base}
+			srcs = []source{{action: "base", src: e.base}}
 		}
-		moves, err := e.expand(iterSpan, srcs, seen)
+		moves, outs, err := e.expand(iterSpan, srcs, seen)
 		if err != nil {
 			iterSpan.End()
 			return nil, err
@@ -195,7 +195,6 @@ func (p Pareto) run(e *engine) (*Result, error) {
 			iterSpan.End()
 			break
 		}
-		outs := e.evaluateAll(moves, iterSpan)
 		entered := map[string]bool{} // this iteration's srcs that entered
 		// Reduce in move order, exactly like the other strategies.
 		for i, mv := range moves {

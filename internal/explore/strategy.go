@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/isdl"
 	"repro/internal/obs"
 )
 
@@ -222,22 +224,13 @@ func (e *engine) scoreChecked(ev *core.Evaluation) (float64, error) {
 	return s, nil
 }
 
-// evaluate runs the staged pipeline (core.Pipeline) for one candidate:
-// parse → compile kernel → assemble → simulate → synthesize → combine,
-// with the whole evaluation and the synthesis figures memoized per
-// content-addressed key (see docs/PIPELINE.md). Stage spans of executed
-// stages become children of sp in the trace.
-func (e *engine) evaluate(src string, sp *obs.Span) (*core.Evaluation, error) {
-	ev, _, err := e.pipe.EvaluateKernel(src, e.cfg.Kernel, "kernel", sp)
-	return ev, err
-}
-
-// evalBase scores the starting candidate and emits the "base" event.
+// evalBase scores the starting candidate, parsed from its text, and emits
+// the "base" event.
 func (e *engine) evalBase() (*core.Evaluation, float64, error) {
 	sp := e.obs().StartSpanLane("candidate", 1)
 	sp.SetArg("action", "base")
 	e.obs().Counter("explore.candidates").Inc()
-	eval, err := e.evaluate(e.base, sp)
+	eval, _, err := e.pipe.EvaluateKernel(e.base, e.cfg.Kernel, "kernel", sp)
 	sp.End()
 	if err != nil {
 		return nil, 0, fmt.Errorf("explore: base candidate: %w", err)
@@ -265,90 +258,152 @@ func (e *engine) emitCacheStats(iter int) {
 		Line: fmt.Sprintf("iter %d: cache %s", iter, e.stages.StatsLine())})
 }
 
-// expand generates the neighbours of each source, in source order then
-// move order, under an "expand" child of the iteration span, so the trace
-// shows the coordinator's serial time next to the worker lanes. With a
-// non-nil seen set it drops every text already queued and records the
-// rest.
-func (e *engine) expand(iterSpan *obs.Span, srcs []string, seen map[string]bool) ([]move, error) {
-	sp := iterSpan.Child("expand")
-	defer sp.End()
-	var moves []move
-	for _, src := range srcs {
-		ns, err := neighbours(src)
-		if err != nil {
-			return nil, err
-		}
-		for _, mv := range ns {
-			if seen != nil {
-				if seen[mv.src] { // mv.src is canonical (isdl.Format output)
-					continue
-				}
-				seen[mv.src] = true
-			}
-			moves = append(moves, mv)
-		}
-	}
-	sp.SetArg("moves", strconv.Itoa(len(moves)))
-	return moves, nil
+// source is a description an iteration expands: its text, and the action
+// that produced it ("base" for the starting description), which names it
+// in errors.
+type source struct {
+	action string
+	src    string
 }
 
 // outcome is one candidate's pipeline result.
 type outcome struct {
 	eval *core.Evaluation
 	err  error
-	// invalid marks a move whose text failed the pipeline's parse: the
+	// invalid marks a move whose edit left no valid description: the
 	// mutation produced no description at all, so it is not a candidate.
 	invalid bool
 }
 
-// evaluateAll scores every move, fanning out over the bounded worker pool.
-// outs[i] always corresponds to moves[i]; completion order never matters.
-// Each scored candidate gets a span on its worker's lane, parented to the
-// iteration span, so the trace shows the fan-out side by side. The
-// pipeline's parse is the moves' validity check: a *core.ParseError marks
-// the outcome invalid and counts under explore.moves.invalid instead of
-// explore.candidates.
-func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
-	outs := make([]outcome, len(moves))
-	workers := e.workers
-	if workers > len(moves) {
-		workers = len(moves)
-	}
-	scoreOne := func(i, lane int) {
-		sp := iterSpan.ChildLane("candidate", lane)
-		sp.SetArg("action", moves[i].action)
-		o := &outs[i]
-		o.eval, o.err = e.evaluate(moves[i].src, sp)
-		var perr *core.ParseError
-		o.invalid = errors.As(o.err, &perr)
-		if o.invalid {
-			e.obs().Counter("explore.moves.invalid").Inc()
-		} else {
-			e.obs().Counter("explore.candidates").Inc()
-		}
-		if o.err != nil {
-			sp.SetArg("err", o.err.Error())
-		}
-		sp.End()
-	}
-	next := make(chan int)
+// job is one move on its way to a worker, with the description of the
+// source it edits. Only jobs hold that description, so it stays alive
+// only while its moves are in flight.
+type job struct {
+	parent *isdl.Description
+	mv     move
+	out    *outcome
+}
+
+// expand generates the neighbours of each source and scores them on the
+// bounded worker pool, in one loop: a source's moves go to the workers as
+// soon as neighbours has finished with (and restored) its description, and
+// the next source is expanded while they run. The workers only read that
+// description, so it must not change until its moves are done; each source
+// is parsed into a description of its own. moves are in source order then
+// move order, and outs[i] always corresponds to moves[i]: completion order
+// never matters. With a non-nil seen set it drops every text already
+// queued and records the rest.
+//
+// The coordinator's serial work, up to handing the last source's moves on,
+// is an "expand" child of the iteration span, and each candidate a span on
+// its worker's lane, parented to the iteration span, so the trace shows
+// them overlap. Deriving a move's description is its validity check: a
+// *core.ParseError marks the outcome invalid and counts under
+// explore.moves.invalid instead of explore.candidates. A source whose
+// every move is invalid is an error: none of its neighbours could be
+// judged, which a sound description and sound edits never produce.
+func (e *engine) expand(iterSpan *obs.Span, srcs []source, seen map[string]bool) ([]move, []outcome, error) {
+	sp := iterSpan.Child("expand")
+	next := make(chan job)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < e.workers; w++ {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			for i := range next {
-				scoreOne(i, lane)
+			for j := range next {
+				e.evaluateMove(j, lane, iterSpan)
 			}
 		}(1 + w)
 	}
-	for i := range moves {
-		next <- i
+	// batches hands one source's jobs at a time to the feeder, which passes
+	// them on to the workers, so the coordinator expands the next source
+	// meanwhile. Only the sources with moves in flight and the one being
+	// expanded keep a description alive.
+	batches := make(chan []job)
+	go func() {
+		for b := range batches {
+			for _, j := range b {
+				next <- j
+			}
+		}
+		close(next)
+	}()
+
+	var moves []move
+	var outs []*outcome
+	// whole holds the moves [from, to) of each source that queued every
+	// move it has, so that all of them are judged here.
+	type sourceMoves struct{ src, from, to int }
+	var whole []sourceMoves
+	var err error
+	for i, s := range srcs {
+		var d *isdl.Description
+		if d, err = isdl.Parse(s.src); err != nil {
+			err = fmt.Errorf("explore: expand %s: %w", s.action, err)
+			break
+		}
+		from, dropped := len(moves), false
+		var batch []job
+		for _, mv := range neighbours(d) {
+			if seen != nil {
+				if seen[mv.src] {
+					dropped = true
+					continue
+				}
+				seen[mv.src] = true
+			}
+			o := new(outcome)
+			moves, outs = append(moves, mv), append(outs, o)
+			batch = append(batch, job{parent: d, mv: mv, out: o})
+		}
+		if !dropped && len(batch) > 0 {
+			whole = append(whole, sourceMoves{i, from, len(moves)})
+		}
+		batches <- batch
 	}
-	close(next)
+	close(batches)
+	sp.SetArg("moves", strconv.Itoa(len(moves)))
+	sp.End()
 	wg.Wait()
-	return outs
+	if err != nil {
+		return nil, nil, err
+	}
+
+	res := make([]outcome, len(outs))
+	for i, o := range outs {
+		res[i] = *o
+	}
+	for _, w := range whole {
+		if !slices.ContainsFunc(res[w.from:w.to], func(o outcome) bool { return !o.invalid }) {
+			return nil, nil, fmt.Errorf("explore: every move of %s (%d) is invalid; the first, %s: %w",
+				srcs[w.src].action, w.to-w.from, moves[w.from].action, res[w.from].err)
+		}
+	}
+	return moves, res, nil
+}
+
+// evaluateMove scores one move on a worker: it derives the move's
+// description from its source's (the pipeline's build, keyed by the move's
+// text) and runs the pipeline under a candidate span on the worker's lane.
+func (e *engine) evaluateMove(j job, lane int, iterSpan *obs.Span) {
+	sp := iterSpan.ChildLane("candidate", lane)
+	sp.SetArg("action", j.mv.action)
+	o := j.out
+	o.eval, _, o.err = e.pipe.EvaluateBuild(func() (*isdl.Description, string, error) {
+		d, err := isdl.Derive(j.parent, func(c *isdl.Description) { j.mv.edit(c) })
+		return d, j.mv.src, err
+	}, e.cfg.Kernel, "kernel", sp)
+	var perr *core.ParseError
+	o.invalid = errors.As(o.err, &perr)
+	if o.invalid {
+		e.obs().Counter("explore.moves.invalid").Inc()
+	} else {
+		e.obs().Counter("explore.candidates").Inc()
+	}
+	if o.err != nil {
+		sp.SetArg("err", o.err.Error())
+	}
+	sp.End()
 }
 
 // scoreOutcome is every strategy's first step in reducing one outcome. It
@@ -401,18 +456,17 @@ func (HillClimb) run(e *engine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	curSrc := e.base
+	cur := source{action: "base", src: e.base}
 	res := &Result{Initial: curEval}
 
 	for iter := 1; iter <= e.maxIters; iter++ {
 		iterSpan := e.obs().StartSpan("iteration")
 		iterSpan.SetArg("iter", strconv.Itoa(iter))
-		moves, err := e.expand(iterSpan, []string{curSrc}, nil)
+		moves, outs, err := e.expand(iterSpan, []source{cur}, nil)
 		if err != nil {
 			iterSpan.End()
 			return nil, err
 		}
-		outs := e.evaluateAll(moves, iterSpan)
 		bestScore := curScore
 		var bestSrc, bestAction string
 		var bestEval *core.Evaluation
@@ -442,9 +496,9 @@ func (HillClimb) run(e *engine) (*Result, error) {
 		iterSpan.SetArg("accepted", bestAction)
 		iterSpan.End()
 		e.setBestScore(bestScore)
-		curSrc, curScore, curEval = bestSrc, bestScore, bestEval
+		cur, curScore, curEval = source{action: bestAction, src: bestSrc}, bestScore, bestEval
 	}
 	res.Final = curEval
-	res.FinalSource = curSrc
+	res.FinalSource = cur.src
 	return res, nil
 }

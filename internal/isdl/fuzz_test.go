@@ -1,19 +1,20 @@
 package isdl_test
 
 import (
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/isdl"
+	"repro/internal/isdl/isdltest"
 	"repro/internal/machines"
 )
 
 // FuzzFormatFixpoint checks that Format writes what Parse read: every
 // source that parses formats to text that parses again, to the same
-// structure, and whose own formatting is the same text. Seeded with the
-// zoo; testdata/fuzz/FuzzFormatFixpoint holds the inputs it has failed on.
+// structure, and whose own formatting is the same text. It also checks
+// Derive's copy on every description it finds: Derive with no edit gives
+// the same structure and text. Seeded with the zoo;
+// testdata/fuzz/FuzzFormatFixpoint holds the inputs it has failed on.
 func FuzzFormatFixpoint(f *testing.F) {
 	for _, m := range machines.Zoo() {
 		f.Add(m.Source)
@@ -28,7 +29,7 @@ func FuzzFormatFixpoint(f *testing.F) {
 }
 
 // checkFormatFixpoint fails t unless Format(d) parses to d's structure
-// and formats to itself.
+// and formats to itself, and Derive(d, nil) has d's structure and text.
 func checkFormatFixpoint(t *testing.T, d *isdl.Description) {
 	t.Helper()
 	text := isdl.Format(d)
@@ -36,84 +37,23 @@ func checkFormatFixpoint(t *testing.T, d *isdl.Description) {
 	if err != nil {
 		t.Fatalf("Format output does not parse: %v\n%s", err, text)
 	}
-	if s1, s2 := structure(d), structure(d2); s1 != s2 {
+	s1 := isdltest.Structure(d)
+	if s2 := isdltest.Structure(d2); s1 != s2 {
 		t.Fatalf("Format changed the structure:\n%s\n--- after Parse(Format):\n%s", s1, s2)
 	}
 	if text2 := isdl.Format(d2); text2 != text {
 		t.Fatalf("Format is not a fixpoint:\n%s\n--- then:\n%s", text, text2)
 	}
-}
-
-// structure renders what a description means, without positions and
-// without going through Format.
-func structure(d *isdl.Description) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "machine %q format %d\n", d.Name, d.WordWidth)
-	names := make([]string, 0, len(d.Tokens))
-	for n := range d.Tokens {
-		names = append(names, n)
+	d3, err := isdl.Derive(d, nil)
+	if err != nil {
+		t.Fatalf("Derive with no edit: %v\n%s", err, text)
 	}
-	slices.Sort(names)
-	for _, n := range names {
-		tok := *d.Tokens[n]
-		tok.Pos = isdl.Pos{}
-		fmt.Fprintf(&sb, "token %+v\n", tok)
+	if s3 := isdltest.Structure(d3); s3 != s1 {
+		t.Fatalf("Derive changed the structure:\n%s\n--- derived:\n%s", s1, s3)
 	}
-	for _, st := range d.Storage {
-		s := *st
-		s.Pos = isdl.Pos{}
-		fmt.Fprintf(&sb, "storage %+v\n", s)
+	if text3 := isdl.Format(d3); text3 != text {
+		t.Fatalf("Derive changed the text:\n%s\n--- derived:\n%s", text, text3)
 	}
-	for _, a := range d.Aliases {
-		al := *a
-		al.Pos, al.Storage = isdl.Pos{}, nil // Target names the storage
-		fmt.Fprintf(&sb, "alias %+v\n", al)
-	}
-	names = names[:0]
-	for n := range d.NonTerminals {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	for _, n := range names {
-		nt := d.NonTerminals[n]
-		fmt.Fprintf(&sb, "nonterminal %s width %d value %d lvalue %v\n", nt.Name, nt.RetWidth, nt.ValueWidth, nt.Lvalue)
-		for _, o := range nt.Options {
-			fmt.Fprintf(&sb, "  option %d%s sig %s value %s effect %v cost %+v timing %+v\n",
-				o.Index, syntax(o.Syntax, o.Params), o.Sig.String(), o.Value, o.SideEffect, o.Costs, o.Timing)
-		}
-	}
-	for _, f := range d.Fields {
-		fmt.Fprintf(&sb, "field %s\n", f.Name)
-		for _, op := range f.Ops {
-			fmt.Fprintf(&sb, "  op %s%s sig %s action %v effect %v cost %+v timing %+v\n",
-				op.Name, syntax(op.Syntax, op.Params), op.Sig.String(), op.Action, op.SideEffect, op.Costs, op.Timing)
-		}
-	}
-	for _, c := range d.Constraints {
-		fmt.Fprintf(&sb, "constraint %s\n", c.Text)
-	}
-	names = names[:0]
-	for k := range d.Info {
-		names = append(names, k)
-	}
-	slices.Sort(names)
-	for _, k := range names {
-		fmt.Fprintf(&sb, "info %q = %q\n", k, d.Info[k])
-	}
-	return sb.String()
-}
-
-func syntax(syn []isdl.SynElem, params []*isdl.Param) string {
-	var sb strings.Builder
-	for _, el := range syn {
-		if el.Lit != "" {
-			fmt.Fprintf(&sb, " %q", el.Lit)
-			continue
-		}
-		p := params[el.Param]
-		fmt.Fprintf(&sb, " (%s: %s)", p.Name, p.TypeName)
-	}
-	return sb.String()
 }
 
 // TestEmptySyntaxLiteral pins the rejection of "": an empty literal would

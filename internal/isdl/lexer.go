@@ -46,6 +46,15 @@ var puncts = []string{
 	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=", "@",
 }
 
+// punctsByFirst indexes puncts by their first byte, longest first as in
+// puncts, so a token tries at most the four spellings that start with '<'.
+var punctsByFirst = func() (t [256][]string) {
+	for _, p := range puncts {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
+
 type lexer struct {
 	src  string
 	off  int
@@ -145,7 +154,7 @@ func (l *lexer) next() (lexToken, error) {
 		return l.lexNumber(p)
 	}
 
-	for _, op := range puncts {
+	for _, op := range punctsByFirst[c] {
 		if strings.HasPrefix(l.src[l.off:], op) {
 			l.advance(len(op))
 			return lexToken{Kind: lexPunct, Text: op, Pos: p}, nil

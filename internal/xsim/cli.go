@@ -279,7 +279,7 @@ func (s *Session) Execute(line string) error {
 		}
 		if len(args) == 2 {
 			v, err := strconv.Atoi(args[1])
-			if err != nil {
+			if err != nil || v < 1 {
 				return fmt.Errorf("bad count %q", args[1])
 			}
 			count = v
@@ -474,7 +474,7 @@ const helpText = `commands:
   x <storage> [idx [n]]     examine state (n >= 1 elements)
   set <storage> <idx> <v>   modify state
   pc | setpc <addr|sym>     program counter
-  disasm [addr [n]]         disassemble
+  disasm [addr [n]]         disassemble (n >= 1 instructions)
   trace <file|off>          execution address trace
   profile on|off|report     in-process execution profiling
   perf                      simulator performance counters (MIPS, caches)

@@ -272,13 +272,15 @@ func TestSessionIndexRange(t *testing.T) {
 		t.Fatalf("output: %q", out.String())
 	}
 	// A count below 1 is an error, as step's is, not a command that
-	// prints nothing (x) or runs without a limit (run).
+	// prints nothing (x, disasm) or runs without a limit (run).
 	for cmd, want := range map[string]string{
-		"x RF 0 0":  `bad count "0"`,
-		"x RF 0 -3": `bad count "-3"`,
-		"run 0":     `bad limit "0"`,
-		"run -5":    `bad limit "-5"`,
-		"step 0":    `bad step count "0"`,
+		"x RF 0 0":    `bad count "0"`,
+		"x RF 0 -3":   `bad count "-3"`,
+		"disasm 0 0":  `bad count "0"`,
+		"disasm 0 -3": `bad count "-3"`,
+		"run 0":       `bad limit "0"`,
+		"run -5":      `bad limit "-5"`,
+		"step 0":      `bad step count "0"`,
 	} {
 		if err := s.Execute(cmd); err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %s", cmd, err, want)
